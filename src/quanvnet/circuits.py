@@ -252,9 +252,7 @@ class QuantumEvaluator:
         n = self.layout.total_qubits
         self._dim = 1 << n
         self._num_measured = len(order)
-        self._h_gates = tuple(
-            sv._CompiledGate("H", *sv._pair_indices(n, q, ()), None) for q in order
-        )
+        self._h_gates = sv.compile_program(CircuitProgram(n, [GateInstruction("H", q) for q in order]))
         # axis permutation taking |probs| reshaped to (B, 2, ..., 2) into
         # (B, measured..., rest...) with order[0] most significant
         rest = [q for q in range(n) if q not in order]

@@ -448,27 +448,82 @@ def save_checkpoint(path, store: ParameterStore, config: ModelConfig) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (ParameterStore, ModelConfig)."""
+    """Returns (ParameterStore, ModelConfig). The header, the manifest and the
+    payload size are checked before any array is read; a malformed file
+    raises ``DataError``."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no checkpoint at {path}")
     raw = path.read_bytes()
-    newline = raw.index(b"\n")
-    magic, _, length = raw[:newline].decode("ascii").partition(" ")
+    newline = raw.find(b"\n")
+    header = raw[:newline].decode("ascii", errors="replace") if newline >= 0 else ""
+    magic, _, length = header.partition(" ")
     if magic != CHECKPOINT_MAGIC:
-        raise DataError(f"{path} is not a checkpoint file")
-    manifest = json.loads(raw[newline + 1 : newline + 1 + int(length)])
-    known = {f.name for f in fields(ModelConfig)}
-    config = ModelConfig(**{k: v for k, v in manifest["config"].items() if k in known})
-    lengths = {entry["name"]: entry["length"] for entry in manifest["segments"]}
-    offset = newline + 1 + int(length)
-    store = ParameterStore({}, {}, {}, step=manifest["adam"]["step"])
-    for name in manifest["arrays"]:
-        kind, seg = name.split(":")
+        raise DataError(f"{path} is not a checkpoint file (no '{CHECKPOINT_MAGIC} <length>' header line)")
+    if not (length.isascii() and length.isdigit()):
+        raise DataError(f"checkpoint {path}: manifest length {length!r} in the header is not an integer")
+    start = newline + 1
+    offset = start + int(length)
+    if offset > len(raw):
+        raise DataError(f"checkpoint {path} is truncated inside its manifest")
+    try:
+        manifest = json.loads(raw[start:offset])
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise DataError(f"checkpoint {path}: manifest is not valid JSON: {exc}") from exc
+    lengths, arrays, step, config = _checked_manifest(manifest, path)
+    payload = 8 * sum(lengths[seg] for _, seg in arrays)
+    if len(raw) - offset != payload:
+        raise DataError(
+            f"checkpoint {path} has {len(raw) - offset} array bytes, its manifest declares {payload}"
+        )
+    store = ParameterStore({}, {}, {}, step=step)
+    for kind, seg in arrays:
         size = lengths[seg]
         arr = np.frombuffer(raw, dtype="<f8", count=size, offset=offset).copy()
         offset += size * 8
         {"segment": store.segments, "adam_m": store.adam_m, "adam_v": store.adam_v}[kind][seg] = arr
-    if offset != len(raw):
-        raise DataError(f"checkpoint {path} has trailing or missing bytes")
     return store, config
+
+
+def _checked_manifest(manifest, path) -> tuple:
+    """(segment lengths, (kind, segment) array order, Adam step, ModelConfig)
+    of a checkpoint manifest, or ``DataError`` naming what is malformed."""
+
+    def bad(what):
+        return DataError(f"checkpoint {path}: manifest {what}")
+
+    def count(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+    if not isinstance(manifest, dict):
+        raise bad("is not a JSON object")
+    missing = [k for k in ("format_version", "segments", "adam", "config", "arrays") if k not in manifest]
+    if missing:
+        raise bad(f"lacks {', '.join(missing)}")
+    if manifest["format_version"] != 1:
+        raise bad(f"has unsupported format_version {manifest['format_version']!r}")
+    segments = manifest["segments"]
+    if not isinstance(segments, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("name"), str) and count(e.get("length")) for e in segments
+    ):
+        raise bad("'segments' must list objects with a string 'name' and a non-negative integer 'length'")
+    lengths = {e["name"]: e["length"] for e in segments}
+    adam = manifest["adam"]
+    if not isinstance(adam, dict) or not count(adam.get("step")):
+        raise bad("'adam' must be an object with a non-negative integer 'step'")
+    if not isinstance(manifest["arrays"], list):
+        raise bad("'arrays' is not a list")
+    arrays = []
+    for name in manifest["arrays"]:
+        kind, _, seg = str(name).partition(":")
+        if not isinstance(name, str) or kind not in ("segment", "adam_m", "adam_v") or seg not in lengths:
+            raise bad(f"'arrays' entry {name!r} is not <segment|adam_m|adam_v>:<declared segment>")
+        arrays.append((kind, seg))
+    if not isinstance(manifest["config"], dict):
+        raise bad("'config' is not an object")
+    known = {f.name for f in fields(ModelConfig)}
+    try:
+        config = ModelConfig(**{k: v for k, v in manifest["config"].items() if k in known})
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise bad(f"'config' is invalid: {exc}") from exc
+    return lengths, arrays, adam["step"], config

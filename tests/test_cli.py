@@ -184,6 +184,44 @@ class TestEvalAndAnalyze:
             assert -1.0 <= float(v) <= 1.0
 
 
+def _corrupt(raw: bytes, case: str) -> bytes:
+    """A malformed variant of a valid checkpoint's bytes."""
+    header, _, rest = raw.partition(b"\n")
+    length = int(header.split()[1])
+    manifest, payload = rest[:length], rest[length:]
+    if case == "truncated":
+        return raw[: len(raw) - 12]
+    if case == "no_newline":
+        return header
+    if case == "bad_json":
+        return header + b"\n" + b"{" + manifest[1:-1] + b"\n" + payload
+    if case == "bad_length":
+        return header.split()[0] + b" twelve\n" + rest
+    assert case == "no_adam"
+    doc = json.loads(manifest)
+    del doc["adam"]
+    blob = json.dumps(doc).encode()
+    return header.split()[0] + b" %d\n" % len(blob) + blob + payload
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("case, message", [
+        ("truncated", "array bytes"),
+        ("no_newline", "not a checkpoint file"),
+        ("bad_json", "not valid JSON"),
+        ("bad_length", "is not an integer"),
+        ("no_adam", "lacks adam"),
+    ])
+    def test_eval_exits_3_with_data_error(self, trained, dataset_dir, tmp_path, capsys, case, message):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(_corrupt((trained / "run0.ckpt").read_bytes(), case))
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("data error:") and message in err
+
+
 class TestSynth:
     def test_deterministic_generation(self, tmp_path):
         args = ["synth", "--classes", "3", "--image-size", "16", "--channels", "2",

@@ -292,3 +292,163 @@ def test_dump_amplitudes_format():
     assert idx == "1"
     assert re == f"{1 / np.sqrt(2):.17g}"
     assert im == "0"
+
+
+# ---------------------------------------------------------------------------
+# compiled kernels: fused units, strided views and index gathers
+# ---------------------------------------------------------------------------
+
+KERNEL_LIMITS = {"view": 5, "gather": -1}  # VIEW_MAX_CONTROLS forcing each kernel
+
+
+def compile_with(monkeypatch, kernel, program):
+    """Compile bypassing the cache, with every op on the named kernel."""
+    monkeypatch.setattr(sv, "VIEW_MAX_CONTROLS", KERNEL_LIMITS[kernel])
+    return sv.compile_program.__wrapped__(program)
+
+
+def random_stack(rng, rows, num_qubits):
+    amps = rng.normal(size=(rows, 1 << num_qubits)) + 1j * rng.normal(size=(rows, 1 << num_qubits))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def unit(target, controls, first_slot=0, tag=param_slot):
+    return [GateInstruction(kind, target, controls, tag(first_slot + i)) for i, kind in enumerate(sv.ROTATION_KINDS)]
+
+
+class TestCompiledKernels:
+    N = 7
+
+    def _controls(self, rng, target, count, value):
+        pool = [q for q in range(self.N) if q != target]
+        return tuple((int(q), value) for q in rng.permutation(pool)[:count])
+
+    @pytest.mark.parametrize("kernel", ["view", "gather"])
+    @pytest.mark.parametrize("value", [0, 1])
+    @pytest.mark.parametrize("count", range(6))
+    def test_fused_unit_matches_dense_product(self, monkeypatch, kernel, value, count):
+        rng = np.random.default_rng(100 + 10 * count + value)
+        target = int(rng.integers(self.N))
+        prog = CircuitProgram(self.N, unit(target, self._controls(rng, target, count, value)), param_arity=3)
+        (op,) = compile_with(monkeypatch, kernel, prog)
+        assert op.kind == "U" and (op.shape is not None) == (kernel == "view")
+        params = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
+        dense = np.eye(1 << self.N, dtype=np.complex128)
+        for instr in prog.instructions:
+            dense = oracles.dense_gate_matrix(self.N, instr, params=params) @ dense
+        before = random_stack(rng, 3, self.N)
+        after = before.copy()
+        sv.run_compiled((op,), after, None, params)
+        assert np.max(np.abs(after - before @ dense.T)) <= 1e-10
+        sv._apply_kernel(after, op, params[[0, 1, 2]], invert=True)
+        assert np.max(np.abs(after - before)) <= 1e-10
+
+    @pytest.mark.parametrize("kernel", ["view", "gather"])
+    @pytest.mark.parametrize("kind", sv.GATE_KINDS)
+    def test_single_gates_match_dense_matrix(self, monkeypatch, kernel, kind):
+        rng = np.random.default_rng(200 + sv.GATE_KINDS.index(kind))
+        for count in range(6):
+            target = int(rng.integers(self.N))
+            controls = self._controls(rng, target, count, int(rng.integers(2)))
+            angle = data_slot(0) if kind in sv.ROTATION_KINDS else None
+            prog = CircuitProgram(self.N, [GateInstruction(kind, target, controls, angle)], data_arity=1)
+            ops = compile_with(monkeypatch, kernel, prog)
+            data = rng.uniform(-np.pi, np.pi, (3, 1))  # one angle per row
+            before = random_stack(rng, 3, self.N)
+            after = before.copy()
+            sv.run_compiled(ops, after, data, None)
+            for row in range(3):
+                dense = oracles.dense_gate_matrix(self.N, prog.instructions[0], data=data[row])
+                assert np.max(np.abs(after[row] - dense @ before[row])) <= 1e-10
+
+    @pytest.mark.parametrize("kernel", ["view", "gather"])
+    def test_control_violating_amplitudes_bitwise_unchanged(self, monkeypatch, kernel):
+        rng = np.random.default_rng(300)
+        controls = ((1, 1), (4, 0))
+        prog = CircuitProgram(
+            self.N,
+            unit(2, controls) + [GateInstruction("H", 2, controls), GateInstruction("RY", 2, controls, constant(0.4))],
+            param_arity=3,
+        )
+        before = random_stack(rng, 2, self.N)
+        after = before.copy()
+        sv.run_compiled(compile_with(monkeypatch, kernel, prog), after, None, rng.uniform(0, 6, 3))
+        idx = np.arange(1 << self.N)
+        violating = ((idx >> 1) & 1 != 1) | ((idx >> 4) & 1 != 0)
+        assert np.array_equal(after[:, violating], before[:, violating])
+        assert not np.allclose(after[:, ~violating], before[:, ~violating])
+
+    def test_kernel_chosen_by_control_count(self):
+        for count in range(6):
+            prog = CircuitProgram(self.N, [GateInstruction("H", 0, tuple((q, 1) for q in range(1, count + 1)))])
+            (op,) = sv.compile_program(prog)
+            assert (op.shape is not None) == (count <= sv.VIEW_MAX_CONTROLS)
+
+    def test_non_contiguous_stack_rejected(self):
+        prog = CircuitProgram(2, [GateInstruction("H", 0)])
+        amps = np.zeros((2, 8), dtype=np.complex128)[:, ::2]
+        with pytest.raises(ValueError):
+            sv.run_compiled(sv.compile_program(prog), amps)
+
+
+class TestFusionRules:
+    def _kinds(self, instrs, data_arity=0, param_arity=6):
+        return [op.kind for op in sv.compile_program(CircuitProgram(4, instrs, data_arity, param_arity))]
+
+    def test_param_triple_fused_with_first_slot_as_angle(self):
+        ops = sv.compile_program(CircuitProgram(4, unit(1, ((0, 1),), first_slot=2), param_arity=5))
+        assert [op.kind for op in ops] == ["U"]
+        assert ops[0].angle == param_slot(2) and ops[0].slots == (2, 3, 4)
+
+    def test_control_order_does_not_matter(self):
+        instrs = unit(1, ((0, 1), (2, 0)))
+        instrs[2] = GateInstruction("RZ", 1, ((2, 0), (0, 1)), param_slot(2))
+        assert self._kinds(instrs) == ["U"]
+
+    def test_partial_triples_not_fused(self):
+        assert self._kinds(unit(1, ())[:2]) == ["RX", "RY"]
+        assert self._kinds(unit(1, ())[1:]) == ["RY", "RZ"]
+        rx, ry, rz = unit(1, ())
+        assert self._kinds([ry, rx, rz]) == ["RY", "RX", "RZ"]
+
+    def test_mixed_targets_or_controls_not_fused(self):
+        rx, ry, rz = unit(1, ((0, 1),))
+        assert self._kinds([rx, ry, GateInstruction("RZ", 2, ((0, 1),), param_slot(2))]) == ["RX", "RY", "RZ"]
+        assert self._kinds([rx, GateInstruction("RY", 1, ((0, 0),), param_slot(1)), rz]) == ["RX", "RY", "RZ"]
+        assert self._kinds([rx, ry, GateInstruction("RZ", 1, (), param_slot(2))]) == ["RX", "RY", "RZ"]
+
+    def test_data_or_constant_bound_triples_not_fused(self):
+        assert self._kinds(unit(1, (), tag=data_slot), data_arity=3) == ["RX", "RY", "RZ"]
+        mixed = unit(1, ())
+        mixed[1] = GateInstruction("RY", 1, (), constant(0.3))
+        assert self._kinds(mixed) == ["RX", "RY", "RZ"]
+
+    def test_triples_fuse_after_an_unfused_prefix(self):
+        instrs = [GateInstruction("RX", 3, (), param_slot(5))] + unit(1, ())
+        assert self._kinds(instrs) == ["RX", "U"]
+
+
+def test_adjoint_gradients_of_fused_units_match_central_differences():
+    rng = np.random.default_rng(400)
+    n, units = 5, 8
+    instrs = [GateInstruction("H", q) for q in range(n)]
+    for u in range(units):
+        target = int(rng.integers(n))
+        pool = [q for q in range(n) if q != target]
+        controls = tuple((int(q), int(rng.integers(2))) for q in rng.permutation(pool)[: int(rng.integers(4))])
+        instrs += unit(target, controls, first_slot=3 * u)
+        instrs.append(GateInstruction("RX", int(rng.integers(n)), (), data_slot(u)))
+    prog = CircuitProgram(n, instrs, data_arity=units, param_arity=3 * units)
+    assert sum(op.kind == "U" for op in sv.compile_program(prog)) == units
+    data = rng.uniform(0, np.pi, units)
+    params = rng.uniform(0, 2 * np.pi, 3 * units)
+    ops = [MeasurementOperator((q,), (int(rng.choice([-1, 1])),)) for q in range(n)]
+    cot = rng.normal(size=n)
+
+    def loss(p):
+        psi = sv.run_circuit(prog, data, p)
+        return sum(c * sv.expectation(psi, op) for c, op in zip(cot, ops))
+
+    got = sv.adjoint_gradients(prog, data, params, ops, cot)
+    want = oracles.central_differences(loss, params, eps=1e-4)
+    assert oracles.relative_error(got, want) <= 1e-5
