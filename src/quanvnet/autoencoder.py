@@ -20,34 +20,31 @@ HIDDEN_CHANNELS = 4
 
 
 def patchify(image: np.ndarray, patch: int) -> np.ndarray:
-    """Split (N, N, C) into a (N/P, N/P) grid of (P, P, C) patches.
+    """Split (..., N, N, C) into a (..., N/P, N/P) grid of (P, P, C) patches.
 
-    Patch (x, y) holds image rows [xP, (x+1)P) and cols [yP, (y+1)P).
-    Requires an exact power-of-two tiling.
+    Patch (x, y) holds image rows [xP, (x+1)P) and cols [yP, (y+1)P); any
+    leading axes (a batch of images) are kept. Requires an exact power-of-two
+    tiling.
     """
     image = np.asarray(image)
-    if image.ndim != 3 or image.shape[0] != image.shape[1]:
-        raise ValueError("image must be square with shape (N, N, channels)")
-    n = image.shape[0]
+    if image.ndim < 3 or image.shape[-3] != image.shape[-2]:
+        raise ValueError("image must be square with shape (..., N, N, channels)")
+    n = image.shape[-3]
     if patch < 1 or n % patch != 0:
         raise ValueError(f"image size {n} is not divisible by patch size {patch}")
     grid = n // patch
     if grid & (grid - 1):
         raise ValueError(f"grid {grid} per side is not a power of 2")
-    c = image.shape[2]
-    return (
-        image.reshape(grid, patch, grid, patch, c)
-        .transpose(0, 2, 1, 3, 4)
-        .copy()
-    )
+    lead, c = image.shape[:-3], image.shape[-1]
+    return np.swapaxes(image.reshape(*lead, grid, patch, grid, patch, c), -4, -3).copy()
 
 
 def unpatchify(grid: np.ndarray) -> np.ndarray:
-    """Inverse of patchify; lossless."""
-    s, s2, p, p2, c = grid.shape
+    """Inverse of patchify, over the same leading axes; lossless."""
+    *lead, s, s2, p, p2, c = grid.shape
     if s != s2 or p != p2:
-        raise ValueError("patch grid must be (S, S, P, P, C)")
-    return grid.transpose(0, 2, 1, 3, 4).reshape(s * p, s * p, c)
+        raise ValueError("patch grid must be (..., S, S, P, P, C)")
+    return np.swapaxes(grid, -4, -3).reshape(*lead, s * p, s * p, c)
 
 
 def reconstruction_loss(original: np.ndarray, reconstructed: np.ndarray) -> float:
@@ -173,10 +170,6 @@ class PatchAutoencoder:
     @property
     def encoder_slice(self) -> slice:
         return slice(0, self._encoder_end)
-
-    @property
-    def decoder_slice(self) -> slice:
-        return slice(self._encoder_end, self.num_params)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         flat = np.zeros(self.num_params)

@@ -18,7 +18,7 @@ Register conventions (all indices little-endian into the simulator):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -354,21 +354,8 @@ class ResourceReport:
     total_qubits: int
     measurement_operators: int
 
-    FIELD_ORDER = (
-        "encoding_qubits",
-        "encoding_gate_units",
-        "encoding_hadamards",
-        "encoding_cz",
-        "extraction_qubits",
-        "extraction_gate_units",
-        "extraction_hadamards",
-        "trainable_quantum_params",
-        "total_qubits",
-        "measurement_operators",
-    )
-
     def as_lines(self) -> list:
-        return [f"{name}={getattr(self, name)}" for name in self.FIELD_ORDER]
+        return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
 
 
 def _fragment_counts(program: CircuitProgram) -> tuple:

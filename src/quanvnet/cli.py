@@ -23,6 +23,14 @@ METRICS_HEADER = "epoch,l_ce,l_mse,loss,train_acc,val_loss,val_acc"
 CONFIG_FORMAT_VERSION = 1
 _MODEL_KEYS = tuple(f.name for f in fields(qm.ModelConfig))
 _RUN_ONLY_KEYS = ("data", "out", "deterministic", "train_fraction", "minority", "pad_to")
+# model flags are spelled like their ModelConfig field, except these two
+_FLAG_NAMES = {"num_classes": "classes", "learning_rate": "lr"}
+_FLAG_HELP = {
+    "features": "encoder features per superpixel (multiple of 3)",
+    "blocks": "quantum convolution blocks",
+    "kernels": "kernels per block (power of 2)",
+    "alpha": "reconstruction loss weight",
+}
 
 
 def _parse_minority(text: str):
@@ -51,30 +59,15 @@ def _load_config_file(path) -> dict:
 def _run_config(args) -> dict:
     """Merge defaults <- config file <- flags into one flat dict."""
     merged = {f.name: f.default for f in fields(qm.ModelConfig)}
-    merged.update({"data": None, "out": None, "deterministic": False,
-                   "train_fraction": None, "minority": None, "pad_to": None})
+    merged.update(dict.fromkeys(_RUN_ONLY_KEYS), deterministic=False)
     if getattr(args, "config", None):
         merged.update(_load_config_file(args.config))
-    overrides = {
-        "image_size": args.image_size, "patch_size": args.patch_size,
-        "features": args.features, "blocks": args.blocks, "kernels": args.kernels,
-        "channels": args.channels, "num_classes": args.classes,
-        "alpha": args.alpha, "learning_rate": args.lr, "batch_size": args.batch_size,
-        "epochs": args.epochs, "runs": args.runs, "seed": args.seed,
-        "data": args.data, "out": args.out,
-        "train_fraction": args.train_fraction,
-        "minority": _parse_minority(args.minority) if args.minority else None,
-        "pad_to": args.pad_to,
-    }
+    overrides = {key: getattr(args, key) for key in _MODEL_KEYS + _RUN_ONLY_KEYS}
+    if args.minority:
+        overrides["minority"] = _parse_minority(args.minority)
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
-    if args.no_reconstruction:
-        merged["reconstruction_enabled"] = False
-    if args.no_lwm:
-        merged["lwm_enabled"] = False
-    if args.deterministic:
-        merged["deterministic"] = True
     return merged
 
 
@@ -158,18 +151,26 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    merged = _run_config(args)
-    out = _require_out(merged)
+def _checkpoint_and_split(args, merged: dict):
+    """(model, store, images, labels) for ``--checkpoint`` on the ``--split``
+    of ``--data``; a dataset the checkpoint cannot read is a config error."""
     store, config = qm.load_checkpoint(args.checkpoint)
-    data = _load_data(merged)
-    images, labels = data[args.split]
+    images, labels = _load_data(merged)[args.split]
     model = qm.HybridModel(config)
+    model.check_store(store)
     if images.shape[1:] != (config.image_size, config.image_size, config.channels):
         raise ConfigError(
             f"checkpoint expects {(config.image_size, config.image_size, config.channels)} images, "
             f"dataset provides {images.shape[1:]}"
         )
+    return model, store, images, labels
+
+
+def cmd_eval(args) -> int:
+    merged = _run_config(args)
+    out = _require_out(merged)
+    model, store, images, labels = _checkpoint_and_split(args, merged)
+    config = model.config
     if int(labels.max()) >= config.num_classes:
         raise ConfigError("dataset has more classes than the checkpoint")
     metrics = qm.evaluate(model, store, images, labels)
@@ -186,15 +187,11 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     merged = _run_config(args)
     out = _require_out(merged)
-    store, config = qm.load_checkpoint(args.checkpoint)
-    data = _load_data(merged)
-    images, labels = data[args.split]
-    model = qm.HybridModel(config)
-    model.check_store(store)
+    model, store, images, labels = _checkpoint_and_split(args, merged)
+    config = model.config
     features = []
     processed = []
-    for start in range(0, images.shape[0], config.batch_size):
-        fw = model.forward_batch(images[start : start + config.batch_size], store)
+    for _, fw in model.forward_chunks(images, store):
         features.append(fw["features"])
         processed.append(fw["processed"].reshape(fw["processed"].shape[0], -1))
     features = np.concatenate(features)
@@ -234,9 +231,9 @@ def cmd_synth(args) -> int:
     merged = _run_config(args)
     out = _require_out(merged)
     spec = dataio.SyntheticSpec(
-        num_classes=args.classes if args.classes is not None else 4,
-        image_size=args.image_size if args.image_size is not None else 32,
-        channels=args.channels if args.channels is not None else 4,
+        num_classes=merged["num_classes"],
+        image_size=merged["image_size"],
+        channels=merged["channels"],
         train_samples=args.train_samples,
         validation_samples=args.validation_samples,
         test_samples=args.test_samples,
@@ -257,27 +254,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--data", help="dataset directory")
     parser.add_argument("--out", help="output directory (all artifacts land here)")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--deterministic", action="store_true",
+    parser.add_argument("--deterministic", action="store_true", default=None,
                         help="force sequential reductions (evaluation order is already sequential)")
-    parser.add_argument("--alpha", type=float, help="reconstruction loss weight")
     parser.add_argument("--train-fraction", type=float, dest="train_fraction")
     parser.add_argument("--minority", help="CLASS:FRACTION subsampling of one training class")
     parser.add_argument("--pad-to", type=int, dest="pad_to",
                         help="zero-pad images up to this spatial size at load time")
-    parser.add_argument("--no-reconstruction", action="store_true", dest="no_reconstruction")
-    parser.add_argument("--no-lwm", action="store_true", dest="no_lwm")
-    parser.add_argument("--image-size", type=int, dest="image_size")
-    parser.add_argument("--patch-size", type=int, dest="patch_size")
-    parser.add_argument("--features", type=int, help="encoder features per superpixel (multiple of 3)")
-    parser.add_argument("--blocks", type=int, help="quantum convolution blocks")
-    parser.add_argument("--kernels", type=int, help="kernels per block (power of 2)")
-    parser.add_argument("--channels", type=int)
-    parser.add_argument("--classes", type=int)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--runs", type=int)
+    for f in fields(qm.ModelConfig):
+        kind = type(f.default)
+        if kind is bool:  # on by default; the flag turns it off
+            flag = "no-" + f.name.removesuffix("_enabled").replace("_", "-")
+            parser.add_argument(f"--{flag}", action="store_false", default=None, dest=f.name)
+        else:
+            flag = _FLAG_NAMES.get(f.name, f.name).replace("_", "-")
+            parser.add_argument(f"--{flag}", type=kind, dest=f.name, metavar=flag.upper().replace("-", "_"),
+                                help=_FLAG_HELP.get(f.name))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,6 +16,7 @@ degenerate channel (max == min) maps to 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,6 +116,8 @@ def write_dataset(directory, name: str, splits: dict, num_classes: int) -> dict:
 
 
 def read_manifest(directory) -> dict:
+    """The dataset's manifest; a malformed one raises ``DataError`` naming
+    the field (split entries are checked by ``read_split_raw``)."""
     path = Path(directory) / MANIFEST_NAME
     if not path.is_file():
         raise DataError(f"no {MANIFEST_NAME} in {directory}")
@@ -123,24 +126,52 @@ def read_manifest(directory) -> dict:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError("manifest is not a JSON object")
     required = {"format_version", "name", "image_shape", "num_classes", "splits", "normalization"}
     missing = required - manifest.keys()
     if missing:
         raise DataError(f"manifest is missing fields: {sorted(missing)}")
     if manifest["format_version"] != FORMAT_VERSION:
         raise DataError(f"unsupported manifest format_version {manifest['format_version']}")
+    shape = manifest["image_shape"]
+    if not (isinstance(shape, list) and len(shape) == 3 and all(_is_count(s, 1) for s in shape)):
+        raise DataError(f"manifest image_shape {shape!r} is not 3 positive integers")
+    if not _is_count(manifest["num_classes"], 1):
+        raise DataError(f"manifest num_classes {manifest['num_classes']!r} is not a positive integer")
+    norm = manifest["normalization"]
+    if not (
+        isinstance(norm, list)
+        and len(norm) == shape[2]
+        and all(isinstance(pair, list) and len(pair) == 2 for pair in norm)
+        and all(isinstance(v, (int, float)) and math.isfinite(v) for pair in norm for v in pair)
+    ):
+        raise DataError(
+            f"manifest normalization must hold one finite [min, max] pair for each of {shape[2]} channels"
+        )
+    if not isinstance(manifest["splits"], dict):
+        raise DataError("manifest splits is not a JSON object")
     return manifest
+
+
+def _is_count(value, minimum: int = 0) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
 def read_split_raw(directory, manifest: dict, split: str):
     """Raw float32 tensors and uint16 labels for one split, byte-exact."""
     directory = Path(directory)
-    try:
-        entry = manifest["splits"][split]
-    except KeyError as exc:
-        raise DataError(f"manifest has no split {split!r}") from exc
-    n, h, w = entry["count"], *manifest["image_shape"][:2]
-    c = manifest["image_shape"][2]
+    entry = manifest["splits"].get(split)
+    if not isinstance(entry, dict):
+        raise DataError(f"manifest has no split {split!r}")
+    n = entry.get("count")
+    if not _is_count(n):
+        raise DataError(f"split {split}: count {n!r} is not a non-negative integer")
+    for key in ("tensor_file", "label_file"):
+        name = entry.get(key)
+        if not isinstance(name, str) or "/" in name or "\\" in name:
+            raise DataError(f"split {split}: {key} {name!r} is not a plain file name")
+    h, w, c = manifest["image_shape"]
     tensor_path = directory / entry["tensor_file"]
     label_path = directory / entry["label_file"]
     for p in (tensor_path, label_path):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits
-from .autoencoder import PatchAutoencoder, reconstruction_loss
+from .autoencoder import PatchAutoencoder, patchify, reconstruction_loss, unpatchify
 from .errors import ConfigError, DataError, DivergenceError
 
 SEGMENTS = ("autoencoder", "quantum", "classifier")
@@ -173,24 +173,14 @@ class HybridModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _to_patches(self, images: np.ndarray) -> np.ndarray:
-        b = images.shape[0]
-        s, p, c = self.grid, self.config.patch_size, self.config.channels
-        return images.reshape(b, s, p, s, p, c).transpose(0, 1, 3, 2, 4, 5).reshape(b * s * s, p, p, c)
-
-    def _from_patches(self, patches: np.ndarray, batch: int) -> np.ndarray:
-        s, p, c = self.grid, self.config.patch_size, self.config.channels
-        return patches.reshape(batch, s, s, p, p, c).transpose(0, 1, 3, 2, 4, 5).reshape(
-            batch, s * p, s * p, c
-        )
-
     def forward_batch(self, images: np.ndarray, store: ParameterStore, with_caches: bool = False) -> dict:
         cfg = self.config
         images = np.asarray(images, dtype=np.float64)
         if images.shape[1:] != (cfg.image_size, cfg.image_size, cfg.channels):
             raise ConfigError(f"images must have shape (*, {cfg.image_size}, {cfg.image_size}, {cfg.channels})")
         batch = images.shape[0]
-        patches = self._to_patches(images)
+        tiles = patchify(images, cfg.patch_size)
+        patches = tiles.reshape(-1, *tiles.shape[-3:])
         angles, enc_cache = self.autoencoder.encode(store.segments["autoencoder"], patches)
         processed = angles.reshape(batch, self.grid, self.grid, cfg.features)
         data = processed.reshape(batch, -1)
@@ -203,7 +193,7 @@ class HybridModel:
         out = {"probs": probs, "processed": processed, "features": features}
         if cfg.reconstruction_enabled:
             recon_patches, dec_cache = self.autoencoder.decode(store.segments["autoencoder"], angles)
-            out["reconstruction"] = self._from_patches(recon_patches, batch)
+            out["reconstruction"] = unpatchify(recon_patches.reshape(tiles.shape))
             if with_caches:
                 out["recon_patches"] = recon_patches
                 out["dec_cache"] = dec_cache
@@ -215,6 +205,14 @@ class HybridModel:
             out["psi"] = psi
             out["data"] = data
         return out
+
+    def forward_chunks(self, images: np.ndarray, store: ParameterStore):
+        """Yields ``(slice, forward_batch output)`` for consecutive
+        ``batch_size`` slices of ``images``."""
+        n = images.shape[0]
+        for start in range(0, n, self.config.batch_size):
+            sl = slice(start, min(start + self.config.batch_size, n))
+            yield sl, self.forward_batch(images[sl], store)
 
     def forward(self, image: np.ndarray, store: ParameterStore):
         """Single sample: (class probabilities, reconstruction, processed image,
@@ -325,9 +323,7 @@ def _epoch_eval(model: HybridModel, images: np.ndarray, labels: np.ndarray, stor
     n = images.shape[0]
     ce_sum = mse_sum = 0.0
     correct = 0
-    for start in range(0, n, cfg.batch_size):
-        sl = slice(start, min(start + cfg.batch_size, n))
-        out = model.forward_batch(images[sl], store)
+    for sl, out in model.forward_chunks(images, store):
         size = sl.stop - sl.start
         ce_sum += cross_entropy(out["probs"], labels[sl]) * size
         if cfg.reconstruction_enabled:
@@ -387,25 +383,13 @@ def train_single_run(model: HybridModel, train_split, val_split, run_seed: int, 
     return RunResult(run_index, run_seed, rows, best_epoch, best_val, best_store)
 
 
-def train(model: HybridModel, train_split, val_split) -> list:
-    """The multi-run protocol: run r uses seed ``config.seed + r``."""
-    return [
-        train_single_run(model, train_split, val_split, model.config.seed + r, r)
-        for r in range(model.config.runs)
-    ]
-
-
 def evaluate(model: HybridModel, store: ParameterStore, images: np.ndarray, labels: np.ndarray) -> EvalMetrics:
     """Accuracy plus per-class precision/recall/F1 (zero denominators give 0)."""
     model.check_store(store)
-    cfg = model.config
-    predictions = []
-    for start in range(0, images.shape[0], cfg.batch_size):
-        out = model.forward_batch(images[start : start + cfg.batch_size], store)
-        predictions.append(out["probs"].argmax(axis=1))
-    predicted = np.concatenate(predictions)
+    chunks = model.forward_chunks(images, store)
+    predicted = np.concatenate([out["probs"].argmax(axis=1) for _, out in chunks])
     labels = np.asarray(labels)
-    c = cfg.num_classes
+    c = model.config.num_classes
     confusion = np.zeros((c, c), dtype=np.int64)
     np.add.at(confusion, (labels, predicted), 1)
     tp = np.diag(confusion).astype(np.float64)
@@ -449,8 +433,8 @@ def save_checkpoint(path, store: ParameterStore, config: ModelConfig) -> None:
 
 def load_checkpoint(path):
     """Returns (ParameterStore, ModelConfig). The header, the manifest and the
-    payload size are checked before any array is read; a malformed file
-    raises ``DataError``."""
+    payload size are checked before any array is read, and every array must
+    be finite; a malformed file raises ``DataError``."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no checkpoint at {path}")
@@ -481,6 +465,8 @@ def load_checkpoint(path):
         size = lengths[seg]
         arr = np.frombuffer(raw, dtype="<f8", count=size, offset=offset).copy()
         offset += size * 8
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"checkpoint {path}: array {kind}:{seg} holds non-finite values")
         {"segment": store.segments, "adam_m": store.adam_m, "adam_v": store.adam_v}[kind][seg] = arr
     return store, config
 

@@ -489,11 +489,7 @@ def apply_measurement_operator(state: QuantumState, op: MeasurementOperator) -> 
             raise ValueError(f"measured qubit {q} out of range")
     phi = state.amplitudes.copy()
     for q, sign in zip(op.measured_qubits, op.signs):
-        idx0, idx1 = _pair_indices(state.num_qubits, q, ())
-        flipped = np.empty_like(phi)
-        flipped[idx0] = phi[idx1]
-        flipped[idx1] = phi[idx0]
-        phi += sign * flipped
+        phi += sign * phi.reshape(-1, 2, 1 << q)[:, ::-1].reshape(-1)  # X on qubit q swaps bit q
     return phi
 
 

@@ -106,6 +106,17 @@ class TestPatchify:
         img = rng.uniform(0, 1, (16, 16, 3))
         assert np.array_equal(unpatchify(patchify(img, 4)), img)
 
+    def test_batched_matches_per_image_and_the_model_tiling(self):
+        rng = np.random.default_rng(2)
+        imgs = rng.uniform(0, 1, (3, 32, 32, 4))
+        grid = patchify(imgs, 4)
+        assert np.array_equal(grid, np.stack([patchify(img, 4) for img in imgs]))
+        # the row order the model's encoder has always seen: image, patch row, patch column
+        s, p, c = 8, 4, 4
+        flat = imgs.reshape(3, s, p, s, p, c).transpose(0, 1, 3, 2, 4, 5).reshape(3 * s * s, p, p, c)
+        assert np.array_equal(grid.reshape(-1, p, p, c), flat)
+        assert np.array_equal(unpatchify(grid), imgs)
+
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError):
             patchify(np.zeros((6, 6, 1)), 4)

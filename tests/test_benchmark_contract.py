@@ -6,11 +6,22 @@ encoding fragment's instruction list, replays the two parts with
 ``angle`` of every compiled entry to count work, and clears the compile
 cache between runs. These tests pin each of those properties on the
 canonical 12-qubit circuit.
+
+It also wraps ``model.train_single_run``, ``model.adam_step`` and
+``HybridModel.forward_batch`` as module and class attributes, drives training
+through ``cli.main``, counts one ``evaluate`` operation per ``forward_batch``
+call and times ``HybridModel.forward``; the last tests pin those call paths on
+a small geometry.
 """
+
+import json
+from dataclasses import asdict
 
 import numpy as np
 
 from quanvnet import circuits as qc
+from quanvnet import cli, dataio
+from quanvnet import model as qm
 from quanvnet import statevector as sv
 
 import oracles
@@ -78,3 +89,60 @@ def test_compiled_entries_expose_the_counted_fields():
 def test_compile_cache_can_be_cleared():
     assert callable(sv.compile_program.cache_clear)
     assert callable(qc.get_evaluator.cache_clear)
+
+
+SMALL = qm.ModelConfig(image_size=8, patch_size=4, features=3, blocks=1, kernels=2, channels=1,
+                       num_classes=2, batch_size=3, epochs=2, runs=2, seed=4)
+
+
+def _counting(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_cli_train_reaches_the_module_level_run_and_adam_step(monkeypatch, tmp_path):
+    spec = dataio.SyntheticSpec(num_classes=2, image_size=8, channels=1, train_samples=7,
+                                validation_samples=2, test_samples=2, seed=1)
+    dataio.generate_synthetic(spec, tmp_path / "data")
+    (tmp_path / "config.json").write_text(json.dumps(asdict(SMALL)))
+    calls = []
+    _counting(monkeypatch, qm, "train_single_run", calls)
+    _counting(monkeypatch, qm, "adam_step", calls)
+    code = cli.main(["train", "--config", str(tmp_path / "config.json"),
+                     "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert calls.count("train_single_run") == SMALL.runs
+    assert calls.count("adam_step") == SMALL.runs * SMALL.epochs * 3  # 7 samples in batches of 3
+
+
+def test_evaluate_makes_one_forward_batch_call_per_chunk(monkeypatch):
+    model = qm.HybridModel(SMALL)
+    store = model.init_store(0)
+    images = np.random.default_rng(2).uniform(0, 1, (7, 8, 8, 1))
+    sizes = []
+    real = qm.HybridModel.forward_batch
+
+    def counted(self, batch, *args, **kwargs):
+        sizes.append(batch.shape[0])
+        return real(self, batch, *args, **kwargs)
+
+    monkeypatch.setattr(qm.HybridModel, "forward_batch", counted)
+    metrics = qm.evaluate(model, store, images, np.arange(7) % 2)
+    assert sizes == [3, 3, 1]
+    assert 0.0 <= metrics.accuracy <= 1.0
+
+
+def test_single_image_forward_is_kept():
+    model = qm.HybridModel(SMALL)
+    store = model.init_store(0)
+    image = np.random.default_rng(3).uniform(0, 1, (8, 8, 1))
+    probs, recon, processed, features = model.forward(image, store)
+    batched = model.forward_batch(image[None], store)
+    assert np.array_equal(probs, batched["probs"][0])
+    assert recon.shape == image.shape and processed.shape == (2, 2, 3)
+    assert np.array_equal(features, batched["features"][0])

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from quanvnet import dataio
@@ -255,3 +256,101 @@ class TestConfigFile:
         code = main(["train", "--config", str(tmp_path / "none.json"),
                      "--data", str(dataset_dir), "--out", str(tmp_path / "out")])
         assert code == 2
+
+
+def _malformed_manifest(manifest, case):
+    """A malformed variant of a valid (1-channel) dataset manifest."""
+    splits = manifest["splits"]
+    if case == "split_without_count":
+        del splits["train"]["count"]
+    elif case == "two_axis_image_shape":
+        manifest["image_shape"] = manifest["image_shape"][:2]
+    elif case == "json_list":
+        return [manifest]
+    elif case == "string_count":
+        splits["train"]["count"] = str(splits["train"]["count"])
+    elif case == "normalization_for_two_channels":
+        manifest["normalization"] = [[0.0, 1.0], [0.0, 1.0]]
+    else:
+        assert case == "file_name_with_directory"
+        splits["test"]["tensor_file"] = "../" + splits["test"]["tensor_file"]
+    return manifest
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("case, message", [
+        ("split_without_count", "count None"),
+        ("two_axis_image_shape", "image_shape"),
+        ("json_list", "not a JSON object"),
+        ("string_count", "count '6'"),
+        ("normalization_for_two_channels", "normalization"),
+        ("file_name_with_directory", "not a plain file name"),
+    ])
+    def test_train_exits_3_with_data_error(self, tmp_path, capsys, case, message):
+        data = tmp_path / "data"
+        spec = dataio.SyntheticSpec(num_classes=2, image_size=8, channels=1, train_samples=6,
+                                    validation_samples=2, test_samples=2, noise=0.1, seed=3)
+        dataio.generate_synthetic(spec, data)
+        path = data / dataio.MANIFEST_NAME
+        path.write_text(json.dumps(_malformed_manifest(json.loads(path.read_text()), case)))
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("data error:") and message in err
+        assert len(err) < 200  # a readable one-line message, not a quoted byte count
+
+
+def test_eval_rejects_a_checkpoint_with_a_nan_parameter(trained, dataset_dir, tmp_path, capsys):
+    from quanvnet import model as qm
+
+    store, config = qm.load_checkpoint(trained / "run0.ckpt")
+    store.segments["classifier"][0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    qm.save_checkpoint(bad, store, config)
+    code = main(["eval", "--checkpoint", str(bad), "--data", str(dataset_dir), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and "segment:classifier" in err
+
+
+def test_synth_reads_the_config_file(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format_version": 1, "num_classes": 3, "image_size": 8, "channels": 1}))
+    out = tmp_path / "data"
+    assert main(["synth", "--config", str(config), "--out", str(out), "--train-samples", "6",
+                 "--validation-samples", "3", "--test-samples", "3"]) == 0
+    manifest = dataio.read_manifest(out)
+    assert manifest["image_shape"] == [8, 8, 1]
+    assert manifest["num_classes"] == 3
+
+
+def test_renamed_and_negated_model_flags_reach_the_echoed_config(dataset_dir, config_file, tmp_path):
+    out = tmp_path / "out"
+    code = main(train_args(dataset_dir, config_file, out, "--epochs", "1", "--runs", "1",
+                           "--classes", "4", "--lr", "0.02", "--no-lwm", "--no-reconstruction"))
+    assert code == 0
+    echoed = json.loads((out / "config.json").read_text())
+    assert echoed["num_classes"] == 4
+    assert echoed["learning_rate"] == 0.02
+    assert echoed["lwm_enabled"] is False
+    assert echoed["reconstruction_enabled"] is False
+    assert echoed["batch_size"] == 8  # unset flags leave the config file's values
+
+
+def test_every_model_config_field_has_exactly_one_flag():
+    from dataclasses import fields
+
+    from quanvnet import model as qm
+    from quanvnet.cli import build_parser
+
+    train = build_parser()._subparsers._group_actions[0].choices["train"]
+    flags = {opt for action in train._actions for opt in action.option_strings}
+    assert flags == {
+        "-h", "--help", "--config", "--data", "--out", "--seed", "--deterministic", "--alpha",
+        "--train-fraction", "--minority", "--pad-to", "--no-reconstruction", "--no-lwm",
+        "--image-size", "--patch-size", "--features", "--blocks", "--kernels", "--channels",
+        "--classes", "--lr", "--batch-size", "--epochs", "--runs",
+    }
+    dests = [action.dest for action in train._actions]
+    for f in fields(qm.ModelConfig):
+        assert dests.count(f.name) == 1, f.name
