@@ -250,31 +250,17 @@ class QuantumEvaluator:
 
         order = measured_qubit_order(config, self.layout)
         n = self.layout.total_qubits
+        rest = tuple(q for q in range(n) if q not in order)
         self._dim = 1 << n
-        self._num_measured = len(order)
         self._h_gates = sv.compile_program(CircuitProgram(n, [GateInstruction("H", q) for q in order]))
-        # axis permutation taking |probs| reshaped to (B, 2, ..., 2) into
-        # (B, measured..., rest...) with order[0] most significant
-        rest = [q for q in range(n) if q not in order]
-        self._perm = [0] + [1 + (n - 1 - q) for q in order] + [1 + (n - 1 - q) for q in rest]
-        # per-amplitude measured-pattern index (order[0] = MSB)
-        z = np.arange(self._dim, dtype=np.int64)
-        pattern = np.zeros(self._dim, dtype=np.int64)
-        for j, q in enumerate(order):
-            pattern |= ((z >> q) & 1) << (self._num_measured - 1 - j)
-        self._feature_of_amp = pattern >> 1
-        self._qf_set = (pattern & 1) == 1
+        # Row i lists the amplitudes whose measured bits read (i, 1), order[0]
+        # most significant, over the unmeasured bits with rest[0] most
+        # significant: the order the features' marginal sums run in.
+        self._table = _basis_indices(order)[1::2, None] | _basis_indices(rest)[None, :]
 
     @property
     def num_features(self) -> int:
         return self.config.num_feature_values
-
-    def _measured_marginal(self, amps: np.ndarray) -> np.ndarray:
-        batch = amps.shape[0]
-        n = self.layout.total_qubits
-        probs = (amps.real**2 + amps.imag**2).reshape((batch,) + (2,) * n)
-        probs = probs.transpose(self._perm).reshape(batch, 1 << self._num_measured, -1)
-        return probs.sum(axis=2)
 
     def forward(self, data: np.ndarray, params: np.ndarray):
         """Simulate a batch of data rows; returns (final amplitudes, features)."""
@@ -283,10 +269,10 @@ class QuantumEvaluator:
         amps[:, 0] = 1.0
         sv.run_compiled(self.compiled, amps, data, params)
         phi = amps.copy()
-        for hg in self._h_gates:
-            sv._apply_kernel(phi, hg)
-        marg = self._measured_marginal(phi)
-        features = (1 << self._num_measured) * marg[:, 1::2]
+        sv.run_compiled(self._h_gates, phi)
+        probs = phi.real**2 + phi.imag**2
+        # 2^m for the m measured qubits: one per feature index bit plus q_f's
+        features = (2.0 * self.num_features) * np.take(probs, self._table, axis=1).sum(axis=2)
         return amps, features
 
     def backward(self, amps: np.ndarray, data: np.ndarray, params: np.ndarray, cotangents: np.ndarray):
@@ -298,23 +284,22 @@ class QuantumEvaluator:
         data = np.atleast_2d(np.asarray(data, dtype=np.float64))
         cotangents = np.atleast_2d(np.asarray(cotangents, dtype=np.float64))
         bra = amps.copy()
-        for hg in self._h_gates:
-            sv._apply_kernel(bra, hg)
-        scale = float(1 << self._num_measured)
-        weights = np.where(self._qf_set, scale * cotangents[:, self._feature_of_amp], 0.0)
+        sv.run_compiled(self._h_gates, bra)
+        weights = np.zeros(bra.shape)
+        weights[:, self._table] = (2.0 * self.num_features) * cotangents[:, :, None]
         bra *= weights
-        for hg in self._h_gates:
-            sv._apply_kernel(bra, hg)
-        return sv.adjoint_sweep(
-            self.compiled,
-            amps,
-            bra,
-            data,
-            params,
-            self.program.param_arity,
-            self.program.data_arity,
-            want_data_grads=True,
-        )
+        sv.run_compiled(self._h_gates, bra)
+        return sv.adjoint_sweep(self.compiled, amps, bra, data, params, self.program.param_arity)
+
+
+def _basis_indices(qubits: tuple) -> np.ndarray:
+    """Basis index of each integer k < 2^len(qubits) whose bits, most
+    significant first, are placed on ``qubits``, other qubits 0."""
+    k = np.arange(1 << len(qubits), dtype=np.int64)
+    index = np.zeros_like(k)
+    for j, q in enumerate(reversed(qubits)):
+        index |= ((k >> j) & 1) << q
+    return index
 
 
 @lru_cache(maxsize=8)

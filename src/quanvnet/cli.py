@@ -49,6 +49,8 @@ def _load_config_file(path) -> dict:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config file: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} does not hold a JSON object")
     if raw.get("format_version", CONFIG_FORMAT_VERSION) != CONFIG_FORMAT_VERSION:
         raise ConfigError(f"unsupported config format_version {raw.get('format_version')}")
     unknown = set(raw) - set(_MODEL_KEYS) - set(_RUN_ONLY_KEYS) - {"format_version"}
@@ -93,19 +95,24 @@ def _require_out(merged: dict) -> Path:
     return out
 
 
-def _load_data(merged: dict):
+def _load_data(merged: dict, needed: tuple) -> dict:
+    """The dataset's splits; each split in ``needed`` must hold samples."""
     if not merged.get("data"):
         raise ConfigError("--data is required")
     data_dir = Path(merged["data"])
     if not data_dir.is_dir():
         raise DataError(f"dataset directory {data_dir} does not exist")
-    return dataio.load_dataset(
+    data = dataio.load_dataset(
         data_dir,
         train_fraction=merged.get("train_fraction"),
         minority=merged.get("minority"),
         seed=merged.get("seed") or 0,
         pad_to=merged.get("pad_to"),
     )
+    for split in needed:
+        if data[split][1].size == 0:
+            raise DataError(f"the {split} split of {data_dir} holds no samples")
+    return data
 
 
 def _write_metrics_csv(path: Path, rows) -> None:
@@ -124,7 +131,7 @@ def cmd_train(args) -> int:
     merged = _run_config(args)
     config = _model_config(merged)
     out = _require_out(merged)
-    data = _load_data(merged)
+    data = _load_data(merged, dataio.SPLIT_ORDER)
     model = qm.HybridModel(config)
     _echo_config(merged, out)
     accuracies = []
@@ -155,7 +162,7 @@ def _checkpoint_and_split(args, merged: dict):
     """(model, store, images, labels) for ``--checkpoint`` on the ``--split``
     of ``--data``; a dataset the checkpoint cannot read is a config error."""
     store, config = qm.load_checkpoint(args.checkpoint)
-    images, labels = _load_data(merged)[args.split]
+    images, labels = _load_data(merged, (args.split,))[args.split]
     model = qm.HybridModel(config)
     model.check_store(store)
     if images.shape[1:] != (config.image_size, config.image_size, config.channels):

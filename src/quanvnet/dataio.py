@@ -16,7 +16,7 @@ degenerate channel (max == min) maps to 0.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,7 +124,7 @@ def read_manifest(directory) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise DataError(f"malformed manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError("manifest is not a JSON object")
@@ -144,7 +144,7 @@ def read_manifest(directory) -> dict:
         isinstance(norm, list)
         and len(norm) == shape[2]
         and all(isinstance(pair, list) and len(pair) == 2 for pair in norm)
-        and all(isinstance(v, (int, float)) and math.isfinite(v) for pair in norm for v in pair)
+        and all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max for pair in norm for v in pair)
     ):
         raise DataError(
             f"manifest normalization must hold one finite [min, max] pair for each of {shape[2]} channels"

@@ -10,6 +10,7 @@ path chains through the data-bound rotation angles of the encoding circuit
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -48,6 +49,15 @@ class ModelConfig:
     lwm_enabled: bool = True
 
     def __post_init__(self):
+        for f in fields(self):  # each field takes the type of its default
+            value, kind = getattr(self, f.name), type(f.default)
+            is_bool = isinstance(value, (bool, np.bool_))
+            number = numbers.Integral if kind is int else numbers.Real
+            if not (is_bool if kind is bool else isinstance(value, number) and not is_bool):
+                article = "an" if kind is int else "a"
+                raise ConfigError(f"{f.name} must be {article} {kind.__name__}, got {value!r:.40}")
+            if kind is not float:  # numpy integers and bools become Python ones
+                object.__setattr__(self, f.name, kind(value))
         if self.patch_size < 1 or self.image_size % self.patch_size:
             raise ConfigError("image size must be divisible by patch size")
         grid = self.image_size // self.patch_size
@@ -452,7 +462,7 @@ def load_checkpoint(path):
         raise DataError(f"checkpoint {path} is truncated inside its manifest")
     try:
         manifest = json.loads(raw[start:offset])
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise DataError(f"checkpoint {path}: manifest is not valid JSON: {exc}") from exc
     lengths, arrays, step, config = _checked_manifest(manifest, path)
     payload = 8 * sum(lengths[seg] for _, seg in arrays)

@@ -17,9 +17,11 @@ a kernel chosen at compile time from its control count: up to
 (the stack reshaped so that the target and each control qubit has an axis of
 its own), and with more controls it gathers and scatters the few matching
 pairs by index. All kernels accept a stack of states shaped ``(batch, 2**n)``;
-the public single-state API wraps a one-row batch. The adjoint sweep
-un-applies each op once from ket and bra and reads its angle derivatives from
-the pairs that un-apply produced.
+the public single-state API wraps a one-row batch. The two sweeps,
+``run_compiled`` and ``adjoint_sweep``, convert and check their data and
+parameter vectors once at entry, so each op only looks its angle up. The
+adjoint sweep un-applies each op once from ket and bra and reads its angle
+derivatives from the pairs that un-apply produced.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ class GateInstruction:
                 raise ValueError(f"{self.kind} requires an angle source")
         elif self.angle is not None:
             raise ValueError(f"{self.kind} carries no angle")
+        if self.angle is not None and self.angle[0] == "const" and not np.isfinite(self.angle[1]):
+            raise ValueError("constant gate angle is not finite")
 
     def validate(self, num_qubits: int) -> None:
         qubits = [q for q, _ in self.controls]
@@ -279,32 +283,26 @@ def compile_program(program: CircuitProgram) -> tuple:
     return tuple(out)
 
 
-def _resolve_angle(cg: _CompiledGate, data, params):
+def _bind(data, params) -> tuple:
+    """``data`` and ``params`` as float64 arrays (empty for None), checked once
+    per sweep so that each op only looks its angle up."""
+    data, params = (np.zeros(0) if v is None else np.asarray(v, dtype=np.float64) for v in (data, params))
+    if params.ndim != 1:
+        raise ValueError("parameters are one vector shared by all rows")
+    if not (np.all(np.isfinite(data)) and np.all(np.isfinite(params))):
+        raise ValueError("data and parameter values must be finite")
+    return data, params
+
+
+def _resolve_angle(cg: _CompiledGate, data: np.ndarray, params: np.ndarray):
     """Angle value for one op: a scalar, a per-row vector for a batch of data
     rows, or a fused unit's three angles."""
     tag, slot = cg.angle
     if tag == "const":
-        if not np.isfinite(slot):
-            raise ValueError("resolved gate angle is not finite")
         return slot
     if tag == "data":
-        if data is None:
-            raise ValueError("gate binds a data slot but no data vector was given")
-        theta = np.asarray(data)[..., slot]
-    elif params is None:
-        raise ValueError("gate binds a param slot but no parameter vector was given")
-    elif cg.slots:
-        params = np.asarray(params, dtype=np.float64)
-        if params.ndim != 1:
-            raise ValueError("a fused gate unit takes one parameter vector for all rows")
-        theta = params[list(cg.slots)]
-    else:
-        theta = np.asarray(params)[..., slot]
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("resolved gate angle is not finite")
-    if isinstance(theta, np.ndarray) and theta.ndim == 1:
-        return theta
-    return float(theta)
+        return data[..., slot]
+    return params[list(cg.slots)] if cg.slots else params[slot]
 
 
 def _unit_matrix(angles: np.ndarray) -> tuple:
@@ -402,49 +400,47 @@ def _unit_derivative_dots(angles, b0, b1, k0, k1) -> tuple:
 
 
 def run_compiled(compiled: tuple, amps: np.ndarray, data=None, params=None) -> None:
-    """Run a compiled op sequence in place on a C-contiguous (batch, dim) stack."""
+    """Run a compiled op sequence in place on a C-contiguous (batch, dim) stack.
+
+    ``data`` holds one row of data angles per state (or one vector for all)
+    and ``params`` one vector for all rows; both must be finite.
+    """
     if not amps.flags.c_contiguous:
         raise ValueError("amplitude stack must be C-contiguous")
+    data, params = _bind(data, params)
     for cg in compiled:
-        theta = _resolve_angle(cg, data, params) if cg.angle is not None else None
-        _apply_kernel(amps, cg, theta)
+        _apply_kernel(amps, cg, None if cg.angle is None else _resolve_angle(cg, data, params))
 
 
-def adjoint_sweep(
-    compiled: tuple,
-    psi: np.ndarray,
-    bra: np.ndarray,
-    data,
-    params,
-    param_arity: int,
-    data_arity: int = 0,
-    want_data_grads: bool = False,
-):
+def adjoint_sweep(compiled: tuple, psi: np.ndarray, bra: np.ndarray, data, params, param_arity: int):
     """Reverse sweep of the adjoint method over a (batch, dim) stack.
 
     ``psi`` is the forward final state and ``bra`` the cotangent state
-    ``sum_i c_i M_i |psi>`` (per row). Returns ``(param_grads, data_grads)``
-    where param gradients are summed over the batch and data gradients, when
-    requested, stay per-row. Each op is un-applied once from ket and bra, and
-    its angle derivatives are read from the pair amplitudes the un-apply wrote.
+    ``sum_i c_i M_i |psi>`` (per row). Returns ``(param_grads, data_grads)``:
+    parameter gradients summed over the batch, and per-row data gradients of
+    shape (batch, data length), (batch, 0) when ``data`` is None. Each op is
+    un-applied once from ket and bra, and its angle derivatives are read from
+    the pair amplitudes the un-apply wrote.
     """
+    data, params = _bind(data, params)
     ket = psi.copy()
     bra = bra.copy()
     param_grads = np.zeros(param_arity)
-    data_grads = np.zeros((psi.shape[0], data_arity)) if want_data_grads else None
+    data_grads = np.zeros((psi.shape[0], data.shape[-1]))
     for cg in reversed(compiled):
-        theta = _resolve_angle(cg, data, params) if cg.angle is not None else None
+        theta = None if cg.angle is None else _resolve_angle(cg, data, params)
         k0, k1 = _apply_kernel(ket, cg, theta, invert=True)
         b0, b1 = _apply_kernel(bra, cg, theta, invert=True)
         if cg.slots:
             for slot, g in zip(cg.slots, _unit_derivative_dots(theta, b0, b1, k0, k1)):
                 param_grads[slot] += g
-        elif cg.angle is not None:
+        elif cg.angle is not None and cg.angle[0] != "const":
             tag, slot = cg.angle
+            dots = _rotation_derivative_dot(cg.kind, b0, b1, k0, k1)
             if tag == "param":
-                param_grads[slot] += _rotation_derivative_dot(cg.kind, b0, b1, k0, k1).sum()
-            elif tag == "data" and want_data_grads:
-                data_grads[:, slot] += _rotation_derivative_dot(cg.kind, b0, b1, k0, k1)
+                param_grads[slot] += dots.sum()
+            else:
+                data_grads[:, slot] += dots
     return param_grads, data_grads
 
 
@@ -457,29 +453,25 @@ def apply_gate(state: QuantumState, instr: GateInstruction, data=None, params=No
     """Return the state after one gate; control-violating amplitudes are untouched."""
     instr.validate(state.num_qubits)
     cg = _compile_gate(state.num_qubits, instr.kind, instr.target, instr.controls, instr.angle)
-    theta = _resolve_angle(cg, data, params) if instr.angle is not None else None
     amps = state.amplitudes[None, :].copy()
-    _apply_kernel(amps, cg, theta)
+    run_compiled((cg,), amps, data, params)
     return QuantumState(state.num_qubits, amps[0])
 
 
 def run_circuit(program: CircuitProgram, data=None, params=None) -> QuantumState:
     """Apply all instructions left to right to |0...0>."""
-    data = _check_binding(data, program.data_arity, "data")
-    params = _check_binding(params, program.param_arity, "params")
+    _check_binding(data, program.data_arity, "data")
+    _check_binding(params, program.param_arity, "params")
     state = new_zero_state(program.num_qubits)
     amps = state.amplitudes[None, :]
     run_compiled(compile_program(program), amps, data, params)
     return state
 
 
-def _check_binding(vec, arity: int, name: str):
-    if vec is None:
-        vec = np.zeros(0)
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape[-1] != arity:
-        raise ValueError(f"{name} vector has length {vec.shape[-1]}, program expects {arity}")
-    return vec
+def _check_binding(vec, arity: int, name: str) -> None:
+    length = 0 if vec is None else np.shape(vec)[-1]
+    if length != arity:
+        raise ValueError(f"{name} vector has length {length}, program expects {arity}")
 
 
 def apply_measurement_operator(state: QuantumState, op: MeasurementOperator) -> np.ndarray:
@@ -517,8 +509,8 @@ def adjoint_gradients(
         raise ValueError("cotangents must be finite")
     if program.param_arity == 0:
         return np.zeros(0)
-    data = _check_binding(data, program.data_arity, "data")
-    params = _check_binding(params, program.param_arity, "params")
+    _check_binding(data, program.data_arity, "data")
+    _check_binding(params, program.param_arity, "params")
     psi = run_circuit(program, data, params)
     bra = np.zeros_like(psi.amplitudes)
     for c, op in zip(cotangents, ops):

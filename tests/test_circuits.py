@@ -357,3 +357,22 @@ class TestResourceReport:
         # resource_report raises internally if the built fragments disagree
         rep = qc.resource_report(qc.CircuitConfig(g, e, m, k, lwm))
         assert rep.trainable_quantum_params == 3 * rep.extraction_gate_units
+
+
+def test_measurement_table_matches_per_operator_expectations_and_gradients():
+    # two kernel qubits and M = g, so no location bit is measured
+    config = qc.CircuitConfig(2, 3, 2, 4, lwm_enabled=False)
+    rng = np.random.default_rng(59)
+    ev = qc.QuantumEvaluator(config)
+    data = rng.uniform(0, np.pi, (2, ev.program.data_arity))
+    params = rng.uniform(0, 2 * np.pi, ev.program.param_arity)
+    cot = rng.normal(size=(2, ev.num_features))
+    amps, features = ev.forward(data, params)
+    got, _ = ev.backward(amps, data, params, cot)
+    want = np.zeros(ev.program.param_arity)
+    for row in range(2):
+        state = sv.run_circuit(ev.program, data[row], params)
+        direct = np.array([sv.expectation(state, op) for op in ev.operators])
+        assert np.max(np.abs(features[row] - direct)) <= 1e-10
+        want += sv.adjoint_gradients(ev.program, data[row], params, ev.operators, cot[row])
+    assert oracles.relative_error(got, want) <= 1e-10

@@ -354,3 +354,63 @@ def test_every_model_config_field_has_exactly_one_flag():
     dests = [action.dest for action in train._actions]
     for f in fields(qm.ModelConfig):
         assert dests.count(f.name) == 1, f.name
+
+
+@pytest.mark.parametrize("content, message", [
+    ([{"image_size": 16}], "does not hold a JSON object"),
+    ({"image_size": "32"}, "image_size must be an int"),
+    ({"batch_size": 2.5}, "batch_size must be an int"),
+    ({"seed": True}, "seed must be an int"),
+    ({"alpha": "5"}, "alpha must be a float"),
+    ({"lwm_enabled": 0}, "lwm_enabled must be a bool"),
+])
+def test_mistyped_config_file_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(content))
+    code = main(["resources", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and message in err
+
+
+def test_checkpoint_with_a_mistyped_config_field_exits_3(trained, dataset_dir, tmp_path, capsys):
+    header, _, rest = (trained / "run0.ckpt").read_bytes().partition(b"\n")
+    length = int(header.split()[1])
+    manifest = json.loads(rest[:length])
+    manifest["config"]["batch_size"] = 2.5
+    blob = json.dumps(manifest).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(header.split()[0] + b" %d\n" % len(blob) + blob + rest[length:])
+    code = main(["eval", "--checkpoint", str(bad), "--data", str(dataset_dir), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and "batch_size must be an int" in err
+
+
+@pytest.fixture(scope="module")
+def empty_test_split(tmp_path_factory):
+    """The dataset of ``dataset_dir``'s shape with an empty test split."""
+    path = tmp_path_factory.mktemp("empty-test")
+    spec = dataio.SyntheticSpec(num_classes=3, image_size=16, channels=2, train_samples=6,
+                                validation_samples=3, test_samples=0, seed=2)
+    dataio.generate_synthetic(spec, path)
+    return path
+
+
+def test_train_on_an_empty_split_exits_3_before_training(empty_test_split, config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(train_args(empty_test_split, config_file, out, "--epochs", "1", "--runs", "1"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and "test split" in err
+    assert not list(out.glob("run*"))
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_eval_and_analyze_on_an_empty_split_exit_3(trained, empty_test_split, tmp_path, capsys, command):
+    args = [command, "--checkpoint", str(trained / "run0.ckpt"), "--data", str(empty_test_split),
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "test split" in err
+    assert main(args + ["--split", "validation"]) == 0

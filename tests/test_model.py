@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -362,3 +365,11 @@ class TestCheckpoint:
         path.write_bytes(b"hello world\nmore")
         with pytest.raises(DataError):
             qm.load_checkpoint(path)
+
+
+def test_numpy_scalar_config_fields_become_python_values():
+    config = qm.ModelConfig(image_size=np.int64(16), seed=np.uint8(3), alpha=np.float64(2.0),
+                            lwm_enabled=np.bool_(False))
+    assert config == qm.ModelConfig(image_size=16, seed=3, alpha=2.0, lwm_enabled=False)
+    assert type(config.image_size) is int and type(config.lwm_enabled) is bool
+    json.dumps(asdict(config))  # checkpoints can write it

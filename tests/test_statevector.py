@@ -452,3 +452,95 @@ def test_adjoint_gradients_of_fused_units_match_central_differences():
     got = sv.adjoint_gradients(prog, data, params, ops, cot)
     want = oracles.central_differences(loss, params, eps=1e-4)
     assert oracles.relative_error(got, want) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the sweep contract: inputs bound once, per-row data gradients always
+# ---------------------------------------------------------------------------
+
+
+def _cotangent_bras(psi, ops, cot):
+    """Rows of sum_i cot[r, i] M_i |psi_r>, built per operator."""
+    n = int(psi.shape[1]).bit_length() - 1
+    return np.stack([
+        sum(c * sv.apply_measurement_operator(sv.QuantumState(n, row), op) for c, op in zip(cots, ops))
+        for row, cots in zip(psi, cot)
+    ])
+
+
+class TestSweepContract:
+    def _data_bound(self, rng):
+        prog = random_program(rng, 4, 40, data_arity=3, num_params=4)
+        assert any(g.angle is not None and g.angle[0] == "data" for g in prog.instructions)
+        ops = [MeasurementOperator((q,), (int(rng.choice([-1, 1])),)) for q in range(4)]
+        return prog, ops
+
+    def test_per_row_data_gradients_match_central_differences(self):
+        rng = np.random.default_rng(500)
+        prog, ops = self._data_bound(rng)
+        data = rng.uniform(0.2, np.pi - 0.2, (3, prog.data_arity))
+        params = rng.uniform(0, 2 * np.pi, prog.param_arity)
+        cot = rng.normal(size=(3, len(ops)))
+        psi = np.zeros((3, 16), dtype=np.complex128)
+        psi[:, 0] = 1.0
+        sv.run_compiled(sv.compile_program(prog), psi, data, params)
+        _, grads = sv.adjoint_sweep(sv.compile_program(prog), psi, _cotangent_bras(psi, ops, cot), data, params,
+                                    prog.param_arity)
+        assert grads.shape == data.shape
+        for row in range(3):
+            def loss(d):
+                state = sv.run_circuit(prog, d, params)
+                return sum(c * sv.expectation(state, op) for c, op in zip(cot[row], ops))
+
+            want = oracles.central_differences(loss, data[row], eps=1e-4)
+            assert oracles.relative_error(grads[row], want) <= 1e-5
+
+    def test_matches_the_evaluator_backward(self):
+        from quanvnet import circuits as qc
+
+        rng = np.random.default_rng(501)
+        ev = qc.get_evaluator(qc.CircuitConfig(2, 3, 1, 2))
+        data = rng.uniform(0, np.pi, (2, ev.program.data_arity))
+        params = rng.uniform(0, 2 * np.pi, ev.program.param_arity)
+        cot = rng.normal(size=(2, ev.num_features))
+        amps, _ = ev.forward(data, params)
+        bra = _cotangent_bras(amps, ev.operators, cot)
+        got = sv.adjoint_sweep(ev.compiled, amps, bra, data, params, ev.program.param_arity)
+        want = ev.backward(amps, data, params, cot)
+        assert np.max(np.abs(got[0] - want[0])) <= 1e-10
+        assert got[1].shape == want[1].shape == data.shape
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-10
+
+    def test_no_data_gives_an_empty_gradient_per_row(self):
+        rng = np.random.default_rng(502)
+        prog = random_program(rng, 3, 20, num_params=4)
+        psi = random_stack(rng, 5, 3)
+        param_grads, data_grads = sv.adjoint_sweep(sv.compile_program(prog), psi, psi.copy(), None,
+                                                   rng.uniform(0, 6, 4), 4)
+        assert param_grads.shape == (4,)
+        assert data_grads.shape == (5, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["data", "params"])
+    def test_non_finite_inputs_rejected_before_any_op(self, bad, where):
+        # slot 1 of each vector is bound by no gate
+        prog = CircuitProgram(2, [GateInstruction("H", 0), GateInstruction("RX", 1, (), data_slot(0)),
+                                  GateInstruction("RY", 0, (), param_slot(0))], data_arity=2, param_arity=2)
+        compiled = sv.compile_program(prog)
+        data, params = np.full((3, 2), 0.3), np.full(2, 0.7)
+        {"data": data[2], "params": params}[where][1] = bad
+        rng = np.random.default_rng(503)
+        stack = random_stack(rng, 3, 2)
+        before = stack.copy()
+        with pytest.raises(ValueError, match="finite"):
+            sv.run_compiled(compiled, stack, data, params)
+        assert np.array_equal(stack, before)
+        bra = random_stack(rng, 3, 2)
+        with pytest.raises(ValueError, match="finite"):
+            sv.adjoint_sweep(compiled, stack, bra, data, params, 2)
+        assert np.array_equal(stack, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_constant_rejected_when_the_instruction_is_built(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            GateInstruction("RZ", 0, ((1, 0),), constant(bad))
