@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 
 @dataclass
@@ -112,6 +111,8 @@ def _entropy(counts: np.ndarray, n: int) -> float:
 
 
 def _expected_mi(a_counts: np.ndarray, b_counts: np.ndarray, n: int) -> float:
+    from scipy.special import gammaln  # imported here: scipy.special costs about 0.3 s to import
+
     lg = lambda x: gammaln(x + 1.0)
     emi = 0.0
     for ai in a_counts:

@@ -234,6 +234,15 @@ def full_program(config: CircuitConfig, layout: RegisterLayout) -> CircuitProgra
 class QuantumEvaluator:
     """Compiled end-to-end evaluator for a fixed config.
 
+    The encoding fragment is built in closed form. After the location
+    Hadamards, the branch of superpixel s = (x << g) | y holds the product of
+    its value qubits' R_Z R_Y R_X|0> states times the all-pairs CZ sign
+    (-1)^(k(k-1)/2) for Hamming weight k, at amplitude 1/2^g; its data-angle
+    gradients follow from the same product and the cotangent state at the
+    encoding boundary. Only the extraction fragment runs as compiled ops.
+    ``compiled`` still holds the whole program, encoding first, as the
+    gate-list reference.
+
     The measurement family of this circuit is diagonal after a Hadamard on
     every measured qubit: (I + sX)/2 = H |(1-s)/2><(1-s)/2| H. Expectations
     are therefore 2^m times marginal probabilities of bit patterns, and the
@@ -246,6 +255,8 @@ class QuantumEvaluator:
         self.layout = make_layout(config)
         self.program = full_program(config, self.layout)
         self.compiled = sv.compile_program(self.program)
+        # data-bound rotations are never fused: one encoding op per instruction
+        self._extraction = self.compiled[len(build_encoding(config, self.layout).instructions) :]
         self.operators = build_measurement_operators(config, self.layout)
 
         order = measured_qubit_order(config, self.layout)
@@ -257,6 +268,11 @@ class QuantumEvaluator:
         # most significant, over the unmeasured bits with rest[0] most
         # significant: the order the features' marginal sums run in.
         self._table = _basis_indices(order)[1::2, None] | _basis_indices(rest)[None, :]
+        # Row s lists superpixel s's amplitudes of the encoded state, column
+        # bit j on value qubit j; the scale is each column's CZ sign / 2^g.
+        self._encoding_table = _basis_indices(self.layout.q_l)[:, None] | _basis_indices(self.layout.q_v[::-1])[None, :]
+        weight = np.array([k.bit_count() for k in range(1 << config.value_qubits)])
+        self._encoding_scale = (-1.0) ** (weight * (weight - 1) // 2) / config.grid_size
 
     @property
     def num_features(self) -> int:
@@ -265,9 +281,13 @@ class QuantumEvaluator:
     def forward(self, data: np.ndarray, params: np.ndarray):
         """Simulate a batch of data rows; returns (final amplitudes, features)."""
         data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+        states, _ = _unit_states(self._angles(data))
+        branch = states[:, 0]
+        for n in range(1, self.config.value_qubits):  # value qubit n on bit n of the leading axis
+            branch = (states[:, None, n] * branch[None]).reshape((-1,) + branch.shape[1:])
         amps = np.zeros((data.shape[0], self._dim), dtype=np.complex128)
-        amps[:, 0] = 1.0
-        sv.run_compiled(self.compiled, amps, data, params)
+        amps[:, self._encoding_table] = np.moveaxis(branch, 0, -1) * self._encoding_scale
+        sv.run_compiled(self._extraction, amps, None, params)
         phi = amps.copy()
         sv.run_compiled(self._h_gates, phi)
         probs = phi.real**2 + phi.imag**2
@@ -289,7 +309,40 @@ class QuantumEvaluator:
         weights[:, self._table] = (2.0 * self.num_features) * cotangents[:, :, None]
         bra *= weights
         sv.run_compiled(self._h_gates, bra)
-        return sv.adjoint_sweep(self.compiled, amps, bra, data, params, self.program.param_arity)
+        param_grads, _ = sv.unapply_compiled(self._extraction, amps.copy(), bra, None, params, self.program.param_arity)
+        # bra is now the cotangent state at the encoding boundary; each data
+        # angle's gradient is 2 Re <bra| d(encoded state)/d angle>, and only
+        # its superpixel's branch depends on it.
+        nv = self.config.value_qubits
+        states, derivs = _unit_states(self._angles(data))
+        conj = np.conj(bra[:, self._encoding_table]) * self._encoding_scale
+        conj = conj.reshape(conj.shape[:2] + (2,) * nv)  # axis 1 + nv - n holds value qubit n
+        grads = np.empty(derivs.shape[:1] + states.shape[1:])
+        for n in range(nv):  # contract every other value qubit's state out of the branch
+            others = [op for m in range(nv) if m != n for op in (states[:, m], [1 + nv - m, 0, 1])]
+            env = np.einsum(conj, [0, 1, *range(2, 2 + nv)], *others, [1 + nv - n, 0, 1])
+            grads[:, n] = 2.0 * np.real(np.einsum("krs,ikrs->irs", env, derivs[:, :, n]))
+        return param_grads, np.moveaxis(grads, (0, 1), (3, 2)).reshape(data.shape[0], -1)
+
+    def _angles(self, data: np.ndarray) -> np.ndarray:
+        """Data rows as (RX/RY/RZ angle, value qubit, row, superpixel)."""
+        if not np.all(np.isfinite(data)):
+            raise ValueError("data and parameter values must be finite")
+        angles = data.reshape(data.shape[0], self.config.grid_size**2, self.config.value_qubits, 3)
+        return np.moveaxis(angles, (3, 2), (0, 1))
+
+
+def _unit_states(angles: np.ndarray) -> tuple:
+    """R_Z(c) R_Y(b) R_X(a)|0> for angles (a, b, c) stacked on the leading
+    axis, as its two amplitudes stacked the same way, and their derivatives
+    with respect to a, b and c: shapes (2, ...) and (3, 2, ...)."""
+    (ca, cb, cc), (sa, sb, sc) = np.cos(0.5 * angles), np.sin(0.5 * angles)
+    phase = np.array([cc - 1j * sc, cc + 1j * sc])  # R_Z = diag(phase)
+    u = np.array([cb * ca + 1j * sb * sa, sb * ca - 1j * cb * sa])  # R_Y R_X|0>
+    du_a = 0.5 * np.array([1j * sb * ca - cb * sa, -sb * sa - 1j * cb * ca])  # R_Y (-i/2)X R_X|0>
+    du_b = 0.5 * np.array([-u[1], u[0]])  # (-i/2)Y R_Y R_X|0>
+    du_c = np.array([-0.5j * u[0], 0.5j * u[1]])  # (-i/2)Z, which commutes with R_Z
+    return phase * u, phase * np.array([du_a, du_b, du_c])
 
 
 def _basis_indices(qubits: tuple) -> np.ndarray:

@@ -238,9 +238,7 @@ def cmd_synth(args) -> int:
     merged = _run_config(args)
     out = _require_out(merged)
     spec = dataio.SyntheticSpec(
-        num_classes=merged["num_classes"],
-        image_size=merged["image_size"],
-        channels=merged["channels"],
+        **{k: qm.checked_field(k, merged[k]) for k in ("num_classes", "image_size", "channels")},
         train_samples=args.train_samples,
         validation_samples=args.validation_samples,
         test_samples=args.test_samples,

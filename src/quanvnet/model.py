@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -49,15 +50,8 @@ class ModelConfig:
     lwm_enabled: bool = True
 
     def __post_init__(self):
-        for f in fields(self):  # each field takes the type of its default
-            value, kind = getattr(self, f.name), type(f.default)
-            is_bool = isinstance(value, (bool, np.bool_))
-            number = numbers.Integral if kind is int else numbers.Real
-            if not (is_bool if kind is bool else isinstance(value, number) and not is_bool):
-                article = "an" if kind is int else "a"
-                raise ConfigError(f"{f.name} must be {article} {kind.__name__}, got {value!r:.40}")
-            if kind is not float:  # numpy integers and bools become Python ones
-                object.__setattr__(self, f.name, kind(value))
+        for f in fields(self):
+            object.__setattr__(self, f.name, checked_field(f.name, getattr(self, f.name)))
         if self.patch_size < 1 or self.image_size % self.patch_size:
             raise ConfigError("image size must be divisible by patch size")
         grid = self.image_size // self.patch_size
@@ -88,6 +82,23 @@ class ModelConfig:
             kernels_per_block=self.kernels,
             lwm_enabled=self.lwm_enabled,
         )
+
+
+def checked_field(name: str, value):
+    """``value`` for the ``ModelConfig`` field ``name``, checked against the
+    type of the field's default (floats also finite); numpy integers and
+    bools come back as Python ones. Raises ``ConfigError`` naming the field."""
+    kind = type(next(f.default for f in fields(ModelConfig) if f.name == name))
+    is_bool = isinstance(value, (bool, np.bool_))
+    number = numbers.Integral if kind is int else numbers.Real
+    if not (is_bool if kind is bool else isinstance(value, number) and not is_bool):
+        article = "an" if kind is int else "a"
+        raise ConfigError(f"{name} must be {article} {kind.__name__}, got {value!r:.40}")
+    if kind is float:
+        if not abs(value) <= sys.float_info.max:  # NaN, infinities and ints beyond the float range
+            raise ConfigError(f"{name} must be finite, got {value!r:.40}")
+        return value
+    return kind(value)
 
 
 @dataclass

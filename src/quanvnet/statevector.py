@@ -18,10 +18,13 @@ a kernel chosen at compile time from its control count: up to
 its own), and with more controls it gathers and scatters the few matching
 pairs by index. All kernels accept a stack of states shaped ``(batch, 2**n)``;
 the public single-state API wraps a one-row batch. The two sweeps,
-``run_compiled`` and ``adjoint_sweep``, convert and check their data and
+``run_compiled`` and ``unapply_compiled``, convert and check their data and
 parameter vectors once at entry, so each op only looks its angle up. The
-adjoint sweep un-applies each op once from ket and bra and reads its angle
-derivatives from the pairs that un-apply produced.
+reverse sweep un-applies each op once from ket and bra in place and reads its
+angle derivatives from the pairs that un-apply produced; it leaves both
+stacks at the fragment's start, so a caller that builds a fragment in closed
+form (as the evaluator does the data encoding) can take its gradients from
+the bra there. ``adjoint_sweep`` runs it on copies.
 """
 
 from __future__ import annotations
@@ -412,21 +415,23 @@ def run_compiled(compiled: tuple, amps: np.ndarray, data=None, params=None) -> N
         _apply_kernel(amps, cg, None if cg.angle is None else _resolve_angle(cg, data, params))
 
 
-def adjoint_sweep(compiled: tuple, psi: np.ndarray, bra: np.ndarray, data, params, param_arity: int):
-    """Reverse sweep of the adjoint method over a (batch, dim) stack.
+def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, params, param_arity: int):
+    """Reverse sweep of the adjoint method, in place on two C-contiguous
+    (batch, dim) stacks.
 
-    ``psi`` is the forward final state and ``bra`` the cotangent state
-    ``sum_i c_i M_i |psi>`` (per row). Returns ``(param_grads, data_grads)``:
-    parameter gradients summed over the batch, and per-row data gradients of
-    shape (batch, data length), (batch, 0) when ``data`` is None. Each op is
-    un-applied once from ket and bra, and its angle derivatives are read from
-    the pair amplitudes the un-apply wrote.
+    ``ket`` is the state after ``compiled`` and ``bra`` the cotangent state
+    ``sum_i c_i M_i |psi>`` (per row); each op is un-applied once from both,
+    so they leave as the states before the fragment. Returns
+    ``(param_grads, data_grads)``: parameter gradients summed over the batch,
+    and per-row data gradients of shape (batch, data length), (batch, 0)
+    when ``data`` is None, each read from the pair amplitudes the un-apply
+    wrote.
     """
+    if not (ket.flags.c_contiguous and bra.flags.c_contiguous):
+        raise ValueError("amplitude stacks must be C-contiguous")
     data, params = _bind(data, params)
-    ket = psi.copy()
-    bra = bra.copy()
     param_grads = np.zeros(param_arity)
-    data_grads = np.zeros((psi.shape[0], data.shape[-1]))
+    data_grads = np.zeros((ket.shape[0], data.shape[-1]))
     for cg in reversed(compiled):
         theta = None if cg.angle is None else _resolve_angle(cg, data, params)
         k0, k1 = _apply_kernel(ket, cg, theta, invert=True)
@@ -442,6 +447,13 @@ def adjoint_sweep(compiled: tuple, psi: np.ndarray, bra: np.ndarray, data, param
             else:
                 data_grads[:, slot] += dots
     return param_grads, data_grads
+
+
+def adjoint_sweep(compiled: tuple, psi: np.ndarray, bra: np.ndarray, data, params, param_arity: int):
+    """``unapply_compiled`` on copies of ``psi`` (the forward final state)
+    and ``bra``: returns ``(param_grads, data_grads)`` and leaves both
+    inputs unchanged."""
+    return unapply_compiled(compiled, psi.copy(), bra.copy(), data, params, param_arity)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,24 @@ def test_compiled_entries_expose_the_counted_fields():
     assert all(cg.angle is not None and cg.angle[0] == "data" for cg in ev.compiled[:n_enc] if cg.kind in sv.ROTATION_KINDS)
 
 
+def test_evaluator_sweeps_run_no_data_bound_op(monkeypatch):
+    # the encoding is built in closed form: no gate-list encoding on the hot path
+    ev, _, data, params, rng = _setup()
+    swept = []
+    for name in ("run_compiled", "unapply_compiled"):
+        real = getattr(sv, name)
+
+        def spy(compiled, *args, real=real, name=name, **kwargs):
+            swept.append((name, compiled))
+            return real(compiled, *args, **kwargs)
+
+        monkeypatch.setattr(sv, name, spy)
+    amps, _ = ev.forward(data, params)
+    ev.backward(amps, data, params, rng.normal(size=(ROWS, ev.num_features)))
+    assert {name for name, _ in swept} == {"run_compiled", "unapply_compiled"}
+    assert all(cg.angle is None or cg.angle[0] != "data" for _, compiled in swept for cg in compiled)
+
+
 def test_compile_cache_can_be_cleared():
     assert callable(sv.compile_program.cache_clear)
     assert callable(qc.get_evaluator.cache_clear)

@@ -60,7 +60,7 @@ class TestEncoding:
             expect = 0.25 if idx & value_mask == 0 else 0.0
             assert abs(state.amplitudes[idx] - expect) <= 1e-12
 
-    @pytest.mark.parametrize("g,e", [(1, 3), (1, 9), (2, 3), (2, 9)])
+    @pytest.mark.parametrize("g,e", [(1, 3), (1, 9), (2, 3), (2, 9), (1, 6), (1, 12), (2, 12)])
     def test_matches_closed_form_oracle(self, g, e):
         rng = np.random.default_rng(100 + g * 10 + e)
         config = qc.CircuitConfig(g, e, 1, 1)
@@ -376,3 +376,47 @@ def test_measurement_table_matches_per_operator_expectations_and_gradients():
         assert np.max(np.abs(features[row] - direct)) <= 1e-10
         want += sv.adjoint_gradients(ev.program, data[row], params, ev.operators, cot[row])
     assert oracles.relative_error(got, want) <= 1e-10
+
+
+class TestClosedFormEncoding:
+    """The evaluator builds the encoded state and its data-angle gradients in
+    closed form; the gate-list encoding in ``compiled`` is the reference
+    (gradients against the full gate-list sweep: ``test_statevector.py``)."""
+
+    # value registers of 1 to 4 qubits (the CZ sign beyond E = 9) on grids 2x2 to 8x8
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("g,e", [(1, 3), (1, 6), (1, 9), (1, 12), (2, 3), (2, 6), (2, 12), (3, 3), (3, 9), (3, 12)])
+    def test_encoded_state_matches_oracle_and_gate_list(self, g, e, rows):
+        config = qc.CircuitConfig(g, e, 1, 1)
+        rng = np.random.default_rng(700 + 10 * g + e + rows)
+        ev = qc.QuantumEvaluator(config)
+        data = rng.uniform(-np.pi, np.pi, (rows, ev.program.data_arity))
+        # no kernel register and zero parameters: the extraction is the identity
+        amps, _ = ev.forward(data, np.zeros(ev.program.param_arity))
+        n_enc = len(qc.build_encoding(config, ev.layout).instructions)
+        replay = np.zeros_like(amps)
+        replay[:, 0] = 1.0
+        sv.run_compiled(ev.compiled[:n_enc], replay, data, None)
+        assert np.max(np.abs(amps - replay)) <= 1e-10
+        for row in range(rows):
+            processed = data[row].reshape(config.grid_size, config.grid_size, e)
+            want = oracles.encoding_state_oracle(g, e, ev.layout.q_l, ev.layout.q_v, ev.layout.total_qubits, processed)
+            assert np.max(np.abs(amps[row] - want)) <= 1e-10
+
+    @pytest.mark.parametrize("g,e,m,k", [(1, 12, 1, 2), (2, 6, 1, 1)])
+    def test_gradients_match_central_differences(self, g, e, m, k):
+        rng = np.random.default_rng(900 + 10 * g + e)
+        ev = qc.get_evaluator(qc.CircuitConfig(g, e, m, k))
+        data = rng.uniform(-np.pi, np.pi, (2, ev.program.data_arity))
+        params = rng.uniform(0, 2 * np.pi, ev.program.param_arity)
+        cot = rng.normal(size=(2, ev.num_features))
+        amps, _ = ev.forward(data, params)
+        got_params, got_data = ev.backward(amps, data, params, cot)
+
+        def loss(d, p):
+            return float(np.sum(ev.forward(d, p)[1] * cot))
+
+        want_data = oracles.central_differences(lambda d: loss(d.reshape(data.shape), params), data.reshape(-1))
+        want_params = oracles.central_differences(lambda p: loss(data, p), params)
+        assert oracles.relative_error(got_data.reshape(-1), want_data) <= 1e-5
+        assert oracles.relative_error(got_params, want_params) <= 1e-5

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,3 +418,43 @@ def test_eval_and_analyze_on_an_empty_split_exit_3(trained, empty_test_split, tm
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "test split" in err
     assert main(args + ["--split", "validation"]) == 0
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"image_size": "32"}, "image_size must be an int"),
+    ({"num_classes": 2.0}, "num_classes must be an int"),
+    ({"channels": True}, "channels must be an int"),
+])
+def test_synth_with_a_mistyped_config_field_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(content))
+    out = tmp_path / "data"
+    code = main(["synth", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and message in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", ["alpha", "learning_rate"])
+def test_non_finite_float_in_a_config_file_exits_2_before_training(dataset_dir, tmp_path, capsys, field, value):
+    path = tmp_path / "config.json"
+    path.write_text('{"%s": %s}' % (field, value))  # JSON as Python writes it; json.loads reads it back
+    out = tmp_path / "out"
+    code = main(["train", "--config", str(path), "--data", str(dataset_dir), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and f"{field} must be finite" in err
+    assert not list(out.glob("run*"))
+
+
+def test_importing_the_cli_leaves_scipy_unimported():
+    # scipy.special takes about 0.3 s to import; only the AMI analysis needs it
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, quanvnet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -373,3 +373,10 @@ def test_numpy_scalar_config_fields_become_python_values():
     assert config == qm.ModelConfig(image_size=16, seed=3, alpha=2.0, lwm_enabled=False)
     assert type(config.image_size) is int and type(config.lwm_enabled) is bool
     json.dumps(asdict(config))  # checkpoints can write it
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.float64(np.nan), 10**400])
+@pytest.mark.parametrize("field", ["alpha", "learning_rate"])
+def test_non_finite_float_fields_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        qm.ModelConfig(**{field: value})

@@ -511,6 +511,30 @@ class TestSweepContract:
         assert got[1].shape == want[1].shape == data.shape
         assert np.max(np.abs(got[1] - want[1])) <= 1e-10
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("g,e,m,k", [(1, 12, 1, 2), (2, 6, 2, 1), (3, 3, 1, 2), (3, 9, 2, 2)])
+    def test_closed_form_encoding_gradients_match_the_full_gate_list_sweep(self, g, e, m, k, rows):
+        # the evaluator sweeps only the extraction ops; the reference sweeps the whole gate list
+        from quanvnet import circuits as qc
+
+        rng = np.random.default_rng(800 + 10 * g + e + rows)
+        ev = qc.get_evaluator(qc.CircuitConfig(g, e, m, k))
+        data = rng.uniform(-np.pi, np.pi, (rows, ev.program.data_arity))
+        params = rng.uniform(0, 2 * np.pi, ev.program.param_arity)
+        cot = rng.normal(size=(rows, ev.num_features))
+        amps, _ = ev.forward(data, params)
+        full = np.zeros_like(amps)
+        full[:, 0] = 1.0
+        sv.run_compiled(ev.compiled, full, data, params)
+        assert np.max(np.abs(amps - full)) <= 1e-10
+        got_params, got_data = ev.backward(amps, data, params, cot)
+        want_params, want_data = sv.adjoint_sweep(ev.compiled, full, _cotangent_bras(full, ev.operators, cot),
+                                                  data, params, ev.program.param_arity)
+        assert np.max(np.abs(want_data)) > 1e-3
+        assert np.max(np.abs(got_params - want_params)) <= 1e-10
+        assert got_data.shape == data.shape
+        assert np.max(np.abs(got_data - want_data)) <= 1e-10
+
     def test_no_data_gives_an_empty_gradient_per_row(self):
         rng = np.random.default_rng(502)
         prog = random_program(rng, 3, 20, num_params=4)
