@@ -19,7 +19,7 @@ Register conventions (all indices little-endian into the simulator):
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -239,9 +239,9 @@ class QuantumEvaluator:
     its value qubits' R_Z R_Y R_X|0> states times the all-pairs CZ sign
     (-1)^(k(k-1)/2) for Hamming weight k, at amplitude 1/2^g; its data-angle
     gradients follow from the same product and the cotangent state at the
-    encoding boundary. Only the extraction fragment runs as compiled ops.
-    ``compiled`` still holds the whole program, encoding first, as the
-    gate-list reference.
+    encoding boundary. Only the ``extraction`` fragment runs as compiled ops.
+    ``program`` and ``compiled`` hold the whole program, encoding first, as
+    the gate-list reference; they are built on first use.
 
     The measurement family of this circuit is diagonal after a Hadamard on
     every measured qubit: (I + sX)/2 = H |(1-s)/2><(1-s)/2| H. Expectations
@@ -253,10 +253,8 @@ class QuantumEvaluator:
     def __init__(self, config: CircuitConfig):
         self.config = config
         self.layout = make_layout(config)
-        self.program = full_program(config, self.layout)
-        self.compiled = sv.compile_program(self.program)
-        # data-bound rotations are never fused: one encoding op per instruction
-        self._extraction = self.compiled[len(build_encoding(config, self.layout).instructions) :]
+        self.extraction = build_feature_extraction(config, self.layout)
+        self._ops = sv.compile_program(self.extraction)
         self.operators = build_measurement_operators(config, self.layout)
 
         order = measured_qubit_order(config, self.layout)
@@ -267,12 +265,20 @@ class QuantumEvaluator:
         # Row i lists the amplitudes whose measured bits read (i, 1), order[0]
         # most significant, over the unmeasured bits with rest[0] most
         # significant: the order the features' marginal sums run in.
-        self._table = _basis_indices(order)[1::2, None] | _basis_indices(rest)[None, :]
+        self._table = sv.basis_indices(order)[1::2, None] | sv.basis_indices(rest)[None, :]
         # Row s lists superpixel s's amplitudes of the encoded state, column
         # bit j on value qubit j; the scale is each column's CZ sign / 2^g.
-        self._encoding_table = _basis_indices(self.layout.q_l)[:, None] | _basis_indices(self.layout.q_v[::-1])[None, :]
+        self._encoding_table = sv.basis_indices(self.layout.q_l)[:, None] | sv.basis_indices(self.layout.q_v[::-1])[None, :]
         weight = np.array([k.bit_count() for k in range(1 << config.value_qubits)])
         self._encoding_scale = (-1.0) ** (weight * (weight - 1) // 2) / config.grid_size
+
+    @cached_property
+    def program(self) -> CircuitProgram:
+        return full_program(self.config, self.layout)
+
+    @cached_property
+    def compiled(self) -> tuple:
+        return sv.compile_program(self.program)
 
     @property
     def num_features(self) -> int:
@@ -287,7 +293,7 @@ class QuantumEvaluator:
             branch = (states[:, None, n] * branch[None]).reshape((-1,) + branch.shape[1:])
         amps = np.zeros((data.shape[0], self._dim), dtype=np.complex128)
         amps[:, self._encoding_table] = np.moveaxis(branch, 0, -1) * self._encoding_scale
-        sv.run_compiled(self._extraction, amps, None, params)
+        sv.run_compiled(self._ops, amps, None, params)
         phi = amps.copy()
         sv.run_compiled(self._h_gates, phi)
         probs = phi.real**2 + phi.imag**2
@@ -309,7 +315,7 @@ class QuantumEvaluator:
         weights[:, self._table] = (2.0 * self.num_features) * cotangents[:, :, None]
         bra *= weights
         sv.run_compiled(self._h_gates, bra)
-        param_grads, _ = sv.unapply_compiled(self._extraction, amps.copy(), bra, None, params, self.program.param_arity)
+        param_grads, _ = sv.unapply_compiled(self._ops, amps.copy(), bra, None, params, self.extraction.param_arity)
         # bra is now the cotangent state at the encoding boundary; each data
         # angle's gradient is 2 Re <bra| d(encoded state)/d angle>, and only
         # its superpixel's branch depends on it.
@@ -343,16 +349,6 @@ def _unit_states(angles: np.ndarray) -> tuple:
     du_b = 0.5 * np.array([-u[1], u[0]])  # (-i/2)Y R_Y R_X|0>
     du_c = np.array([-0.5j * u[0], 0.5j * u[1]])  # (-i/2)Z, which commutes with R_Z
     return phase * u, phase * np.array([du_a, du_b, du_c])
-
-
-def _basis_indices(qubits: tuple) -> np.ndarray:
-    """Basis index of each integer k < 2^len(qubits) whose bits, most
-    significant first, are placed on ``qubits``, other qubits 0."""
-    k = np.arange(1 << len(qubits), dtype=np.int64)
-    index = np.zeros_like(k)
-    for j, q in enumerate(reversed(qubits)):
-        index |= ((k >> j) & 1) << q
-    return index
 
 
 @lru_cache(maxsize=8)

@@ -236,15 +236,14 @@ def cmd_resources(args) -> int:
 
 def cmd_synth(args) -> int:
     merged = _run_config(args)
-    out = _require_out(merged)
     spec = dataio.SyntheticSpec(
-        **{k: qm.checked_field(k, merged[k]) for k in ("num_classes", "image_size", "channels")},
+        **{k: qm.checked_field(k, merged[k]) for k in ("num_classes", "image_size", "channels", "seed")},
         train_samples=args.train_samples,
         validation_samples=args.validation_samples,
         test_samples=args.test_samples,
         noise=args.noise,
-        seed=merged.get("seed") or 0,
     )
+    out = _require_out(merged)
     dataio.generate_synthetic(spec, out)
     print(f"wrote synthetic dataset to {out}")
     return 0

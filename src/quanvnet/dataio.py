@@ -44,10 +44,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise < 0:
-            raise ValueError("noise level must be >= 0")
+        if not 0 <= 2 * self.noise <= sys.float_info.max:  # NaN, negative, or a noise range that overflows
+            raise ValueError(f"noise must be >= 0 with 2*noise finite, got {self.noise!r}")
         if min(self.num_classes, self.image_size, self.channels) < 1:
             raise ValueError("classes, image size, and channels must be positive")
+        for name in ("train_samples", "validation_samples", "test_samples", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def split_counts(self) -> dict:
         return {

@@ -27,6 +27,12 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOG_CLIP = 1e-12
 CHECKPOINT_MAGIC = "QVNCKPT1"
+# A training step holds three full (batch, 2**n) complex stacks at once: the
+# forward's final states (kept for the backward), the backward's cotangent
+# bra, and the copy of the final states it un-applies. The backward's real
+# weights and the kernels' half-stack temporaries come on top.
+STATE_COPIES = 3
+STATE_BUDGET_BYTES = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ class ModelConfig:
         if self.patch_size & (self.patch_size - 1):
             raise ConfigError("patch size must be a power of 2")
         try:
-            self.circuit_config()
+            circuit = self.circuit_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.alpha < 0:
@@ -69,6 +75,15 @@ class ModelConfig:
             raise ConfigError("learning rate must be positive")
         if min(self.batch_size, self.epochs, self.runs, self.num_classes, self.channels) < 1:
             raise ConfigError("batch size, epochs, runs, classes, and channels must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        qubits = circuits.make_layout(circuit).total_qubits
+        state_bytes = self.batch_size * STATE_COPIES * (16 << qubits)
+        if state_bytes > STATE_BUDGET_BYTES:
+            raise ConfigError(
+                f"batch_size {self.batch_size} on {qubits} qubits needs {state_bytes / 2**30:.3g} GiB of "
+                f"state stacks, over the {STATE_BUDGET_BYTES >> 30} GiB budget"
+            )
 
     @property
     def grid_log(self) -> int:
@@ -163,7 +178,7 @@ class HybridModel:
         self.grid = config.image_size // config.patch_size
         self.segment_lengths = {
             "autoencoder": self.autoencoder.num_params,
-            "quantum": self.evaluator.program.param_arity,
+            "quantum": self.evaluator.extraction.param_arity,
             "classifier": self.num_features * config.num_classes + config.num_classes,
         }
 

@@ -12,19 +12,17 @@ Conventions, fixed once so amplitude dumps are reproducible bit-for-bit:
 RZ gates on one target and control pattern becomes one fused unit that applies
 its 2x2 product ``R_Z R_Y R_X`` in one pass; every other instruction stays one
 op. Each op touches only the amplitude pairs whose control bits match, through
-a kernel chosen at compile time from its control count: up to
-``VIEW_MAX_CONTROLS`` controls it updates strided views of the state in place
-(the stack reshaped so that the target and each control qubit has an axis of
-its own), and with more controls it gathers and scatters the few matching
-pairs by index. All kernels accept a stack of states shaped ``(batch, 2**n)``;
-the public single-state API wraps a one-row batch. The two sweeps,
-``run_compiled`` and ``unapply_compiled``, convert and check their data and
-parameter vectors once at entry, so each op only looks its angle up. The
-reverse sweep un-applies each op once from ket and bra in place and reads its
-angle derivatives from the pairs that un-apply produced; it leaves both
-stacks at the fragment's start, so a caller that builds a fragment in closed
-form (as the evaluator does the data encoding) can take its gradients from
-the bra there. ``adjoint_sweep`` runs it on copies.
+one kernel: it updates strided views of the state in place, the stack
+reshaped so that the target and each control qubit has an axis of its own.
+The kernel accepts a stack of states shaped ``(batch, 2**n)``; the public
+single-state API wraps a one-row batch. The two sweeps, ``run_compiled`` and
+``unapply_compiled``, convert and check their data and parameter vectors once
+at entry, so each op only looks its angle up. The reverse sweep un-applies
+each op once from ket and bra in place and reads its angle derivatives from
+the pairs that un-apply produced; it leaves both stacks at the fragment's
+start, so a caller that builds a fragment in closed form (as the evaluator
+does the data encoding) can take its gradients from the bra there.
+``adjoint_sweep`` runs it on copies.
 """
 
 from __future__ import annotations
@@ -183,14 +181,6 @@ def dump_amplitudes(state: QuantumState) -> str:
 # compiled gate kernels
 # ---------------------------------------------------------------------------
 
-# Ops with at most this many controls update strided views of the state in
-# place; ops with more controls gather their control-matching pairs by index.
-# Measured on 12 qubits at batch 50 (2-core Xeon, numpy 2.4): a view runs
-# about 3x faster than the gather with no controls and about even at two, and
-# loses from three controls on (0.85x at three, 0.65x at five), where the
-# gather touches few pairs but the view walks many short strided runs.
-VIEW_MAX_CONTROLS = 2
-
 _GEN_X = np.array([[0, -0.5j], [-0.5j, 0]])  # (-i/2) X, the generator of R_X
 _GEN_Y = np.array([[0, -0.5], [0.5, 0]])  # (-i/2) Y
 _GEN_Z = np.array([[-0.5j, 0], [0, 0.5j]])  # (-i/2) Z
@@ -199,36 +189,48 @@ _GEN_Z = np.array([[-0.5j, 0], [0, 0.5j]])  # (-i/2) Z
 @dataclass
 class _CompiledGate:
     kind: str  # a GATE_KINDS entry, or "U" for a fused RX, RY, RZ unit
-    idx0: np.ndarray  # basis indices with control bits matching, target bit 0
-    idx1: np.ndarray  # same indices with target bit 1
+    num_qubits: int
+    target: int
+    controls: tuple  # (qubit, required value) pairs
     angle: tuple | None  # angle source; a fused unit carries its RX slot
     slots: tuple  # fused unit only: the RX, RY, RZ param slots
-    # The kernel: ``sel0``/``sel1`` index the pairs with target bit 0/1 in the
-    # stack reshaped to ``shape`` (strided views), or, when ``shape`` is None,
-    # in the (batch, 2**n) stack itself (index gathers).
-    shape: tuple | None
+    # The kernel: ``sel0``/``sel1`` pick the control-matching pairs with target
+    # bit 0/1 as strided views of the stack reshaped to ``shape``.
+    shape: tuple
     sel0: tuple
     sel1: tuple
 
+    # The pairs as basis indices, built on access: no kernel reads them, only
+    # the benchmark's work counts (``len(cg.idx0)``) and the contract test of
+    # what the benchmark reads. They can go when those stop reading them.
+    @property
+    def idx0(self) -> np.ndarray:
+        """Basis indices with control bits matching, target bit 0."""
+        fixed = {self.target} | {q for q, _ in self.controls}
+        free = tuple(q for q in reversed(range(self.num_qubits)) if q not in fixed)
+        return basis_indices(free) | sum(v << q for q, v in self.controls)
 
-def _pair_indices(num_qubits: int, target: int, controls: tuple) -> tuple:
-    fixed = {target} | {q for q, _ in controls}
-    free = [q for q in range(num_qubits) if q not in fixed]
-    base = 0
-    for q, v in controls:
-        base |= v << q
-    k = np.arange(1 << len(free), dtype=np.int64)
-    idx0 = np.full(k.shape, base, dtype=np.int64)
-    for j, q in enumerate(free):
-        idx0 |= ((k >> j) & 1) << q
-    return idx0, idx0 | (np.int64(1) << target)
+    @property
+    def idx1(self) -> np.ndarray:
+        """``idx0`` with target bit 1."""
+        return self.idx0 | (1 << self.target)
 
 
-def _view_spec(num_qubits: int, target: int, controls: tuple) -> tuple:
-    """Reshape of a (batch, 2**n) stack with one axis per fixed (target or
-    control) qubit and one per run of free qubits between them, and the basic
-    index tuples that pick the control-matching pairs with target bit 0 and 1
-    as strided views."""
+def basis_indices(qubits: tuple) -> np.ndarray:
+    """Basis index of each integer k < 2^len(qubits) whose bits, most
+    significant first, are placed on ``qubits``, other qubits 0."""
+    k = np.arange(1 << len(qubits), dtype=np.int64)
+    index = np.zeros_like(k)
+    for j, q in enumerate(reversed(qubits)):
+        index |= ((k >> j) & 1) << q
+    return index
+
+
+def _compile_gate(num_qubits: int, kind: str, target: int, controls: tuple, angle, slots=()) -> _CompiledGate:
+    """One op with its kernel: a reshape of the (batch, 2**n) stack with one
+    axis per fixed (target or control) qubit and one per run of free qubits
+    between them, and the basic index tuples that pick the control-matching
+    pairs with target bit 0 and 1 as strided views."""
     fixed = dict(controls)
     fixed[target] = None
     shape, sel, top = [-1], [slice(None)], num_qubits
@@ -243,16 +245,8 @@ def _view_spec(num_qubits: int, target: int, controls: tuple) -> tuple:
         shape.append(1 << top)
         sel.append(slice(None))
     axis = sel.index(None)
-    return tuple(shape), tuple(sel[:axis] + [0] + sel[axis + 1 :]), tuple(sel[:axis] + [1] + sel[axis + 1 :])
-
-
-def _compile_gate(num_qubits: int, kind: str, target: int, controls: tuple, angle, slots=()) -> _CompiledGate:
-    idx0, idx1 = _pair_indices(num_qubits, target, controls)
-    if len(controls) <= VIEW_MAX_CONTROLS:
-        kernel = _view_spec(num_qubits, target, controls)
-    else:
-        kernel = None, (slice(None), idx0), (slice(None), idx1)
-    return _CompiledGate(kind, idx0, idx1, angle, slots, *kernel)
+    sel0, sel1 = (tuple(sel[:axis] + [bit] + sel[axis + 1 :]) for bit in (0, 1))
+    return _CompiledGate(kind, num_qubits, target, controls, angle, slots, tuple(shape), sel0, sel1)
 
 
 def _fusable(run: tuple) -> bool:
@@ -267,7 +261,7 @@ def _fusable(run: tuple) -> bool:
 
 @lru_cache(maxsize=32)
 def compile_program(program: CircuitProgram) -> tuple:
-    """Compile every instruction to one op with its kernel chosen, fusing each
+    """Compile every instruction to one op with its kernel, fusing each
     param-bound RX, RY, RZ run that shares a target and controls into one
     unit op. Data- and constant-bound rotations stay one op each."""
     out = []
@@ -325,13 +319,13 @@ def _unit_matrix(angles: np.ndarray) -> tuple:
 def _apply_kernel(amps: np.ndarray, cg: _CompiledGate, theta=None, invert: bool = False) -> tuple:
     """Apply one compiled op in place to ``amps`` of shape (batch, 2**n).
 
-    Reads the control-matching pairs (strided views of ``amps`` for the view
-    kernel, gathered copies otherwise), writes the new values back, target bit
-    0 first, and returns them: arrays of their own for rotations and fused
-    units (``None`` marks a half the op leaves unchanged).
+    Reads the control-matching pairs as strided views of ``amps``, writes the
+    new values back, target bit 0 first, and returns them: arrays of their
+    own for rotations and fused units (``None`` marks a half the op leaves
+    unchanged).
     """
     kind = cg.kind
-    t = amps if cg.shape is None else amps.reshape(cg.shape)
+    t = amps.reshape(cg.shape)
     a0, a1 = t[cg.sel0], t[cg.sel1]
     if kind == "H":
         new = (a0 + a1) * _INV_SQRT2, (a0 - a1) * _INV_SQRT2

@@ -420,3 +420,46 @@ class TestClosedFormEncoding:
         want_params = oracles.central_differences(lambda p: loss(data, p), params)
         assert oracles.relative_error(got_data.reshape(-1), want_data) <= 1e-5
         assert oracles.relative_error(got_params, want_params) <= 1e-5
+
+
+class TestLazyReference:
+    """The evaluator compiles only the extraction fragment; the whole gate
+    list, encoding first, is built when ``program`` or ``compiled`` is read."""
+
+    def test_model_construction_builds_no_encoding_gate_list(self, monkeypatch):
+        from quanvnet import model as qm
+
+        built, compiled = [], []
+        real_build, real_compile = qc.build_encoding, sv.compile_program
+        monkeypatch.setattr(qc, "build_encoding", lambda *a: built.append(a) or real_build(*a))
+        monkeypatch.setattr(sv, "compile_program", lambda p: compiled.append(p) or real_compile(p))
+        qc.get_evaluator.cache_clear()
+        model = qm.HybridModel(qm.ModelConfig())
+        assert built == []
+        assert compiled and all(p.data_arity == 0 for p in compiled)
+        assert model.segment_lengths["quantum"] == 198
+        assert "program" not in vars(model.evaluator) and "compiled" not in vars(model.evaluator)
+
+    def test_first_access_gives_the_whole_program_encoding_first(self):
+        ev = qc.QuantumEvaluator(CANONICAL)
+        n_enc = len(qc.build_encoding(CANONICAL, ev.layout).instructions)
+        assert (n_enc, len(ev.compiled) - n_enc) == (774, 67)
+        assert ev.compiled is ev.compiled and ev.program is ev.program
+        assert ev.program.instructions[n_enc:] == ev.extraction.instructions
+
+        def ops(compiled):
+            return [(c.kind, c.target, c.controls, c.angle, c.slots, c.shape) for c in compiled]
+
+        assert ops(ev.compiled[n_enc:]) == ops(sv.compile_program(ev.extraction))
+
+    def test_pair_indices_on_access_match_their_closed_form_count(self):
+        ev = qc.QuantumEvaluator(CANONICAL)
+        n = ev.layout.total_qubits
+        index = np.arange(1 << n)
+        for cg in ev.compiled:
+            assert len(cg.idx0) == len(cg.idx1) == 2 ** (n - 1 - len(cg.controls))
+            match = (index >> cg.target) & 1 == 0
+            for q, v in cg.controls:
+                match &= (index >> q) & 1 == v
+            assert np.array_equal(np.sort(cg.idx0), index[match])
+            assert np.array_equal(cg.idx1, cg.idx0 | (1 << cg.target))

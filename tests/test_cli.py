@@ -424,6 +424,7 @@ def test_eval_and_analyze_on_an_empty_split_exit_3(trained, empty_test_split, tm
     ({"image_size": "32"}, "image_size must be an int"),
     ({"num_classes": 2.0}, "num_classes must be an int"),
     ({"channels": True}, "channels must be an int"),
+    ({"seed": "3"}, "seed must be an int"),
 ])
 def test_synth_with_a_mistyped_config_field_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "config.json"
@@ -458,3 +459,46 @@ def test_importing_the_cli_leaves_scipy_unimported():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+SYNTH_ARGS = ["synth", "--classes", "2", "--image-size", "8", "--channels", "1",
+              "--train-samples", "4", "--validation-samples", "2", "--test-samples", "2"]
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--noise", "inf", "noise"),
+    ("--noise", "1e308", "noise"),  # finite, but the uniform range 2*noise overflows
+    ("--noise", "nan", "noise"),
+    ("--noise", "-0.5", "noise"),
+    ("--seed", "-1", "seed"),
+    ("--train-samples", "-3", "train_samples"),
+    ("--validation-samples", "-1", "validation_samples"),
+    ("--test-samples", "-2", "test_samples"),
+])
+def test_synth_with_an_out_of_range_value_exits_2_without_output(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "data"
+    code = main(SYNTH_ARGS + ["--out", str(out), flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: {field} must be >= 0") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_train_with_a_negative_seed_exits_2_without_output(dataset_dir, config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(train_args(dataset_dir, config_file, out, "--seed", "-1"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "config error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["resources", "train"])
+def test_state_stacks_over_the_memory_budget_exit_2_before_any_output(dataset_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main([command, "--image-size", "1024", "--patch-size", "4", "--data", str(dataset_dir), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error: batch_size 50 on 22 qubits needs") and captured.err.count("\n") == 1
+    assert not out.exists()

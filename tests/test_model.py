@@ -380,3 +380,18 @@ def test_numpy_scalar_config_fields_become_python_values():
 def test_non_finite_float_fields_rejected(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         qm.ModelConfig(**{field: value})
+
+
+def test_seed_must_be_non_negative():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        qm.ModelConfig(seed=-1)
+
+
+def test_state_stacks_over_the_budget_rejected_before_any_allocation():
+    # 20 qubits (g=7, E=9, M=2, K=2): STATE_COPIES stacks of 16 MiB per row fit 42 rows in 2 GiB
+    assert qm.ModelConfig(image_size=512, batch_size=42).circuit_config().grid_log == 7
+    with pytest.raises(ConfigError, match="batch_size 43 on 20 qubits"):
+        qm.ModelConfig(image_size=512, batch_size=43)
+    with pytest.raises(ConfigError, match="batch_size 50 on 22 qubits"):
+        qm.ModelConfig(image_size=1024)
+    qm.ModelConfig(image_size=1024, batch_size=1)

@@ -295,16 +295,8 @@ def test_dump_amplitudes_format():
 
 
 # ---------------------------------------------------------------------------
-# compiled kernels: fused units, strided views and index gathers
+# compiled kernels: fused units on strided views
 # ---------------------------------------------------------------------------
-
-KERNEL_LIMITS = {"view": 5, "gather": -1}  # VIEW_MAX_CONTROLS forcing each kernel
-
-
-def compile_with(monkeypatch, kernel, program):
-    """Compile bypassing the cache, with every op on the named kernel."""
-    monkeypatch.setattr(sv, "VIEW_MAX_CONTROLS", KERNEL_LIMITS[kernel])
-    return sv.compile_program.__wrapped__(program)
 
 
 def random_stack(rng, rows, num_qubits):
@@ -323,15 +315,14 @@ class TestCompiledKernels:
         pool = [q for q in range(self.N) if q != target]
         return tuple((int(q), value) for q in rng.permutation(pool)[:count])
 
-    @pytest.mark.parametrize("kernel", ["view", "gather"])
     @pytest.mark.parametrize("value", [0, 1])
     @pytest.mark.parametrize("count", range(6))
-    def test_fused_unit_matches_dense_product(self, monkeypatch, kernel, value, count):
+    def test_fused_unit_matches_dense_product(self, value, count):
         rng = np.random.default_rng(100 + 10 * count + value)
         target = int(rng.integers(self.N))
         prog = CircuitProgram(self.N, unit(target, self._controls(rng, target, count, value)), param_arity=3)
-        (op,) = compile_with(monkeypatch, kernel, prog)
-        assert op.kind == "U" and (op.shape is not None) == (kernel == "view")
+        (op,) = sv.compile_program(prog)
+        assert op.kind == "U"
         params = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
         dense = np.eye(1 << self.N, dtype=np.complex128)
         for instr in prog.instructions:
@@ -343,16 +334,15 @@ class TestCompiledKernels:
         sv._apply_kernel(after, op, params[[0, 1, 2]], invert=True)
         assert np.max(np.abs(after - before)) <= 1e-10
 
-    @pytest.mark.parametrize("kernel", ["view", "gather"])
     @pytest.mark.parametrize("kind", sv.GATE_KINDS)
-    def test_single_gates_match_dense_matrix(self, monkeypatch, kernel, kind):
+    def test_single_gates_match_dense_matrix(self, kind):
         rng = np.random.default_rng(200 + sv.GATE_KINDS.index(kind))
         for count in range(6):
             target = int(rng.integers(self.N))
             controls = self._controls(rng, target, count, int(rng.integers(2)))
             angle = data_slot(0) if kind in sv.ROTATION_KINDS else None
             prog = CircuitProgram(self.N, [GateInstruction(kind, target, controls, angle)], data_arity=1)
-            ops = compile_with(monkeypatch, kernel, prog)
+            ops = sv.compile_program(prog)
             data = rng.uniform(-np.pi, np.pi, (3, 1))  # one angle per row
             before = random_stack(rng, 3, self.N)
             after = before.copy()
@@ -361,8 +351,7 @@ class TestCompiledKernels:
                 dense = oracles.dense_gate_matrix(self.N, prog.instructions[0], data=data[row])
                 assert np.max(np.abs(after[row] - dense @ before[row])) <= 1e-10
 
-    @pytest.mark.parametrize("kernel", ["view", "gather"])
-    def test_control_violating_amplitudes_bitwise_unchanged(self, monkeypatch, kernel):
+    def test_control_violating_amplitudes_bitwise_unchanged(self):
         rng = np.random.default_rng(300)
         controls = ((1, 1), (4, 0))
         prog = CircuitProgram(
@@ -372,17 +361,11 @@ class TestCompiledKernels:
         )
         before = random_stack(rng, 2, self.N)
         after = before.copy()
-        sv.run_compiled(compile_with(monkeypatch, kernel, prog), after, None, rng.uniform(0, 6, 3))
+        sv.run_compiled(sv.compile_program(prog), after, None, rng.uniform(0, 6, 3))
         idx = np.arange(1 << self.N)
         violating = ((idx >> 1) & 1 != 1) | ((idx >> 4) & 1 != 0)
         assert np.array_equal(after[:, violating], before[:, violating])
         assert not np.allclose(after[:, ~violating], before[:, ~violating])
-
-    def test_kernel_chosen_by_control_count(self):
-        for count in range(6):
-            prog = CircuitProgram(self.N, [GateInstruction("H", 0, tuple((q, 1) for q in range(1, count + 1)))])
-            (op,) = sv.compile_program(prog)
-            assert (op.shape is not None) == (count <= sv.VIEW_MAX_CONTROLS)
 
     def test_non_contiguous_stack_rejected(self):
         prog = CircuitProgram(2, [GateInstruction("H", 0)])
