@@ -241,7 +241,8 @@ class QuantumEvaluator:
     gradients follow from the same product and the cotangent state at the
     encoding boundary. Only the ``extraction`` fragment runs as compiled ops.
     ``program`` and ``compiled`` hold the whole program, encoding first, as
-    the gate-list reference; they are built on first use.
+    the gate-list reference, and ``operators`` the measurement family; the
+    three are built on first use.
 
     The measurement family of this circuit is diagonal after a Hadamard on
     every measured qubit: (I + sX)/2 = H |(1-s)/2><(1-s)/2| H. Expectations
@@ -255,7 +256,6 @@ class QuantumEvaluator:
         self.layout = make_layout(config)
         self.extraction = build_feature_extraction(config, self.layout)
         self._ops = sv.compile_program(self.extraction)
-        self.operators = build_measurement_operators(config, self.layout)
 
         order = measured_qubit_order(config, self.layout)
         n = self.layout.total_qubits
@@ -279,6 +279,10 @@ class QuantumEvaluator:
     @cached_property
     def compiled(self) -> tuple:
         return sv.compile_program(self.program)
+
+    @cached_property
+    def operators(self) -> list:
+        return build_measurement_operators(self.config, self.layout)
 
     @property
     def num_features(self) -> int:
@@ -392,47 +396,22 @@ class ResourceReport:
         return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
 
 
-def _fragment_counts(program: CircuitProgram) -> tuple:
-    rotations = sum(1 for i in program.instructions if i.kind in GATE_UNIT)
-    hadamards = sum(1 for i in program.instructions if i.kind == "H")
-    entanglers = sum(1 for i in program.instructions if i.kind == "Z")
-    if rotations % 3:
-        raise RuntimeError("rotation count is not a whole number of gate units")
-    return rotations // 3, hadamards, entanglers
-
-
 def resource_report(config: CircuitConfig) -> ResourceReport:
-    """Closed-form resource counts, cross-checked against the built fragments."""
+    """Resource counts from their closed forms; no fragment is built (the
+    tests check every count against the built fragments)."""
     g, e = config.grid_log, config.features_per_superpixel
     m, k = config.num_blocks, config.kernels_per_block
     grid = config.grid_size**2
-    lwm_units = 2 * m * e // 3 if config.lwm_enabled else 0
-    report = ResourceReport(
+    units = (4 * m * k * e + 2 * e) // 3 + (2 * m * e // 3 if config.lwm_enabled else 0)
+    return ResourceReport(
         encoding_qubits=2 * g + e // 3,
         encoding_gate_units=grid * e // 3,
         encoding_hadamards=2 * g,
         encoding_cz=grid * e * (e - 3) // 18,
         extraction_qubits=m + config.kernel_qubits,
-        extraction_gate_units=(4 * m * k * e + 2 * e) // 3 + lwm_units,
+        extraction_gate_units=units,
         extraction_hadamards=config.kernel_qubits,
-        trainable_quantum_params=3 * ((4 * m * k * e + 2 * e) // 3 + lwm_units),
+        trainable_quantum_params=3 * units,
         total_qubits=2 * g + e // 3 + m + config.kernel_qubits,
         measurement_operators=config.num_feature_values,
     )
-    layout = make_layout(config)
-    enc_units, enc_h, enc_cz = _fragment_counts(build_encoding(config, layout))
-    ext = build_feature_extraction(config, layout)
-    ext_units, ext_h, _ = _fragment_counts(ext)
-    built = (enc_units, enc_h, enc_cz, ext_units, ext_h, ext.param_arity, len(build_measurement_operators(config, layout)))
-    closed = (
-        report.encoding_gate_units,
-        report.encoding_hadamards,
-        report.encoding_cz,
-        report.extraction_gate_units,
-        report.extraction_hadamards,
-        report.trainable_quantum_params,
-        report.measurement_operators,
-    )
-    if built != closed:
-        raise RuntimeError(f"closed-form resource counts {closed} disagree with built fragments {built}")
-    return report

@@ -95,6 +95,13 @@ def _require_out(merged: dict) -> Path:
     return out
 
 
+def _seed(merged: dict) -> int:
+    seed = qm.checked_field("seed", merged["seed"])
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _load_data(merged: dict, needed: tuple) -> dict:
     """The dataset's splits; each split in ``needed`` must hold samples."""
     if not merged.get("data"):
@@ -106,7 +113,7 @@ def _load_data(merged: dict, needed: tuple) -> dict:
         data_dir,
         train_fraction=merged.get("train_fraction"),
         minority=merged.get("minority"),
-        seed=merged.get("seed") or 0,
+        seed=_seed(merged),
         pad_to=merged.get("pad_to"),
     )
     for split in needed:
@@ -130,8 +137,8 @@ def _write_metrics_csv(path: Path, rows) -> None:
 def cmd_train(args) -> int:
     merged = _run_config(args)
     config = _model_config(merged)
-    out = _require_out(merged)
     data = _load_data(merged, dataio.SPLIT_ORDER)
+    out = _require_out(merged)
     model = qm.HybridModel(config)
     _echo_config(merged, out)
     accuracies = []
@@ -160,7 +167,8 @@ def cmd_train(args) -> int:
 
 def _checkpoint_and_split(args, merged: dict):
     """(model, store, images, labels) for ``--checkpoint`` on the ``--split``
-    of ``--data``; a dataset the checkpoint cannot read is a config error."""
+    of ``--data``; a dataset the checkpoint cannot read, by image shape or
+    class count, is a config error."""
     store, config = qm.load_checkpoint(args.checkpoint)
     images, labels = _load_data(merged, (args.split,))[args.split]
     model = qm.HybridModel(config)
@@ -170,16 +178,16 @@ def _checkpoint_and_split(args, merged: dict):
             f"checkpoint expects {(config.image_size, config.image_size, config.channels)} images, "
             f"dataset provides {images.shape[1:]}"
         )
+    if int(labels.max()) >= config.num_classes:
+        raise ConfigError("dataset has more classes than the checkpoint")
     return model, store, images, labels
 
 
 def cmd_eval(args) -> int:
     merged = _run_config(args)
-    out = _require_out(merged)
     model, store, images, labels = _checkpoint_and_split(args, merged)
+    out = _require_out(merged)
     config = model.config
-    if int(labels.max()) >= config.num_classes:
-        raise ConfigError("dataset has more classes than the checkpoint")
     metrics = qm.evaluate(model, store, images, labels)
     lines = ["metric,class,value", f"accuracy,,{metrics.accuracy!r}"]
     for c in range(config.num_classes):
@@ -193,8 +201,8 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     merged = _run_config(args)
-    out = _require_out(merged)
     model, store, images, labels = _checkpoint_and_split(args, merged)
+    out = _require_out(merged)
     config = model.config
     features = []
     processed = []
@@ -210,7 +218,7 @@ def cmd_analyze(args) -> int:
     (out / "magnitudes.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     if args.ami:
-        seed = merged.get("seed") or 0
+        seed = _seed(merged)
         truth = analysis.Labeling(labels, config.num_classes)
         ami_processed = analysis.ami(
             analysis.kmeans(processed, config.num_classes, seed), truth

@@ -352,11 +352,43 @@ class TestResourceReport:
         (2, 9, 2, 2, False),
         (3, 9, 2, 4, True),
         (3, 6, 3, 1, True),
+        (3, 9, 2, 2, True),  # canonical
+        (2, 12, 2, 2, True),
     ])
     def test_closed_forms_match_fragments(self, g, e, m, k, lwm):
-        # resource_report raises internally if the built fragments disagree
-        rep = qc.resource_report(qc.CircuitConfig(g, e, m, k, lwm))
-        assert rep.trainable_quantum_params == 3 * rep.extraction_gate_units
+        config = qc.CircuitConfig(g, e, m, k, lwm)
+        layout = qc.make_layout(config)
+        rep = qc.resource_report(config)
+
+        def counts(program):
+            kinds = [i.kind for i in program.instructions]
+            rotations = sum(kinds.count(kind) for kind in qc.GATE_UNIT)
+            assert rotations % 3 == 0
+            return rotations // 3, kinds.count("H"), kinds.count("Z")
+
+        enc = qc.build_encoding(config, layout)
+        ext = qc.build_feature_extraction(config, layout)
+        assert counts(enc) == (rep.encoding_gate_units, rep.encoding_hadamards, rep.encoding_cz)
+        assert counts(ext) == (rep.extraction_gate_units, rep.extraction_hadamards, 0)
+        assert ext.param_arity == rep.trainable_quantum_params
+        assert len(qc.build_measurement_operators(config, layout)) == rep.measurement_operators
+        assert layout.total_qubits == rep.total_qubits
+        assert (len(layout.q_l) + len(layout.q_v), len(layout.q_k) + len(layout.q_f)) == (
+            rep.encoding_qubits, rep.extraction_qubits)
+
+    def test_builds_no_fragment(self, monkeypatch, capsys):
+        from quanvnet.cli import main
+
+        def refuse(*args):
+            raise AssertionError("resource_report built a fragment")
+
+        for name in ("build_encoding", "build_feature_extraction", "build_measurement_operators"):
+            monkeypatch.setattr(qc, name, refuse)
+        assert qc.resource_report(CANONICAL).encoding_gate_units == 192
+        # 22 qubits: 2^16 superpixels of 3 gate units each, and 2^16 operators
+        assert main(["resources", "--image-size", "1024", "--patch-size", "4", "--batch-size", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert {"total_qubits=22", "encoding_gate_units=196608", "measurement_operators=65536"} <= set(lines)
 
 
 def test_measurement_table_matches_per_operator_expectations_and_gradients():
@@ -424,21 +456,25 @@ class TestClosedFormEncoding:
 
 class TestLazyReference:
     """The evaluator compiles only the extraction fragment; the whole gate
-    list, encoding first, is built when ``program`` or ``compiled`` is read."""
+    list, encoding first, is built when ``program`` or ``compiled`` is read,
+    and the measurement family when ``operators`` is."""
 
     def test_model_construction_builds_no_encoding_gate_list(self, monkeypatch):
         from quanvnet import model as qm
 
         built, compiled = [], []
-        real_build, real_compile = qc.build_encoding, sv.compile_program
+        real_build, real_operators, real_compile = qc.build_encoding, qc.build_measurement_operators, sv.compile_program
         monkeypatch.setattr(qc, "build_encoding", lambda *a: built.append(a) or real_build(*a))
+        monkeypatch.setattr(qc, "build_measurement_operators", lambda *a: built.append(a) or real_operators(*a))
         monkeypatch.setattr(sv, "compile_program", lambda p: compiled.append(p) or real_compile(p))
         qc.get_evaluator.cache_clear()
         model = qm.HybridModel(qm.ModelConfig())
         assert built == []
         assert compiled and all(p.data_arity == 0 for p in compiled)
         assert model.segment_lengths["quantum"] == 198
-        assert "program" not in vars(model.evaluator) and "compiled" not in vars(model.evaluator)
+        assert not {"program", "compiled", "operators"} & set(vars(model.evaluator))
+        assert len(model.evaluator.operators) == 64 and model.evaluator.operators is model.evaluator.operators
+        assert len(built) == 1
 
     def test_first_access_gives_the_whole_program_encoding_first(self):
         ev = qc.QuantumEvaluator(CANONICAL)

@@ -78,6 +78,7 @@ class TestTrain:
         code = main(train_args(tmp_path / "nope", config_file, tmp_path / "out"))
         assert code == 3
         assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_single_run_artifacts(self, dataset_dir, config_file, tmp_path):
         out = tmp_path / "out"
@@ -420,6 +421,33 @@ def test_eval_and_analyze_on_an_empty_split_exit_3(trained, empty_test_split, tm
     assert main(args + ["--split", "validation"]) == 0
 
 
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_eval_and_analyze_on_a_missing_dataset_exit_3_without_output(trained, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main([command, "--checkpoint", str(trained / "run0.ckpt"), "--data", str(tmp_path / "nope"),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and "does not exist" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_eval_and_analyze_on_more_classes_than_the_checkpoint_exit_2_without_output(trained, tmp_path, capsys,
+                                                                                     command):
+    data = tmp_path / "four-class"
+    spec = dataio.SyntheticSpec(num_classes=4, image_size=16, channels=2, train_samples=4,
+                                validation_samples=4, test_samples=4, seed=3)
+    dataio.generate_synthetic(spec, data)
+    out = tmp_path / "out"
+    code = main([command, "--checkpoint", str(trained / "run0.ckpt"), "--data", str(data), "--out", str(out),
+                 *(["--ami"] if command == "analyze" else [])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "config error: dataset has more classes than the checkpoint\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content, message", [
     ({"image_size": "32"}, "image_size must be an int"),
     ({"num_classes": 2.0}, "num_classes must be an int"),
@@ -484,9 +512,15 @@ def test_synth_with_an_out_of_range_value_exits_2_without_output(tmp_path, capsy
     assert not out.exists()
 
 
-def test_train_with_a_negative_seed_exits_2_without_output(dataset_dir, config_file, tmp_path, capsys):
+# eval reads the seed to subsample the training split, analyze --ami to seed k-means
+@pytest.mark.parametrize("command, extra", [("train", []), ("eval", ["--train-fraction", "0.5"]),
+                                            ("analyze", ["--ami"])])
+def test_train_with_a_negative_seed_exits_2_without_output(dataset_dir, config_file, trained, tmp_path, capsys,
+                                                           command, extra):
     out = tmp_path / "out"
-    code = main(train_args(dataset_dir, config_file, out, "--seed", "-1"))
+    args = train_args(dataset_dir, config_file, out) if command == "train" else [
+        command, "--checkpoint", str(trained / "run0.ckpt"), "--data", str(dataset_dir), "--out", str(out)]
+    code = main(args + extra + ["--seed", "-1"])
     err = capsys.readouterr().err
     assert code == 2
     assert err == "config error: seed must be >= 0, got -1\n"
