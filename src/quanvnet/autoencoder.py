@@ -61,37 +61,34 @@ def reconstruction_loss(original: np.ndarray, reconstructed: np.ndarray) -> floa
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows; equals the two-sided stable form bit for bit
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _shifted(d, n):
+    # (output, input) slices of a length-n axis for kernel offset d - 1 under same padding
+    return slice(max(0, 1 - d), min(n, n + 1 - d)), slice(max(0, d - 1), min(n, n + d - 1))
 
 
 def _conv2d(x, w, b):
-    # x (B,H,W,Ci), w (3,3,Ci,Co); same padding
-    bsz, h, wd, _ = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    # x (B,H,W,Ci), w (3,3,Ci,Co); same padding: each tap is one flat GEMM over every pixel
+    bsz, h, wd, ci = x.shape
+    flat = x.reshape(-1, ci)
     out = np.broadcast_to(b, (bsz, h, wd, w.shape[3])).copy()
-    for di in range(3):
-        for dj in range(3):
-            out += xp[:, di : di + h, dj : dj + wd, :] @ w[di, dj]
+    for di, dj in np.ndindex(3, 3):
+        (oi, si), (oj, sj) = _shifted(di, h), _shifted(dj, wd)
+        out[:, oi, oj] += (flat @ w[di, dj]).reshape(out.shape)[:, si, sj]
     return out
 
 
 def _conv2d_backward(x, w, grad):
-    bsz, h, wd, _ = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    for di in range(3):
-        for dj in range(3):
-            window = xp[:, di : di + h, dj : dj + wd, :]
-            dw[di, dj] = np.tensordot(window, grad, axes=([0, 1, 2], [0, 1, 2]))
-            dxp[:, di : di + h, dj : dj + wd, :] += grad @ w[di, dj].T
-    db = grad.sum(axis=(0, 1, 2))
-    return dxp[:, 1:-1, 1:-1, :], dw, db
+    # the input gradient is the same conv with the flipped, channel-transposed kernel
+    _, h, wd, ci = x.shape
+    dw = np.empty_like(w)
+    for di, dj in np.ndindex(3, 3):
+        (oi, si), (oj, sj) = _shifted(di, h), _shifted(dj, wd)
+        dw[di, dj] = x[:, si, sj].reshape(-1, ci).T @ grad[:, oi, oj].reshape(-1, w.shape[3])
+    return _conv2d(grad, w[::-1, ::-1].swapaxes(2, 3), 0.0), dw, grad.sum(axis=(0, 1, 2))
 
 
 def _maxpool(x):
@@ -110,20 +107,18 @@ def _maxpool_backward(idx, grad, in_shape):
 
 
 def _tconv2d(x, w, b):
-    # x (B,h,w,Ci), w (2,2,Ci,Co); stride 2 == kernel size, so blocks never overlap
-    bsz, h, wd, _ = x.shape
-    co = w.shape[3]
-    y = np.einsum("bijc,deco->bidjeo", x, w).reshape(bsz, 2 * h, 2 * wd, co)
-    return y + b
+    # x (B,h,w,Ci), w (2,2,Ci,Co); stride 2 == kernel size, so one GEMM maps each pixel to its own 2x2 block
+    bsz, h, wd, ci = x.shape
+    y = (x.reshape(-1, ci) @ w.transpose(2, 0, 1, 3).reshape(ci, -1)).reshape(bsz, h, wd, 2, 2, -1)
+    return y.swapaxes(2, 3).reshape(bsz, 2 * h, 2 * wd, -1) + b
 
 
 def _tconv2d_backward(x, w, grad):
-    bsz, h, wd, _ = x.shape
-    g6 = grad.reshape(bsz, h, 2, wd, 2, w.shape[3])
-    dx = np.einsum("bidjeo,deco->bijc", g6, w)
-    dw = np.einsum("bijc,bidjeo->deco", x, g6)
-    db = grad.sum(axis=(0, 1, 2))
-    return dx, dw, db
+    bsz, h, wd, ci = x.shape
+    g = grad.reshape(bsz, h, 2, wd, 2, -1).swapaxes(2, 3).reshape(bsz * h * wd, -1)
+    dx = (g @ w.transpose(0, 1, 3, 2).reshape(-1, ci)).reshape(x.shape)
+    dw = (x.reshape(-1, ci).T @ g).reshape(ci, 2, 2, -1).transpose(1, 2, 0, 3)
+    return dx, dw, grad.sum(axis=(0, 1, 2))
 
 
 @dataclass(frozen=True)

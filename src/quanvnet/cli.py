@@ -103,7 +103,7 @@ def _seed(merged: dict) -> int:
 
 
 def _load_data(merged: dict, needed: tuple) -> dict:
-    """The dataset's splits; each split in ``needed`` must hold samples."""
+    """The dataset's splits in ``needed``; each must hold samples."""
     if not merged.get("data"):
         raise ConfigError("--data is required")
     data_dir = Path(merged["data"])
@@ -111,6 +111,7 @@ def _load_data(merged: dict, needed: tuple) -> dict:
         raise DataError(f"dataset directory {data_dir} does not exist")
     data = dataio.load_dataset(
         data_dir,
+        needed,
         train_fraction=merged.get("train_fraction"),
         minority=merged.get("minority"),
         seed=_seed(merged),

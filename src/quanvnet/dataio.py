@@ -236,8 +236,11 @@ def zero_pad(images: np.ndarray, size: int) -> np.ndarray:
     return np.pad(images, ((0, 0), (before, after), (before, after), (0, 0)))
 
 
-def load_dataset(directory, train_fraction=None, minority=None, seed: int = 0, pad_to=None) -> dict:
-    """All splits, normalized to [0, 1] with the training-split constants.
+def load_dataset(directory, splits=SPLIT_ORDER, train_fraction=None, minority=None, seed: int = 0,
+                 pad_to=None) -> dict:
+    """The named splits (all by default), normalized to [0, 1] with the
+    training-split constants from the manifest, so a split reads the same
+    whichever others are loaded.
 
     Returns ``{split: (images float64, labels int64)}``. ``train_fraction``
     and ``minority=(class, fraction)`` subsample the training split only;
@@ -246,7 +249,7 @@ def load_dataset(directory, train_fraction=None, minority=None, seed: int = 0, p
     manifest = read_manifest(directory)
     constants = np.asarray(manifest["normalization"], dtype=np.float64)
     out = {}
-    for split in SPLIT_ORDER:
+    for split in splits:
         images, labels = read_split_raw(directory, manifest, split)
         if split == "train" and (train_fraction is not None or minority is not None):
             keep = _subsample_train(labels, manifest["num_classes"], train_fraction, minority, seed)

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from quanvnet import autoencoder as ae_mod
 from quanvnet.autoencoder import PatchAutoencoder, patchify, reconstruction_loss, unpatchify
 
 import oracles
@@ -227,7 +230,62 @@ def test_larger_patch_geometries_round_trip_shapes(patch, channels):
     assert recon.shape == batch.shape
 
 
-@pytest.mark.parametrize("patch,channels", [(4, 2), (8, 3)])
+def two_branch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_equals_the_two_branch_form_bit_for_bit():
+    z = np.concatenate([30.0 * np.random.default_rng(14).standard_normal(2000),
+                        [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ae_mod._sigmoid(z)
+    assert np.array_equal(got, two_branch_sigmoid(z))
+    assert np.isnan(ae_mod._sigmoid(np.array([np.nan]))[0])
+
+
+# Ci != Co, so a kernel transposed the wrong way in a gradient cannot pass
+CI, CO = 3, 5
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8])
+def test_conv_primitives_match_the_naive_oracles(size):
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(2, size, size, CI))
+    w3, b = rng.normal(size=(3, 3, CI, CO)), rng.normal(size=CO)
+    w2 = rng.normal(size=(2, 2, CI, CO))
+    conv, tconv = ae_mod._conv2d(x, w3, b), ae_mod._tconv2d(x, w2, b)
+    for i in range(x.shape[0]):
+        assert np.max(np.abs(conv[i] - naive_conv(x[i], w3, b))) <= 1e-12
+        assert np.max(np.abs(tconv[i] - naive_tconv(x[i], w2, b))) <= 1e-12
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8])
+@pytest.mark.parametrize("forward, backward, taps", [(ae_mod._conv2d, ae_mod._conv2d_backward, 3),
+                                                     (ae_mod._tconv2d, ae_mod._tconv2d_backward, 2)])
+def test_conv_backwards_match_central_differences(size, forward, backward, taps):
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(2, size, size, CI))
+    w, b = rng.normal(size=(taps, taps, CI, CO)), rng.normal(size=CO)
+    out = forward(x, w, b)
+    cot = rng.normal(size=out.shape)  # d(loss)/d(out) for loss = sum(cot * out)
+    dx, dw, db = backward(x, w, cot)
+
+    def loss(x=x, w=w, b=b):
+        return float(np.sum(cot * forward(x, w, b)))
+
+    for name, got, arg in (("x", dx, x), ("w", dw, w), ("b", db, b)):
+        want = oracles.central_differences(lambda v: loss(**{name: v.reshape(arg.shape)}), arg.ravel())
+        assert got.shape == arg.shape
+        assert oracles.relative_error(got.ravel(), want) <= 1e-5
+
+
+@pytest.mark.parametrize("patch,channels", [(1, 2), (2, 3), (4, 2), (8, 3), (16, 1)])
 def test_analytic_gradients_match_central_differences(patch, channels):
     ae = PatchAutoencoder(patch, channels, 6)
     rng = np.random.default_rng(12)

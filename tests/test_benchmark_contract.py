@@ -11,7 +11,8 @@ It also wraps ``model.train_single_run``, ``model.adam_step`` and
 ``HybridModel.forward_batch`` as module and class attributes, drives training
 through ``cli.main``, counts one ``evaluate`` operation per ``forward_batch``
 call and times ``HybridModel.forward``; the last tests pin those call paths on
-a small geometry.
+a small geometry. Its per-layer trace wraps the four ``PatchAutoencoder``
+passes, so one training step must call each of them once.
 """
 
 import json
@@ -23,6 +24,7 @@ from quanvnet import circuits as qc
 from quanvnet import cli, dataio
 from quanvnet import model as qm
 from quanvnet import statevector as sv
+from quanvnet.autoencoder import PatchAutoencoder
 
 import oracles
 
@@ -164,3 +166,14 @@ def test_single_image_forward_is_kept():
     assert np.array_equal(probs, batched["probs"][0])
     assert recon.shape == image.shape and processed.shape == (2, 2, 3)
     assert np.array_equal(features, batched["features"][0])
+
+
+def test_a_training_step_calls_each_autoencoder_layer_once(monkeypatch):
+    model = qm.HybridModel(SMALL)
+    store = model.init_store(0)
+    images = np.random.default_rng(4).uniform(0, 1, (3, 8, 8, 1))
+    calls = []
+    for name in ("encode", "decode", "encode_backward", "decode_backward"):
+        _counting(monkeypatch, PatchAutoencoder, name, calls)
+    model.loss_and_grads(images, np.arange(3) % 2, store)
+    assert sorted(calls) == ["decode", "decode_backward", "encode", "encode_backward"]

@@ -161,6 +161,20 @@ class TestEvalAndAnalyze:
         assert lines[1].startswith("accuracy,,")
         assert sum(1 for l in lines if l.startswith("f1,")) == 3
 
+    def test_eval_reads_only_the_split_it_scores(self, trained, dataset_dir, tmp_path, monkeypatch):
+        read = []
+        real = dataio.read_split_raw
+
+        def spy(directory, manifest, split):
+            read.append(split)
+            return real(directory, manifest, split)
+
+        monkeypatch.setattr(dataio, "read_split_raw", spy)
+        code = main(["eval", "--checkpoint", str(trained / "run0.ckpt"),
+                     "--data", str(dataset_dir), "--out", str(tmp_path / "eval")])
+        assert code == 0
+        assert read == ["test"]
+
     def test_eval_mismatched_dataset_exits_2(self, trained, tmp_path, capsys):
         other = tmp_path / "other_data"
         spec = dataio.SyntheticSpec(num_classes=3, image_size=32, channels=2,

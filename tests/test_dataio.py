@@ -85,6 +85,14 @@ class TestNormalization:
         assert data["train"][0][..., 0].min() == 0.0
         assert data["train"][0][..., 0].max() == 1.0
 
+    def test_one_split_loads_as_it_does_beside_the_others(self, tmp_path):
+        dataio.generate_synthetic(small_spec(), tmp_path)
+        alone = dataio.load_dataset(tmp_path, ("test",))
+        assert list(alone) == ["test"]
+        full = dataio.load_dataset(tmp_path)
+        assert np.array_equal(alone["test"][0], full["test"][0])
+        assert np.array_equal(alone["test"][1], full["test"][1])
+
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         imgs = rng.uniform(-2, 5, (10, 4, 4, 3))
