@@ -91,19 +91,26 @@ def _conv2d_backward(x, w, grad):
     return _conv2d(grad, w[::-1, ::-1].swapaxes(2, 3), 0.0), dw, grad.sum(axis=(0, 1, 2))
 
 
+def _quadrants(x):
+    """The four stride-2 views ``x[:, i::2, j::2]`` of the 2x2 pooling windows, in window order 2i + j."""
+    return [x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+
+
 def _maxpool(x):
-    bsz, h, wd, c = x.shape
-    r = x.reshape(bsz, h // 2, 2, wd // 2, 2, c).transpose(0, 1, 3, 5, 2, 4).reshape(bsz, h // 2, wd // 2, c, 4)
-    idx = r.argmax(axis=4)  # first maximum wins on ties, keeps backward deterministic
-    out = np.take_along_axis(r, idx[..., None], axis=4)[..., 0]
-    return out, idx
+    # a later quadrant wins only when strictly greater, so ties (signed zeros
+    # included) go to the first maximum, which keeps backward deterministic
+    q = _quadrants(x)
+    a, b = q[1] > q[0], q[3] > q[2]
+    left, right = np.where(a, q[1], q[0]), np.where(b, q[3], q[2])
+    c = right > left
+    return np.where(c, right, left), np.where(c, b + 2, a)
 
 
 def _maxpool_backward(idx, grad, in_shape):
-    bsz, h, wd, c = in_shape
-    r = np.zeros((bsz, h // 2, wd // 2, c, 4))
-    np.put_along_axis(r, idx[..., None], grad[..., None], axis=4)
-    return r.reshape(bsz, h // 2, wd // 2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(in_shape)
+    dx = np.empty(in_shape)
+    for k, view in enumerate(_quadrants(dx)):  # the quadrants cover dx once
+        view[...] = np.where(idx == k, grad, 0.0)
+    return dx
 
 
 def _tconv2d(x, w, b):

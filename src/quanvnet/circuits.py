@@ -239,29 +239,34 @@ class QuantumEvaluator:
     its value qubits' R_Z R_Y R_X|0> states times the all-pairs CZ sign
     (-1)^(k(k-1)/2) for Hamming weight k, at amplitude 1/2^g; its data-angle
     gradients follow from the same product and the cotangent state at the
-    encoding boundary. Only the ``extraction`` fragment runs as compiled ops.
-    ``program`` and ``compiled`` hold the whole program, encoding first, as
-    the gate-list reference, and ``operators`` the measurement family; the
-    three are built on first use.
+    encoding boundary. Only the ``extraction`` fragment runs as compiled ops,
+    with each run of uncontrolled units (the head's H and value-qubit units,
+    each block's LWM pair, the tail units) fused into one dense block by
+    ``sv.fuse_layers``: 67 ops become 56 on the canonical circuit. ``forward``
+    returns the full state after the extraction. ``program`` and
+    ``compiled`` hold the whole program, encoding first, unfused, as the
+    per-unit gate-list reference, and ``operators`` the measurement family;
+    the three are built on first use.
 
     The measurement family of this circuit is diagonal after a Hadamard on
     every measured qubit: (I + sX)/2 = H |(1-s)/2><(1-s)/2| H. Expectations
     are therefore 2^m times marginal probabilities of bit patterns, and the
     cotangent state sum_i c_i M_i |psi> is H-conjugated diagonal scaling --
-    both O(2^n) regardless of the number of operators.
+    both O(2^n) regardless of the number of operators. The Hadamard layer
+    runs as dense blocks too (2 on the canonical circuit, for 7 Hadamards).
     """
 
     def __init__(self, config: CircuitConfig):
         self.config = config
         self.layout = make_layout(config)
         self.extraction = build_feature_extraction(config, self.layout)
-        self._ops = sv.compile_program(self.extraction)
+        self._ops = sv.fuse_layers(sv.compile_program(self.extraction))
 
         order = measured_qubit_order(config, self.layout)
         n = self.layout.total_qubits
         rest = tuple(q for q in range(n) if q not in order)
         self._dim = 1 << n
-        self._h_gates = sv.compile_program(CircuitProgram(n, [GateInstruction("H", q) for q in order]))
+        self._h_gates = sv.fuse_layers(sv.compile_program(CircuitProgram(n, [GateInstruction("H", q) for q in order])))
         # Row i lists the amplitudes whose measured bits read (i, 1), order[0]
         # most significant, over the unmeasured bits with rest[0] most
         # significant: the order the features' marginal sums run in.

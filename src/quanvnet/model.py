@@ -30,7 +30,8 @@ CHECKPOINT_MAGIC = "QVNCKPT1"
 # A training step holds three full (batch, 2**n) complex stacks at once: the
 # forward's final states (kept for the backward), the backward's cotangent
 # bra, and the copy of the final states it un-applies. The backward's real
-# weights and the kernels' half-stack temporaries come on top.
+# weights and the temporaries of the ops come on top: a strided 2x2 op's
+# half-stack pair arrays, and a dense block's full-stack GEMM output.
 STATE_COPIES = 3
 STATE_BUDGET_BYTES = 2 << 30
 

@@ -23,6 +23,13 @@ the pairs that un-apply produced; it leaves both stacks at the fragment's
 start, so a caller that builds a fragment in closed form (as the evaluator
 does the data encoding) can take its gradients from the bra there.
 ``adjoint_sweep`` runs it on copies.
+
+``fuse_layers`` turns each run of consecutive uncontrolled H ops and fused
+units on distinct qubits into one dense block: the Kronecker product of its
+2x2 factors over at most ``MAX_BLOCK_QUBITS`` qubits, applied as one GEMM.
+Its un-apply forms one batch-summed overlap matrix over the block and reads
+every unit's gradients from it. ``compile_program`` never fuses layers, so
+its per-unit ops stay the gate-list reference.
 """
 
 from __future__ import annotations
@@ -378,26 +385,136 @@ def _rotation_derivative_dot(kind: str, b0, b1, k0, k1) -> np.ndarray:
     return 2.0 * np.real(acc.sum(axis=tuple(range(1, acc.ndim))))
 
 
-def _unit_derivative_dots(angles, b0, b1, k0, k1) -> tuple:
+def _unit_derivative_dots(angles, overlaps: np.ndarray) -> np.ndarray:
     """Batch-summed 2*Re(<bra| dU/d(angle) |ket>) for the RX, RY and RZ angles
-    of a fused unit U = R_Z R_Y R_X, from the pair amplitudes of bra and ket
-    *before* the unit (as its un-apply leaves them).
+    of a fused unit U = R_Z R_Y R_X, from the 2x2 overlap
+    S_ij = sum conj(bra_i) ket_j over the unit's qubit (bit i of bra, bit j of
+    ket, summed over the batch and every other bit) of bra and ket *before*
+    the unit, as its un-apply leaves them.
 
     Moved before U, each derivative is U G' with G'_x = (-i/2)X,
     G'_y = R_X^dag (-i/2)Y R_X and G'_z = U^dag (-i/2)Z U (R_Z commutes with
-    Z). With the four batch-summed overlaps S_ij = sum conj(b_i) k_j, each
-    gradient is 2*Re sum_ij G'_ij S_ij.
+    Z), so each gradient is 2*Re sum_ij G'_ij S_ij. Other uncontrolled
+    factors of a dense block commute with G' and cancel against their
+    un-apply, so the block path uses the same formula.
     """
-    overlaps = np.array([[np.vdot(b0, k0), np.vdot(b0, k1)], [np.vdot(b1, k0), np.vdot(b1, k1)]])
     c, s = np.cos(0.5 * angles[0]), np.sin(0.5 * angles[0])
     rx = np.array([[c, -1j * s], [-1j * s, c]])
     u = np.reshape(_unit_matrix(angles), (2, 2))
-    generators = (_GEN_X, rx.conj().T @ _GEN_Y @ rx, u.conj().T @ _GEN_Z @ u)
-    return tuple(2.0 * float(np.real(np.sum(g * overlaps))) for g in generators)
+    generators = np.array([_GEN_X, rx.conj().T @ _GEN_Y @ rx, u.conj().T @ _GEN_Z @ u])
+    return 2.0 * np.real(np.sum(generators * overlaps, axis=(1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# dense blocks: a layer of uncontrolled units as one matrix
+# ---------------------------------------------------------------------------
+
+# At 6 qubits one GEMM pass (64 complex multiply-adds per amplitude) costs
+# about as much as one strided 2x2 unit on the whole stack.
+MAX_BLOCK_QUBITS = 6
+_WIDEN_BELOW = 3  # views with inner runs of 1-4 amplitudes are slow; such blocks extend down to qubit 0
+
+_H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Uncontrolled H ops and fused units on distinct qubits, run as one dense
+    ``2^w x 2^w`` matrix over qubits ``low .. low + w - 1``: one GEMM on the
+    trailing axis of the stack reshaped to (-1, 2^w) when ``low`` is 0, else
+    ``M @ view`` over (-1, 2^w, 2^low). A matrix with parameters is built per
+    sweep by broadcast outer products (``np.kron`` costs more at batch 1)."""
+
+    low: int
+    factors: tuple  # per qubit, lowest first: None (identity), "H", or a unit's RX, RY, RZ param slots
+    matrix: np.ndarray | None  # built at compile time when no factor has parameters
+
+    kind = "B"
+    angle = None  # like every op of the sweeps: a block binds no data or constant angle
+
+    def matrix_for(self, params: np.ndarray) -> np.ndarray:
+        return _kron_factors(self.factors, params) if self.matrix is None else self.matrix
+
+
+def _kron_factors(factors: tuple, params) -> np.ndarray:
+    """Kronecker product of the factors, the lowest qubit on the least
+    significant index bit, by broadcast outer products."""
+    m = np.ones((1, 1))
+    for f in factors:
+        u = np.eye(2) if f is None else _H2 if f == "H" else np.array(_unit_matrix(params[list(f)])).reshape(2, 2)
+        m = (u[:, None, :, None] * m[None, :, None, :]).reshape(2 * len(m), 2 * len(m))
+    return m
+
+
+def _apply_block(amps: np.ndarray, blk: _Block, m: np.ndarray) -> np.ndarray:
+    """Apply the block matrix ``m`` in place; returns the block-shaped view."""
+    w = 1 << len(blk.factors)
+    if blk.low == 0:
+        t = amps.reshape(-1, w)
+        t[...] = t @ m.T
+    else:
+        t = amps.reshape(-1, w, 1 << blk.low)
+        t[...] = m @ t
+    return t
+
+
+def _block_unit_overlaps(blk: _Block, b: np.ndarray, k: np.ndarray):
+    """(slots, 2x2 overlap) for each unit of the block, from the batch-summed
+    ``2^w x 2^w`` overlap ``S = sum conj(b) k^T`` of the block-shaped views,
+    reduced to the unit's qubit by a partial trace over the others."""
+    if b.ndim == 2:
+        s = np.conj(b).T @ k
+    else:
+        s = (np.conj(b) @ k.swapaxes(1, 2)).sum(axis=0)
+    w = len(blk.factors)
+    for p, f in enumerate(blk.factors):
+        if isinstance(f, tuple):
+            hi, lo = 1 << (w - 1 - p), 1 << p
+            yield f, np.einsum("xiyxjy->ij", s.reshape(hi, 2, lo, hi, 2, lo))
+
+
+def _block_low(qubits) -> int:
+    low = min(qubits)
+    return 0 if low < _WIDEN_BELOW else low
+
+
+def _fused_block(run: list) -> _Block:
+    by_qubit = {op.target: op for op in run}
+    low = _block_low(by_qubit)
+    factors = tuple(
+        (by_qubit[q].slots or "H") if q in by_qubit else None for q in range(low, max(by_qubit) + 1)
+    )
+    constant = not any(isinstance(f, tuple) for f in factors)
+    return _Block(low, factors, _kron_factors(factors, None) if constant else None)
+
+
+def fuse_layers(ops: tuple) -> tuple:
+    """Merge each run of two or more consecutive uncontrolled H and fused-unit
+    ops on distinct qubits, which commute, into one ``_Block`` of at most
+    ``MAX_BLOCK_QUBITS`` qubits counting the widening to qubit 0. Every other
+    op is kept as is."""
+    out, run = [], []
+
+    def flush():
+        out.extend(run if len(run) < 2 else [_fused_block(run)])
+        run.clear()
+
+    for op in ops:
+        if op.kind not in ("H", "U") or op.controls:
+            flush()
+            out.append(op)
+            continue
+        qubits = [g.target for g in run] + [op.target]
+        if op.target in qubits[:-1] or max(qubits) + 1 - _block_low(qubits) > MAX_BLOCK_QUBITS:
+            flush()
+        run.append(op)
+    flush()
+    return tuple(out)
 
 
 def run_compiled(compiled: tuple, amps: np.ndarray, data=None, params=None) -> None:
-    """Run a compiled op sequence in place on a C-contiguous (batch, dim) stack.
+    """Run a compiled op sequence (``compile_program`` ops, fused or not by
+    ``fuse_layers``) in place on a C-contiguous (batch, dim) stack.
 
     ``data`` holds one row of data angles per state (or one vector for all)
     and ``params`` one vector for all rows; both must be finite.
@@ -406,7 +523,10 @@ def run_compiled(compiled: tuple, amps: np.ndarray, data=None, params=None) -> N
         raise ValueError("amplitude stack must be C-contiguous")
     data, params = _bind(data, params)
     for cg in compiled:
-        _apply_kernel(amps, cg, None if cg.angle is None else _resolve_angle(cg, data, params))
+        if cg.kind == "B":
+            _apply_block(amps, cg, cg.matrix_for(params))
+        else:
+            _apply_kernel(amps, cg, None if cg.angle is None else _resolve_angle(cg, data, params))
 
 
 def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, params, param_arity: int):
@@ -427,12 +547,20 @@ def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, pa
     param_grads = np.zeros(param_arity)
     data_grads = np.zeros((ket.shape[0], data.shape[-1]))
     for cg in reversed(compiled):
+        if cg.kind == "B":
+            inverse = cg.matrix_for(params).conj().T
+            k = _apply_block(ket, cg, inverse)
+            b = _apply_block(bra, cg, inverse)
+            if cg.matrix is None:
+                for slots, overlaps in _block_unit_overlaps(cg, b, k):
+                    param_grads[list(slots)] += _unit_derivative_dots(params[list(slots)], overlaps)
+            continue
         theta = None if cg.angle is None else _resolve_angle(cg, data, params)
         k0, k1 = _apply_kernel(ket, cg, theta, invert=True)
         b0, b1 = _apply_kernel(bra, cg, theta, invert=True)
         if cg.slots:
-            for slot, g in zip(cg.slots, _unit_derivative_dots(theta, b0, b1, k0, k1)):
-                param_grads[slot] += g
+            overlaps = np.array([[np.vdot(b0, k0), np.vdot(b0, k1)], [np.vdot(b1, k0), np.vdot(b1, k1)]])
+            param_grads[list(cg.slots)] += _unit_derivative_dots(theta, overlaps)
         elif cg.angle is not None and cg.angle[0] != "const":
             tag, slot = cg.angle
             dots = _rotation_derivative_dot(cg.kind, b0, b1, k0, k1)

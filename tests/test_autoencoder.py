@@ -249,6 +249,38 @@ def test_sigmoid_equals_the_two_branch_form_bit_for_bit():
     assert np.isnan(ae_mod._sigmoid(np.array([np.nan]))[0])
 
 
+def take_along_axis_pool(x):
+    """Max pool and its backward through a transposed (..., 4) window axis:
+    the first maximum by argmax, read and written with take/put_along_axis."""
+    bsz, h, wd, c = x.shape
+    r = x.reshape(bsz, h // 2, 2, wd // 2, 2, c).transpose(0, 1, 3, 5, 2, 4).reshape(bsz, h // 2, wd // 2, c, 4)
+    idx = r.argmax(axis=4)
+
+    def backward(grad):
+        d = np.zeros(r.shape)
+        np.put_along_axis(d, idx[..., None], grad[..., None], axis=4)
+        return d.reshape(bsz, h // 2, wd // 2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(x.shape)
+
+    return np.take_along_axis(r, idx[..., None], axis=4)[..., 0], backward
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "equal", "signed zeros"])
+def test_maxpool_matches_the_take_along_axis_form_bit_for_bit(kind):
+    rng = np.random.default_rng(16)
+    shape = (40, 4, 6, 3)
+    x = {
+        "random": rng.normal(size=shape),
+        "ties": rng.integers(0, 3, shape).astype(float),  # most windows hold a repeated maximum
+        "equal": np.full(shape, 0.25),
+        "signed zeros": rng.choice([0.0, -0.0, -1.0], size=shape),
+    }[kind]
+    out, idx = ae_mod._maxpool(x)
+    want, backward = take_along_axis_pool(x)
+    assert out.tobytes() == want.tobytes()  # signs of zeros included
+    grad = rng.normal(size=out.shape)
+    assert ae_mod._maxpool_backward(idx, grad, x.shape).tobytes() == backward(grad).tobytes()
+
+
 # Ci != Co, so a kernel transposed the wrong way in a gradient cannot pass
 CI, CO = 3, 5
 

@@ -499,3 +499,58 @@ class TestLazyReference:
                 match &= (index >> q) & 1 == v
             assert np.array_equal(np.sort(cg.idx0), index[match])
             assert np.array_equal(cg.idx1, cg.idx0 | (1 << cg.target))
+
+
+class TestFusedSchedule:
+    """The evaluator runs each run of uncontrolled units, and the measurement
+    Hadamards, as dense blocks (``sv.fuse_layers``); ``compiled`` stays the
+    per-unit gate-list reference it is checked against."""
+
+    def test_canonical_schedule(self):
+        ev = qc.QuantumEvaluator(CANONICAL)
+        assert len(sv.compile_program(ev.extraction)) == 67
+        assert len(ev._ops) == 56 and len(ev._h_gates) == 2
+        assert all(op.kind == "B" for op in ev._h_gates)
+        blocks = [(op.low, len(op.factors)) for op in ev._ops if op.kind == "B"]
+        # head (H on q_k, units on q_v), 2 x 3 LWM pairs widened to qubit 0, tail
+        assert blocks == [(6, 4)] + [(0, 6)] * 3 + [(0, 5)] * 3 + [(6, 3)]
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("g,e,m,k,lwm", [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True),
+                                             (2, 12, 2, 2, True)])
+    def test_matches_the_per_unit_reference(self, g, e, m, k, lwm, rows):
+        config = qc.CircuitConfig(g, e, m, k, lwm)
+        rng = np.random.default_rng(1100 + 100 * g + 10 * e + rows)
+        ev = qc.get_evaluator(config)
+        n_enc = len(qc.build_encoding(config, ev.layout).instructions)
+        arity = ev.extraction.param_arity
+        data = rng.uniform(-np.pi, np.pi, (rows, config.data_arity))
+        params = rng.uniform(0, 2 * np.pi, arity)
+        cot = rng.normal(size=(rows, ev.num_features))
+        amps, features = ev.forward(data, params)
+        full = np.zeros_like(amps)
+        full[:, 0] = 1.0
+        sv.run_compiled(ev.compiled, full, data, params)
+        assert np.max(np.abs(amps - full)) <= 1e-10
+        n = ev.layout.total_qubits
+        bra = np.zeros_like(full)
+        for row in range(rows):
+            state = sv.QuantumState(n, full[row])
+            for c, op in zip(cot[row], ev.operators):
+                bra[row] += c * sv.apply_measurement_operator(state, op)
+            direct = [sv.expectation(state, op) for op in ev.operators]
+            assert np.max(np.abs(features[row] - direct)) <= 1e-10
+        got, _ = ev.backward(amps, data, params, cot)
+        want, _ = sv.adjoint_sweep(ev.compiled[n_enc:], full, bra, data, params, arity)
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+        # the head, first LWM pair and tail units against central differences
+        nv = config.value_qubits
+        slots = list(range(3 * nv)) + (list(range(3 * nv, 3 * nv + 6)) if lwm else []) + list(range(arity - 3 * nv, arity))
+
+        def loss(p_sub):
+            p = params.copy()
+            p[slots] = p_sub
+            return float(np.sum(ev.forward(data, p)[1] * cot))
+
+        assert oracles.relative_error(got[slots], oracles.central_differences(loss, params[slots])) <= 1e-5

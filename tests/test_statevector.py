@@ -551,3 +551,124 @@ class TestSweepContract:
     def test_non_finite_constant_rejected_when_the_instruction_is_built(self, bad):
         with pytest.raises(ValueError, match="not finite"):
             GateInstruction("RZ", 0, ((1, 0),), constant(bad))
+
+
+# ---------------------------------------------------------------------------
+# dense blocks: runs of uncontrolled ops fused by fuse_layers
+# ---------------------------------------------------------------------------
+
+
+def random_layered_program(rng, n, layers):
+    """Runs of uncontrolled H ops and fused units on random qubits (repeats
+    allowed), each run ended by a controlled unit, a data-bound RX or an X."""
+    instrs, slot = [], 0
+    for _ in range(layers):
+        for q in rng.integers(n, size=int(rng.integers(1, 8))):
+            if rng.integers(3):
+                instrs += unit(int(q), (), slot)
+                slot += 3
+            else:
+                instrs.append(GateInstruction("H", int(q)))
+        target, end = int(rng.integers(n)), int(rng.integers(3))
+        if end == 0:
+            instrs += unit(target, (((target + 1) % n, int(rng.integers(2))),), slot)
+            slot += 3
+        else:
+            instrs.append(GateInstruction("RX", target, (), data_slot(0)) if end == 1 else GateInstruction("X", target))
+    return CircuitProgram(n, instrs, data_arity=1, param_arity=slot)
+
+
+class TestFuseLayers:
+    N = 9
+
+    def test_blocks_take_consecutive_uncontrolled_ops_on_distinct_qubits(self):
+        rng = np.random.default_rng(1000)
+        blocks = set()
+        for _ in range(20):
+            ops = sv.compile_program(random_layered_program(rng, self.N, 12))
+            i = 0
+            for op in sv.fuse_layers(ops):
+                if op.kind != "B":
+                    assert op is ops[i]
+                    i += 1
+                    continue
+                members = ops[i : i + sum(f is not None for f in op.factors)]
+                i += len(members)
+                targets = [m.target for m in members]
+                assert len(members) >= 2 and all(m.kind in ("H", "U") and not m.controls for m in members)
+                assert len(set(targets)) == len(targets)
+                assert len(op.factors) <= sv.MAX_BLOCK_QUBITS
+                assert op.low == (0 if min(targets) < 3 else min(targets))
+                assert op.low + len(op.factors) - 1 == max(targets)
+                assert [op.factors[q - op.low] for q in targets] == [m.slots or "H" for m in members]
+                assert (op.matrix is None) == any(m.kind == "U" for m in members)
+                blocks.add((op.low == 0, op.matrix is None))
+            assert i == len(ops)
+        assert blocks == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_fused_sweeps_match_the_per_unit_sweeps(self):
+        rng = np.random.default_rng(1001)
+        for _ in range(5):
+            prog = random_layered_program(rng, self.N, 12)
+            ops = sv.compile_program(prog)
+            fused = sv.fuse_layers(ops)
+            assert len(fused) < len(ops)
+            data = rng.uniform(-np.pi, np.pi, (3, 1))
+            params = rng.uniform(-2 * np.pi, 2 * np.pi, prog.param_arity)
+            before = random_stack(rng, 3, self.N)
+            want, got = before.copy(), before.copy()
+            sv.run_compiled(ops, want, data, params)
+            sv.run_compiled(fused, got, data, params)
+            assert np.max(np.abs(got - want)) <= 1e-10
+            bra = random_stack(rng, 3, self.N)
+            want_grads = sv.adjoint_sweep(ops, want, bra, data, params, prog.param_arity)
+            ket, bra_fused = got.copy(), bra.copy()
+            got_grads = sv.unapply_compiled(fused, ket, bra_fused, data, params, prog.param_arity)
+            assert np.max(np.abs(ket - before)) <= 1e-10
+            for g, w in zip(got_grads, want_grads):
+                assert np.max(np.abs(w)) > 1e-3
+                assert np.max(np.abs(g - w)) <= 1e-10
+
+    def test_unit_derivatives_from_a_block_match_central_differences(self):
+        # one block: H and three units, widened to qubit 0; measure every qubit
+        rng = np.random.default_rng(1002)
+        n = 5
+        prog = CircuitProgram(n, [GateInstruction("H", 1)] + unit(2, (), 0) + unit(4, (), 3) + unit(0, (), 6),
+                              param_arity=9)
+        (block,) = sv.fuse_layers(sv.compile_program(prog))
+        assert block.low == 0 and block.factors[1] == "H" and block.factors[3] is None
+        ops = [MeasurementOperator((q,), (int(rng.choice([-1, 1])),)) for q in range(n)]
+        cot = rng.normal(size=n)
+        start = random_stack(rng, 1, n)
+        params = rng.uniform(0, 2 * np.pi, 9)
+
+        def final(p):
+            psi = start.copy()
+            sv.run_compiled((block,), psi, None, p)
+            return psi
+
+        def loss(p):
+            return sum(c * sv.expectation(sv.QuantumState(n, final(p)[0]), op) for c, op in zip(cot, ops))
+
+        psi = final(params)
+        bra = sum(c * sv.apply_measurement_operator(sv.QuantumState(n, psi[0]), op) for c, op in zip(cot, ops))
+        got, _ = sv.adjoint_sweep((block,), psi, bra[None, :], None, params, 9)
+        assert oracles.relative_error(got, oracles.central_differences(loss, params)) <= 1e-5
+
+    @pytest.mark.parametrize("slot", [0, -1])  # a head unit and a tail unit, both in blocks
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected_before_any_block(self, bad, slot):
+        from quanvnet import circuits as qc
+
+        ev = qc.get_evaluator(qc.CircuitConfig(2, 6, 1, 1))
+        params = np.full(ev.extraction.param_arity, 0.7)
+        params[slot] = bad
+        rng = np.random.default_rng(1003)
+        ket, bra = random_stack(rng, 2, ev.layout.total_qubits), random_stack(rng, 2, ev.layout.total_qubits)
+        before = ket.copy(), bra.copy()
+        assert ev._ops[0].kind == ev._ops[-1].kind == "B"
+        with pytest.raises(ValueError, match="finite"):
+            sv.run_compiled(ev._ops, ket, None, params)
+        with pytest.raises(ValueError, match="finite"):
+            sv.unapply_compiled(ev._ops, ket, bra, None, params, len(params))
+        assert np.array_equal(ket, before[0]) and np.array_equal(bra, before[1])
