@@ -242,8 +242,13 @@ class QuantumEvaluator:
     encoding boundary. Only the ``extraction`` fragment runs as compiled ops,
     with each run of uncontrolled units (the head's H and value-qubit units,
     each block's LWM pair, the tail units) fused into one dense block by
-    ``sv.fuse_layers``: 67 ops become 56 on the canonical circuit. ``forward``
-    returns the full state after the extraction. ``program`` and
+    ``sv.fuse_layers``: 67 ops become 56 on the canonical circuit. Each
+    feature qubit, one of the top M, stays |0> until the first op that
+    touches it, so ``forward`` starts at 2^(n-M) amplitudes per row and
+    zero-pads each row to twice its width at each such cut, and ``backward``
+    un-applies the segments in reverse, keeping the low half of ket and bra
+    after each. ``forward`` returns the full state after the extraction.
+    ``program`` and
     ``compiled`` hold the whole program, encoding first, unfused, as the
     per-unit gate-list reference, and ``operators`` the measurement family;
     the three are built on first use.
@@ -261,11 +266,17 @@ class QuantumEvaluator:
         self.layout = make_layout(config)
         self.extraction = build_feature_extraction(config, self.layout)
         self._ops = sv.fuse_layers(sv.compile_program(self.extraction))
+        # (stack width, first op, end op) per part of the schedule, cut where
+        # each feature qubit is first touched; they must enter in order.
+        n = self.layout.total_qubits
+        cuts = [next(i for i, op in enumerate(self._ops) if q in _op_qubits(op)) for q in self.layout.q_f]
+        if cuts != sorted(cuts):
+            raise ValueError(f"feature qubits must enter in block order, first touched at ops {cuts}")
+        widths = [1 << q for q in self.layout.q_f] + [1 << n]
+        self._segments = tuple(zip(widths, [0] + cuts, cuts + [len(self._ops)]))
 
         order = measured_qubit_order(config, self.layout)
-        n = self.layout.total_qubits
         rest = tuple(q for q in range(n) if q not in order)
-        self._dim = 1 << n
         self._h_gates = sv.fuse_layers(sv.compile_program(CircuitProgram(n, [GateInstruction("H", q) for q in order])))
         # Row i lists the amplitudes whose measured bits read (i, 1), order[0]
         # most significant, over the unmeasured bits with rest[0] most
@@ -300,9 +311,14 @@ class QuantumEvaluator:
         branch = states[:, 0]
         for n in range(1, self.config.value_qubits):  # value qubit n on bit n of the leading axis
             branch = (states[:, None, n] * branch[None]).reshape((-1,) + branch.shape[1:])
-        amps = np.zeros((data.shape[0], self._dim), dtype=np.complex128)
+        amps = np.zeros((data.shape[0], self._segments[0][0]), dtype=np.complex128)
         amps[:, self._encoding_table] = np.moveaxis(branch, 0, -1) * self._encoding_scale
-        sv.run_compiled(self._ops, amps, None, params)
+        for width, start, stop in self._segments:
+            if amps.shape[1] < width:  # the next feature qubit enters in |0>
+                grown = np.zeros((amps.shape[0], width), dtype=np.complex128)
+                grown[:, : amps.shape[1]] = amps
+                amps = grown
+            sv.run_compiled(self._ops[start:stop], amps, None, params)
         phi = amps.copy()
         sv.run_compiled(self._h_gates, phi)
         probs = phi.real**2 + phi.imag**2
@@ -324,7 +340,13 @@ class QuantumEvaluator:
         weights[:, self._table] = (2.0 * self.num_features) * cotangents[:, :, None]
         bra *= weights
         sv.run_compiled(self._h_gates, bra)
-        param_grads, _ = sv.unapply_compiled(self._ops, amps.copy(), bra, None, params, self.extraction.param_arity)
+        # Before each feature qubit's first op the ket's half with that qubit
+        # at 1 is zero and no earlier op reads it: keep the other half.
+        param_grads, ket = np.zeros(self.extraction.param_arity), amps
+        for width, start, stop in reversed(self._segments):
+            ket = ket[:, :width].copy()
+            bra = np.ascontiguousarray(bra[:, :width])
+            param_grads += sv.unapply_compiled(self._ops[start:stop], ket, bra, None, params, len(param_grads))[0]
         # bra is now the cotangent state at the encoding boundary; each data
         # angle's gradient is 2 Re <bra| d(encoded state)/d angle>, and only
         # its superpixel's branch depends on it.
@@ -345,6 +367,13 @@ class QuantumEvaluator:
             raise ValueError("data and parameter values must be finite")
         angles = data.reshape(data.shape[0], self.config.grid_size**2, self.config.value_qubits, 3)
         return np.moveaxis(angles, (3, 2), (0, 1))
+
+
+def _op_qubits(op) -> set:
+    """Target and controls of an op, or a block's whole span."""
+    if op.kind == "B":
+        return set(range(op.low, op.low + len(op.factors)))
+    return {op.target, *dict(op.controls)}
 
 
 def _unit_states(angles: np.ndarray) -> tuple:

@@ -31,7 +31,10 @@ CHECKPOINT_MAGIC = "QVNCKPT1"
 # forward's final states (kept for the backward), the backward's cotangent
 # bra, and the copy of the final states it un-applies. The backward's real
 # weights and the temporaries of the ops come on top: a strided 2x2 op's
-# half-stack pair arrays, and a dense block's full-stack GEMM output.
+# half-stack pair arrays, and a dense block's full-stack GEMM output. The
+# forward's grow step, where the last feature qubit enters, briefly holds
+# 1.5 stacks (the half-width states and their zero-padded copy), below the
+# backward's 3.
 STATE_COPIES = 3
 STATE_BUDGET_BYTES = 2 << 30
 

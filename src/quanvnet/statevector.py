@@ -13,8 +13,11 @@ RZ gates on one target and control pattern becomes one fused unit that applies
 its 2x2 product ``R_Z R_Y R_X`` in one pass; every other instruction stays one
 op. Each op touches only the amplitude pairs whose control bits match, through
 one kernel: it updates strided views of the state in place, the stack
-reshaped so that the target and each control qubit has an axis of its own.
-The kernel accepts a stack of states shaped ``(batch, 2**n)``; the public
+reshaped so that the target and each control qubit has an axis of its own
+and every qubit above the highest of them folds into one axis behind the
+batch axis. The kernel accepts a stack of states shaped ``(batch, 2**k)`` for
+any register of k qubits that holds the op's qubits, so a caller can run
+each part of a program on the qubits live at that point; the public
 single-state API wraps a one-row batch. The two sweeps, ``run_compiled`` and
 ``unapply_compiled``, convert and check their data and parameter vectors once
 at entry, so each op only looks its angle up. The reverse sweep un-applies
@@ -202,7 +205,7 @@ class _CompiledGate:
     angle: tuple | None  # angle source; a fused unit carries its RX slot
     slots: tuple  # fused unit only: the RX, RY, RZ param slots
     # The kernel: ``sel0``/``sel1`` pick the control-matching pairs with target
-    # bit 0/1 as strided views of the stack reshaped to ``shape``.
+    # bit 0/1 as strided views of the stack reshaped to ``(batch,) + shape``.
     shape: tuple
     sel0: tuple
     sel1: tuple
@@ -234,13 +237,14 @@ def basis_indices(qubits: tuple) -> np.ndarray:
 
 
 def _compile_gate(num_qubits: int, kind: str, target: int, controls: tuple, angle, slots=()) -> _CompiledGate:
-    """One op with its kernel: a reshape of the (batch, 2**n) stack with one
-    axis per fixed (target or control) qubit and one per run of free qubits
-    between them, and the basic index tuples that pick the control-matching
-    pairs with target bit 0 and 1 as strided views."""
+    """One op with its kernel: a reshape of each row of the stack with one
+    axis for all qubits above the op's highest fixed (target or control)
+    qubit, one per fixed qubit and one per run of free qubits between them,
+    and the basic index tuples, batch axis first, that pick the
+    control-matching pairs with target bit 0 and 1 as strided views."""
     fixed = dict(controls)
     fixed[target] = None
-    shape, sel, top = [-1], [slice(None)], num_qubits
+    shape, sel, top = [-1], [slice(None)] * 2, max(fixed) + 1
     for q in sorted(fixed, reverse=True):
         if top - q > 1:
             shape.append(1 << (top - q - 1))
@@ -324,7 +328,8 @@ def _unit_matrix(angles: np.ndarray) -> tuple:
 
 
 def _apply_kernel(amps: np.ndarray, cg: _CompiledGate, theta=None, invert: bool = False) -> tuple:
-    """Apply one compiled op in place to ``amps`` of shape (batch, 2**n).
+    """Apply one compiled op in place to ``amps`` of shape (batch, 2**k),
+    for any k that holds the op's qubits.
 
     Reads the control-matching pairs as strided views of ``amps``, writes the
     new values back, target bit 0 first, and returns them: arrays of their
@@ -332,7 +337,7 @@ def _apply_kernel(amps: np.ndarray, cg: _CompiledGate, theta=None, invert: bool 
     unchanged).
     """
     kind = cg.kind
-    t = amps.reshape(cg.shape)
+    t = amps.reshape((amps.shape[0],) + cg.shape)
     a0, a1 = t[cg.sel0], t[cg.sel1]
     if kind == "H":
         new = (a0 + a1) * _INV_SQRT2, (a0 - a1) * _INV_SQRT2
@@ -422,7 +427,8 @@ class _Block:
     """Uncontrolled H ops and fused units on distinct qubits, run as one dense
     ``2^w x 2^w`` matrix over qubits ``low .. low + w - 1``: one GEMM on the
     trailing axis of the stack reshaped to (-1, 2^w) when ``low`` is 0, else
-    ``M @ view`` over (-1, 2^w, 2^low). A matrix with parameters is built per
+    ``M @ view`` over (-1, 2^w, 2^low), or for a real ``M`` over the float64
+    view (-1, 2^w, 2^(low+1)). A matrix with parameters is built per
     sweep by broadcast outer products (``np.kron`` costs more at batch 1)."""
 
     low: int
@@ -447,14 +453,19 @@ def _kron_factors(factors: tuple, params) -> np.ndarray:
 
 
 def _apply_block(amps: np.ndarray, blk: _Block, m: np.ndarray) -> np.ndarray:
-    """Apply the block matrix ``m`` in place; returns the block-shaped view."""
+    """Apply the block matrix ``m`` in place; returns the block-shaped view.
+    A real ``m`` (a parameter-free block) above qubit 0 acts on the real and
+    imaginary parts at once through the float64 view, one real GEMM."""
     w = 1 << len(blk.factors)
     if blk.low == 0:
         t = amps.reshape(-1, w)
         t[...] = t @ m.T
+        return t
+    if np.isrealobj(m):
+        t = amps.view(np.float64).reshape(-1, w, 2 << blk.low)
     else:
         t = amps.reshape(-1, w, 1 << blk.low)
-        t[...] = m @ t
+    t[...] = m @ t
     return t
 
 

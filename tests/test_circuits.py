@@ -554,3 +554,65 @@ class TestFusedSchedule:
             return float(np.sum(ev.forward(data, p)[1] * cot))
 
         assert oracles.relative_error(got[slots], oracles.central_differences(loss, params[slots])) <= 1e-5
+
+
+SCHEDULE_CONFIGS = [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True), (2, 12, 2, 2, True)]
+
+
+class TestSegmentSchedule:
+    """Each feature qubit enters the simulated register at the first op that
+    touches it: ``forward`` grows the stack there, ``backward`` shrinks it."""
+
+    def test_canonical_cut_points(self):
+        ev = qc.QuantumEvaluator(CANONICAL)
+        assert ev._segments == ((1024, 0, 2), (2048, 2, 29), (4096, 29, 56))
+
+    @pytest.mark.parametrize("g,e,m,k,lwm", SCHEDULE_CONFIGS)
+    def test_no_op_before_a_cut_touches_a_later_feature_qubit(self, g, e, m, k, lwm):
+        ev = qc.get_evaluator(qc.CircuitConfig(g, e, m, k, lwm))
+        q_f = ev.layout.q_f
+        assert q_f == tuple(range(ev.layout.total_qubits - m, ev.layout.total_qubits))
+        assert [width for width, _, _ in ev._segments] == [1 << q for q in q_f] + [1 << ev.layout.total_qubits]
+        assert [start for _, start, _ in ev._segments] == [0] + [stop for _, _, stop in ev._segments[:-1]]
+        assert ev._segments[-1][2] == len(ev._ops)
+        for b, (_, cut, _) in enumerate(ev._segments[1:]):
+            assert q_f[b] in qc._op_qubits(ev._ops[cut])
+            for op in ev._ops[:cut]:  # so none touches q_f[b:], the top qubits
+                assert max(qc._op_qubits(op)) < q_f[b]
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("g,e,m,k,lwm", SCHEDULE_CONFIGS)
+    def test_backward_matches_one_full_register_sweep(self, g, e, m, k, lwm, rows):
+        config = qc.CircuitConfig(g, e, m, k, lwm)
+        rng = np.random.default_rng(1300 + 100 * g + 10 * e + rows)
+        ev = qc.get_evaluator(config)
+        n_enc = len(qc.build_encoding(config, ev.layout).instructions)
+        arity = ev.extraction.param_arity
+        data = rng.uniform(-np.pi, np.pi, (rows, config.data_arity))
+        params = rng.uniform(0, 2 * np.pi, arity)
+        cot = rng.normal(size=(rows, ev.num_features))
+        amps, _ = ev.forward(data, params)
+        n = ev.layout.total_qubits
+        bra = np.stack([
+            sum(c * sv.apply_measurement_operator(sv.QuantumState(n, row), op)
+                for c, op in zip(cots, ev.operators))
+            for row, cots in zip(amps, cot)
+        ])
+        # the fused extraction ops, then the encoding gate list for the data gradients
+        want = sv.unapply_compiled(ev.compiled[:n_enc] + ev._ops, amps.copy(), bra, data, params, arity)
+        got = ev.backward(amps, data, params, cot)
+        for got_grads, want_grads in zip(got, want):
+            assert got_grads.shape == want_grads.shape and np.max(np.abs(want_grads)) > 1e-3
+            assert np.max(np.abs(got_grads - want_grads)) <= 1e-10
+
+    def test_feature_qubits_out_of_block_order_rejected(self, monkeypatch):
+        real = qc.build_feature_extraction
+
+        def early_last_feature_qubit(config, layout):
+            prog = real(config, layout)
+            first = (sv.GateInstruction("X", layout.q_f[-1]),)
+            return sv.CircuitProgram(prog.num_qubits, first + prog.instructions, param_arity=prog.param_arity)
+
+        monkeypatch.setattr(qc, "build_feature_extraction", early_last_feature_qubit)
+        with pytest.raises(ValueError, match="block order"):
+            qc.QuantumEvaluator(qc.CircuitConfig(2, 3, 2, 4, False))

@@ -672,3 +672,52 @@ class TestFuseLayers:
         with pytest.raises(ValueError, match="finite"):
             sv.unapply_compiled(ev._ops, ket, bra, None, params, len(params))
         assert np.array_equal(ket, before[0]) and np.array_equal(bra, before[1])
+
+
+class TestAnyRegisterWidth:
+    """A compiled op folds every qubit above its own into one axis behind the
+    batch axis, so ops compiled for n qubits run unchanged on a stack with
+    more qubits on top, acting on each 2^n slice alike."""
+
+    N = 6
+
+    def _program(self, rng):
+        # blocks, lone and controlled units, then H/X/Z and constant- and
+        # data-bound rotations under value-0 and value-1 controls
+        layered = random_layered_program(rng, self.N, 6)
+        mixed = random_program(rng, self.N, 30, data_arity=3)
+        prog = CircuitProgram(self.N, layered.instructions + mixed.instructions, 3, layered.param_arity)
+        ops = sv.fuse_layers(sv.compile_program(prog))
+        kinds = {op.kind for op in ops}
+        assert {"B", "U"} <= kinds and kinds & {"H", "X", "Z"}
+        assert any(op.kind != "B" and op.angle is not None and op.angle[0] == "data" for op in ops)
+        assert any(op.kind != "B" and 0 in dict(op.controls).values() for op in ops)
+        return prog, ops
+
+    @pytest.mark.parametrize("extra", [1, 3])
+    def test_ops_act_on_each_slice_of_a_wider_stack(self, extra):
+        rng = np.random.default_rng(1200 + extra)
+        rows, dim = 3, 1 << self.N
+        for _ in range(4):
+            prog, ops = self._program(rng)
+            data = rng.uniform(-np.pi, np.pi, (rows, prog.data_arity))
+            params = rng.uniform(-2 * np.pi, 2 * np.pi, prog.param_arity)
+            start = random_stack(rng, rows, self.N + extra)
+            ket = start.copy()
+            sv.run_compiled(ops, ket, data, params)
+            bra = random_stack(rng, rows, self.N + extra)
+            want_params, want_data = np.zeros(prog.param_arity), np.zeros(data.shape)
+            for j in range(1 << extra):
+                part = slice(j * dim, (j + 1) * dim)
+                narrow = start[:, part].copy()
+                sv.run_compiled(ops, narrow, data, params)
+                assert np.max(np.abs(ket[:, part] - narrow)) <= 1e-10
+                grads = sv.adjoint_sweep(ops, narrow, bra[:, part].copy(), data, params, prog.param_arity)
+                want_params += grads[0]
+                want_data += grads[1]
+            got_params, got_data = sv.unapply_compiled(ops, ket, bra, data, params, prog.param_arity)
+            assert np.max(np.abs(ket - start)) <= 1e-10
+            assert got_data.shape == data.shape
+            for got, want in ((got_params, want_params), (got_data, want_data)):
+                assert np.max(np.abs(want)) > 1e-3
+                assert np.max(np.abs(got - want)) <= 1e-10
