@@ -242,13 +242,15 @@ class QuantumEvaluator:
     encoding boundary. Only the ``extraction`` fragment runs as compiled ops,
     with each run of uncontrolled units (the head's H and value-qubit units,
     each block's LWM pair, the tail units) fused into one dense block by
-    ``sv.fuse_layers``: 67 ops become 56 on the canonical circuit. Each
-    feature qubit, one of the top M, stays |0> until the first op that
-    touches it, so ``forward`` starts at 2^(n-M) amplitudes per row and
-    zero-pads each row to twice its width at each such cut, and ``backward``
-    un-applies the segments in reverse, keeping the low half of ket and bra
-    after each. ``forward`` returns the full state after the extraction.
-    ``program`` and
+    ``sv.fuse_layers``: 67 ops become 56 on the canonical circuit. The states
+    are the columns of a C-contiguous (2^k, batch) array, swept in place
+    through its transpose. Each feature qubit, one of the top M, stays |0>
+    until the first op that touches it, so ``forward`` starts at 2^(n-M)
+    amplitudes per state and zero-pads the columns to twice their length at
+    each such cut, and ``backward`` un-applies the segments in reverse on one
+    copy of the ket, keeping the leading half of ket and bra (a contiguous
+    view) after each. ``forward`` returns the full states after the
+    extraction as the (batch, 2^n) transpose of the columns. ``program`` and
     ``compiled`` hold the whole program, encoding first, unfused, as the
     per-unit gate-list reference, and ``operators`` the measurement family;
     the three are built on first use.
@@ -311,48 +313,47 @@ class QuantumEvaluator:
         branch = states[:, 0]
         for n in range(1, self.config.value_qubits):  # value qubit n on bit n of the leading axis
             branch = (states[:, None, n] * branch[None]).reshape((-1,) + branch.shape[1:])
-        amps = np.zeros((data.shape[0], self._segments[0][0]), dtype=np.complex128)
-        amps[:, self._encoding_table] = np.moveaxis(branch, 0, -1) * self._encoding_scale
+        cols = np.zeros((self._segments[0][0], data.shape[0]), dtype=np.complex128)
+        cols[self._encoding_table] = branch.transpose(2, 0, 1) * self._encoding_scale[:, None]
         for width, start, stop in self._segments:
-            if amps.shape[1] < width:  # the next feature qubit enters in |0>
-                grown = np.zeros((amps.shape[0], width), dtype=np.complex128)
-                grown[:, : amps.shape[1]] = amps
-                amps = grown
-            sv.run_compiled(self._ops[start:stop], amps, None, params)
-        phi = amps.copy()
-        sv.run_compiled(self._h_gates, phi)
+            if len(cols) < width:  # the next feature qubit enters in |0>
+                grown = np.zeros((width, cols.shape[1]), dtype=np.complex128)
+                grown[: len(cols)] = cols
+                cols = grown
+            sv.run_compiled(self._ops[start:stop], cols.T, None, params)
+        phi = cols.copy()
+        sv.run_compiled(self._h_gates, phi.T)
         probs = phi.real**2 + phi.imag**2
         # 2^m for the m measured qubits: one per feature index bit plus q_f's
-        features = (2.0 * self.num_features) * np.take(probs, self._table, axis=1).sum(axis=2)
-        return amps, features
+        features = (2.0 * self.num_features) * probs[self._table].sum(axis=1)
+        return cols.T, features.T
 
     def backward(self, amps: np.ndarray, data: np.ndarray, params: np.ndarray, cotangents: np.ndarray):
-        """Adjoint sweep from stored forward amplitudes.
+        """Adjoint sweep from stored forward amplitudes, shaped (batch, 2^n).
 
         Returns the parameter gradient summed over the batch and the
         per-row gradient with respect to every data slot.
         """
         data = np.atleast_2d(np.asarray(data, dtype=np.float64))
         cotangents = np.atleast_2d(np.asarray(cotangents, dtype=np.float64))
-        bra = amps.copy()
-        sv.run_compiled(self._h_gates, bra)
+        ket, bra = amps.T.copy(), amps.T.copy()
+        sv.run_compiled(self._h_gates, bra.T)
         weights = np.zeros(bra.shape)
-        weights[:, self._table] = (2.0 * self.num_features) * cotangents[:, :, None]
+        weights[self._table] = (2.0 * self.num_features) * cotangents.T[:, None, :]
         bra *= weights
-        sv.run_compiled(self._h_gates, bra)
+        sv.run_compiled(self._h_gates, bra.T)
         # Before each feature qubit's first op the ket's half with that qubit
         # at 1 is zero and no earlier op reads it: keep the other half.
-        param_grads, ket = np.zeros(self.extraction.param_arity), amps
+        param_grads = np.zeros(self.extraction.param_arity)
         for width, start, stop in reversed(self._segments):
-            ket = ket[:, :width].copy()
-            bra = np.ascontiguousarray(bra[:, :width])
-            param_grads += sv.unapply_compiled(self._ops[start:stop], ket, bra, None, params, len(param_grads))[0]
+            ket, bra = ket[:width], bra[:width]
+            param_grads += sv.unapply_compiled(self._ops[start:stop], ket.T, bra.T, None, params, len(param_grads))[0]
         # bra is now the cotangent state at the encoding boundary; each data
         # angle's gradient is 2 Re <bra| d(encoded state)/d angle>, and only
         # its superpixel's branch depends on it.
         nv = self.config.value_qubits
         states, derivs = _unit_states(self._angles(data))
-        conj = np.conj(bra[:, self._encoding_table]) * self._encoding_scale
+        conj = np.conj(bra[self._encoding_table].transpose(2, 0, 1)) * self._encoding_scale
         conj = conj.reshape(conj.shape[:2] + (2,) * nv)  # axis 1 + nv - n holds value qubit n
         grads = np.empty(derivs.shape[:1] + states.shape[1:])
         for n in range(nv):  # contract every other value qubit's state out of the branch

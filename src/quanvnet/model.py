@@ -19,6 +19,7 @@ import numpy as np
 
 from . import circuits
 from .autoencoder import PatchAutoencoder, patchify, reconstruction_loss, unpatchify
+from .dataio import _is_count
 from .errors import ConfigError, DataError, DivergenceError
 
 SEGMENTS = ("autoencoder", "quantum", "classifier")
@@ -27,14 +28,14 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOG_CLIP = 1e-12
 CHECKPOINT_MAGIC = "QVNCKPT1"
-# A training step holds three full (batch, 2**n) complex stacks at once: the
-# forward's final states (kept for the backward), the backward's cotangent
-# bra, and the copy of the final states it un-applies. The backward's real
-# weights and the temporaries of the ops come on top: a strided 2x2 op's
-# half-stack pair arrays, and a dense block's full-stack GEMM output. The
-# forward's grow step, where the last feature qubit enters, briefly holds
-# 1.5 stacks (the half-width states and their zero-padded copy), below the
-# backward's 3.
+# A training step holds three full (2**n, batch) complex column stacks at
+# once: the forward's final states (kept for the backward), the backward's
+# cotangent bra, and its one copy of the final states, which it un-applies
+# segment by segment as leading views. The backward's real weights and the
+# temporaries of the ops come on top: a strided 2x2 op's half-stack pair
+# arrays, and a dense block's full-stack GEMM output. The forward's grow
+# step, where the last feature qubit enters, briefly holds 1.5 stacks (the
+# half-length columns and their zero-padded copy), below the backward's 3.
 STATE_COPIES = 3
 STATE_BUDGET_BYTES = 2 << 30
 
@@ -518,9 +519,6 @@ def _checked_manifest(manifest, path) -> tuple:
     def bad(what):
         return DataError(f"checkpoint {path}: manifest {what}")
 
-    def count(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
     if not isinstance(manifest, dict):
         raise bad("is not a JSON object")
     missing = [k for k in ("format_version", "segments", "adam", "config", "arrays") if k not in manifest]
@@ -530,12 +528,12 @@ def _checked_manifest(manifest, path) -> tuple:
         raise bad(f"has unsupported format_version {manifest['format_version']!r}")
     segments = manifest["segments"]
     if not isinstance(segments, list) or not all(
-        isinstance(e, dict) and isinstance(e.get("name"), str) and count(e.get("length")) for e in segments
+        isinstance(e, dict) and isinstance(e.get("name"), str) and _is_count(e.get("length")) for e in segments
     ):
         raise bad("'segments' must list objects with a string 'name' and a non-negative integer 'length'")
     lengths = {e["name"]: e["length"] for e in segments}
     adam = manifest["adam"]
-    if not isinstance(adam, dict) or not count(adam.get("step")):
+    if not isinstance(adam, dict) or not _is_count(adam.get("step")):
         raise bad("'adam' must be an object with a non-negative integer 'step'")
     if not isinstance(manifest["arrays"], list):
         raise bad("'arrays' is not a list")

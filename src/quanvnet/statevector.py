@@ -11,28 +11,29 @@ Conventions, fixed once so amplitude dumps are reproducible bit-for-bit:
 ``compile_program`` turns a program into ops. Each run of param-bound RX, RY,
 RZ gates on one target and control pattern becomes one fused unit that applies
 its 2x2 product ``R_Z R_Y R_X`` in one pass; every other instruction stays one
-op. Each op touches only the amplitude pairs whose control bits match, through
-one kernel: it updates strided views of the state in place, the stack
-reshaped so that the target and each control qubit has an axis of its own
-and every qubit above the highest of them folds into one axis behind the
-batch axis. The kernel accepts a stack of states shaped ``(batch, 2**k)`` for
-any register of k qubits that holds the op's qubits, so a caller can run
-each part of a program on the qubits live at that point; the public
-single-state API wraps a one-row batch. The two sweeps, ``run_compiled`` and
-``unapply_compiled``, convert and check their data and parameter vectors once
-at entry, so each op only looks its angle up. The reverse sweep un-applies
-each op once from ket and bra in place and reads its angle derivatives from
-the pairs that un-apply produced; it leaves both stacks at the fragment's
-start, so a caller that builds a fragment in closed form (as the evaluator
-does the data encoding) can take its gradients from the bra there.
-``adjoint_sweep`` runs it on copies.
+op. The sweeps keep states as columns, one per state of a C-contiguous
+``(2**k, batch)`` array, for any register of k qubits that holds the ops'
+qubits, so a caller can run each part of a program on the qubits live at that
+point. Each op touches only the control-matching amplitude pairs, through one
+kernel: strided views of the columns, reshaped so that the target and each
+control qubit has an axis of its own, every qubit above them folds into the
+leading axis and the batch axis comes last, so each inner run holds at least
+``batch`` amplitudes and a per-row angle broadcasts on it. The two sweeps,
+``run_compiled`` and ``unapply_compiled``, take ``(batch, dim)`` stacks (the
+transpose of columns runs in place, a row-major stack through one copy) and
+check their data and parameter vectors once at entry. The reverse sweep
+un-applies each op once from ket and bra in place and reads its angle
+derivatives from the pairs that un-apply produced; it leaves both stacks at
+the fragment's start, so a caller that builds a fragment in closed form (as
+the evaluator does the data encoding) can take its gradients from the bra
+there. ``adjoint_sweep`` runs it on copies.
 
 ``fuse_layers`` turns each run of consecutive uncontrolled H ops and fused
 units on distinct qubits into one dense block: the Kronecker product of its
-2x2 factors over at most ``MAX_BLOCK_QUBITS`` qubits, applied as one GEMM.
-Its un-apply forms one batch-summed overlap matrix over the block and reads
-every unit's gradients from it. ``compile_program`` never fuses layers, so
-its per-unit ops stay the gate-list reference.
+2x2 factors over at most ``MAX_BLOCK_QUBITS`` qubits, applied as one GEMM at
+its lowest qubit. Its un-apply forms one batch-summed overlap matrix over the
+block and reads every unit's gradients from it. ``compile_program`` never
+fuses layers, so its per-unit ops stay the gate-list reference.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ class _CompiledGate:
     angle: tuple | None  # angle source; a fused unit carries its RX slot
     slots: tuple  # fused unit only: the RX, RY, RZ param slots
     # The kernel: ``sel0``/``sel1`` pick the control-matching pairs with target
-    # bit 0/1 as strided views of the stack reshaped to ``(batch,) + shape``.
+    # bit 0/1 as strided views of the columns reshaped to ``shape + (batch,)``.
     shape: tuple
     sel0: tuple
     sel1: tuple
@@ -237,14 +238,14 @@ def basis_indices(qubits: tuple) -> np.ndarray:
 
 
 def _compile_gate(num_qubits: int, kind: str, target: int, controls: tuple, angle, slots=()) -> _CompiledGate:
-    """One op with its kernel: a reshape of each row of the stack with one
-    axis for all qubits above the op's highest fixed (target or control)
-    qubit, one per fixed qubit and one per run of free qubits between them,
-    and the basic index tuples, batch axis first, that pick the
+    """One op with its kernel: a reshape of the columns with one axis for
+    all qubits above the op's highest fixed (target or control) qubit, one
+    per fixed qubit and one per run of free qubits between them, ahead of
+    the batch axis, and the basic index tuples that pick the
     control-matching pairs with target bit 0 and 1 as strided views."""
     fixed = dict(controls)
     fixed[target] = None
-    shape, sel, top = [-1], [slice(None)] * 2, max(fixed) + 1
+    shape, sel, top = [-1], [slice(None)], max(fixed) + 1
     for q in sorted(fixed, reverse=True):
         if top - q > 1:
             shape.append(1 << (top - q - 1))
@@ -327,17 +328,18 @@ def _unit_matrix(angles: np.ndarray) -> tuple:
     )
 
 
-def _apply_kernel(amps: np.ndarray, cg: _CompiledGate, theta=None, invert: bool = False) -> tuple:
-    """Apply one compiled op in place to ``amps`` of shape (batch, 2**k),
-    for any k that holds the op's qubits.
+def _apply_kernel(cols: np.ndarray, cg: _CompiledGate, theta=None, invert: bool = False) -> tuple:
+    """Apply one compiled op in place to the columns ``cols`` of shape
+    (2**k, batch), for any k that holds the op's qubits; a per-row angle
+    ``theta`` has shape (batch,).
 
-    Reads the control-matching pairs as strided views of ``amps``, writes the
+    Reads the control-matching pairs as strided views of ``cols``, writes the
     new values back, target bit 0 first, and returns them: arrays of their
     own for rotations and fused units (``None`` marks a half the op leaves
     unchanged).
     """
     kind = cg.kind
-    t = amps.reshape((amps.shape[0],) + cg.shape)
+    t = cols.reshape(cg.shape + cols.shape[1:])
     a0, a1 = t[cg.sel0], t[cg.sel1]
     if kind == "H":
         new = (a0 + a1) * _INV_SQRT2, (a0 - a1) * _INV_SQRT2
@@ -351,8 +353,6 @@ def _apply_kernel(amps: np.ndarray, cg: _CompiledGate, theta=None, invert: bool 
             m00, m01, m10, m11 = m00.conjugate(), m10.conjugate(), m01.conjugate(), m11.conjugate()
         new = m00 * a0 + m01 * a1, m10 * a0 + m11 * a1
     else:
-        if isinstance(theta, np.ndarray):  # one angle per row
-            theta = theta.reshape((-1,) + (1,) * (a0.ndim - 1))
         half = -0.5 * theta if invert else 0.5 * theta
         if kind == "RZ":
             phase = np.exp(-1j * half)
@@ -387,7 +387,7 @@ def _rotation_derivative_dot(kind: str, b0, b1, k0, k1) -> np.ndarray:
     else:  # RY
         d0, d1 = -0.5 * k1, 0.5 * k0
     acc = np.conj(b0) * d0 + np.conj(b1) * d1
-    return 2.0 * np.real(acc.sum(axis=tuple(range(1, acc.ndim))))
+    return 2.0 * np.real(acc.sum(axis=tuple(range(acc.ndim - 1))))
 
 
 def _unit_derivative_dots(angles, overlaps: np.ndarray) -> np.ndarray:
@@ -414,10 +414,10 @@ def _unit_derivative_dots(angles, overlaps: np.ndarray) -> np.ndarray:
 # dense blocks: a layer of uncontrolled units as one matrix
 # ---------------------------------------------------------------------------
 
-# At 6 qubits one GEMM pass (64 complex multiply-adds per amplitude) costs
-# about as much as one strided 2x2 unit on the whole stack.
+# On 4096-amplitude columns at batch 50 (one BLAS thread, 2-core Xeon) one
+# 6-qubit block pass takes about 1.5 times as long as one strided 2x2 unit,
+# a 5-qubit one about as long: a block beats the two or more ops it replaces.
 MAX_BLOCK_QUBITS = 6
-_WIDEN_BELOW = 3  # views with inner runs of 1-4 amplitudes are slow; such blocks extend down to qubit 0
 
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2
 
@@ -425,11 +425,11 @@ _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2
 @dataclass(frozen=True)
 class _Block:
     """Uncontrolled H ops and fused units on distinct qubits, run as one dense
-    ``2^w x 2^w`` matrix over qubits ``low .. low + w - 1``: one GEMM on the
-    trailing axis of the stack reshaped to (-1, 2^w) when ``low`` is 0, else
-    ``M @ view`` over (-1, 2^w, 2^low), or for a real ``M`` over the float64
-    view (-1, 2^w, 2^(low+1)). A matrix with parameters is built per
-    sweep by broadcast outer products (``np.kron`` costs more at batch 1)."""
+    ``2^w x 2^w`` matrix over qubits ``low .. low + w - 1``, ``low`` the
+    lowest of them: ``M @ view`` over the columns reshaped to
+    (-1, 2^w, 2^low * batch), or for a real ``M`` over their float64 view.
+    A matrix with parameters is built per sweep by broadcast outer products
+    (``np.kron`` costs more at batch 1)."""
 
     low: int
     factors: tuple  # per qubit, lowest first: None (identity), "H", or a unit's RX, RY, RZ param slots
@@ -452,19 +452,13 @@ def _kron_factors(factors: tuple, params) -> np.ndarray:
     return m
 
 
-def _apply_block(amps: np.ndarray, blk: _Block, m: np.ndarray) -> np.ndarray:
-    """Apply the block matrix ``m`` in place; returns the block-shaped view.
-    A real ``m`` (a parameter-free block) above qubit 0 acts on the real and
-    imaginary parts at once through the float64 view, one real GEMM."""
-    w = 1 << len(blk.factors)
-    if blk.low == 0:
-        t = amps.reshape(-1, w)
-        t[...] = t @ m.T
-        return t
+def _apply_block(cols: np.ndarray, blk: _Block, m: np.ndarray) -> np.ndarray:
+    """Apply the block matrix ``m`` in place to the columns; returns the
+    block-shaped view. A real ``m`` (a parameter-free block) acts on the real
+    and imaginary parts at once through the float64 view, one real GEMM."""
     if np.isrealobj(m):
-        t = amps.view(np.float64).reshape(-1, w, 2 << blk.low)
-    else:
-        t = amps.reshape(-1, w, 1 << blk.low)
+        cols = cols.view(np.float64)
+    t = cols.reshape(-1, 1 << len(blk.factors), cols.shape[1] << blk.low)
     t[...] = m @ t
     return t
 
@@ -473,10 +467,7 @@ def _block_unit_overlaps(blk: _Block, b: np.ndarray, k: np.ndarray):
     """(slots, 2x2 overlap) for each unit of the block, from the batch-summed
     ``2^w x 2^w`` overlap ``S = sum conj(b) k^T`` of the block-shaped views,
     reduced to the unit's qubit by a partial trace over the others."""
-    if b.ndim == 2:
-        s = np.conj(b).T @ k
-    else:
-        s = (np.conj(b) @ k.swapaxes(1, 2)).sum(axis=0)
+    s = (np.conj(b) @ k.swapaxes(1, 2)).sum(axis=0)
     w = len(blk.factors)
     for p, f in enumerate(blk.factors):
         if isinstance(f, tuple):
@@ -484,14 +475,9 @@ def _block_unit_overlaps(blk: _Block, b: np.ndarray, k: np.ndarray):
             yield f, np.einsum("xiyxjy->ij", s.reshape(hi, 2, lo, hi, 2, lo))
 
 
-def _block_low(qubits) -> int:
-    low = min(qubits)
-    return 0 if low < _WIDEN_BELOW else low
-
-
 def _fused_block(run: list) -> _Block:
     by_qubit = {op.target: op for op in run}
-    low = _block_low(by_qubit)
+    low = min(by_qubit)
     factors = tuple(
         (by_qubit[q].slots or "H") if q in by_qubit else None for q in range(low, max(by_qubit) + 1)
     )
@@ -502,7 +488,7 @@ def _fused_block(run: list) -> _Block:
 def fuse_layers(ops: tuple) -> tuple:
     """Merge each run of two or more consecutive uncontrolled H and fused-unit
     ops on distinct qubits, which commute, into one ``_Block`` of at most
-    ``MAX_BLOCK_QUBITS`` qubits counting the widening to qubit 0. Every other
+    ``MAX_BLOCK_QUBITS`` qubits from the lowest to the highest. Every other
     op is kept as is."""
     out, run = [], []
 
@@ -516,33 +502,45 @@ def fuse_layers(ops: tuple) -> tuple:
             out.append(op)
             continue
         qubits = [g.target for g in run] + [op.target]
-        if op.target in qubits[:-1] or max(qubits) + 1 - _block_low(qubits) > MAX_BLOCK_QUBITS:
+        if op.target in qubits[:-1] or max(qubits) + 1 - min(qubits) > MAX_BLOCK_QUBITS:
             flush()
         run.append(op)
     flush()
     return tuple(out)
 
 
+def _columns(amps: np.ndarray) -> np.ndarray:
+    """The (dim, batch) columns of a (batch, dim) stack: its transpose when
+    that is C-contiguous, else a C-contiguous copy of a row-major stack."""
+    if amps.T.flags.c_contiguous:
+        return amps.T
+    if not amps.flags.c_contiguous:
+        raise ValueError("amplitude stack must be C-contiguous as (batch, dim) or as its transpose")
+    return np.ascontiguousarray(amps.T)
+
+
 def run_compiled(compiled: tuple, amps: np.ndarray, data=None, params=None) -> None:
     """Run a compiled op sequence (``compile_program`` ops, fused or not by
-    ``fuse_layers``) in place on a C-contiguous (batch, dim) stack.
+    ``fuse_layers``) in place on a (batch, dim) stack: the transpose of
+    C-contiguous columns in place, a C-contiguous one through one copy.
 
     ``data`` holds one row of data angles per state (or one vector for all)
     and ``params`` one vector for all rows; both must be finite.
     """
-    if not amps.flags.c_contiguous:
-        raise ValueError("amplitude stack must be C-contiguous")
+    cols = _columns(amps)
     data, params = _bind(data, params)
     for cg in compiled:
         if cg.kind == "B":
-            _apply_block(amps, cg, cg.matrix_for(params))
+            _apply_block(cols, cg, cg.matrix_for(params))
         else:
-            _apply_kernel(amps, cg, None if cg.angle is None else _resolve_angle(cg, data, params))
+            _apply_kernel(cols, cg, None if cg.angle is None else _resolve_angle(cg, data, params))
+    if not np.shares_memory(cols, amps):
+        amps[...] = cols.T
 
 
 def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, params, param_arity: int):
-    """Reverse sweep of the adjoint method, in place on two C-contiguous
-    (batch, dim) stacks.
+    """Reverse sweep of the adjoint method, in place on two (batch, dim)
+    stacks, each laid out as ``run_compiled`` accepts.
 
     ``ket`` is the state after ``compiled`` and ``bra`` the cotangent state
     ``sum_i c_i M_i |psi>`` (per row); each op is un-applied once from both,
@@ -552,23 +550,22 @@ def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, pa
     when ``data`` is None, each read from the pair amplitudes the un-apply
     wrote.
     """
-    if not (ket.flags.c_contiguous and bra.flags.c_contiguous):
-        raise ValueError("amplitude stacks must be C-contiguous")
+    kc, bc = _columns(ket), _columns(bra)
     data, params = _bind(data, params)
     param_grads = np.zeros(param_arity)
-    data_grads = np.zeros((ket.shape[0], data.shape[-1]))
+    data_grads = np.zeros((kc.shape[1], data.shape[-1]))
     for cg in reversed(compiled):
         if cg.kind == "B":
             inverse = cg.matrix_for(params).conj().T
-            k = _apply_block(ket, cg, inverse)
-            b = _apply_block(bra, cg, inverse)
+            k = _apply_block(kc, cg, inverse)
+            b = _apply_block(bc, cg, inverse)
             if cg.matrix is None:
                 for slots, overlaps in _block_unit_overlaps(cg, b, k):
                     param_grads[list(slots)] += _unit_derivative_dots(params[list(slots)], overlaps)
             continue
         theta = None if cg.angle is None else _resolve_angle(cg, data, params)
-        k0, k1 = _apply_kernel(ket, cg, theta, invert=True)
-        b0, b1 = _apply_kernel(bra, cg, theta, invert=True)
+        k0, k1 = _apply_kernel(kc, cg, theta, invert=True)
+        b0, b1 = _apply_kernel(bc, cg, theta, invert=True)
         if cg.slots:
             overlaps = np.array([[np.vdot(b0, k0), np.vdot(b0, k1)], [np.vdot(b1, k0), np.vdot(b1, k1)]])
             param_grads[list(cg.slots)] += _unit_derivative_dots(theta, overlaps)
@@ -579,14 +576,17 @@ def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, pa
                 param_grads[slot] += dots.sum()
             else:
                 data_grads[:, slot] += dots
+    for rows, cols in ((ket, kc), (bra, bc)):
+        if not np.shares_memory(cols, rows):
+            rows[...] = cols.T
     return param_grads, data_grads
 
 
 def adjoint_sweep(compiled: tuple, psi: np.ndarray, bra: np.ndarray, data, params, param_arity: int):
     """``unapply_compiled`` on copies of ``psi`` (the forward final state)
-    and ``bra``: returns ``(param_grads, data_grads)`` and leaves both
-    inputs unchanged."""
-    return unapply_compiled(compiled, psi.copy(), bra.copy(), data, params, param_arity)
+    and ``bra``, made as columns: returns ``(param_grads, data_grads)`` and
+    leaves both inputs unchanged."""
+    return unapply_compiled(compiled, psi.T.copy().T, bra.T.copy().T, data, params, param_arity)
 
 
 # ---------------------------------------------------------------------------

@@ -512,8 +512,8 @@ class TestFusedSchedule:
         assert len(ev._ops) == 56 and len(ev._h_gates) == 2
         assert all(op.kind == "B" for op in ev._h_gates)
         blocks = [(op.low, len(op.factors)) for op in ev._ops if op.kind == "B"]
-        # head (H on q_k, units on q_v), 2 x 3 LWM pairs widened to qubit 0, tail
-        assert blocks == [(6, 4)] + [(0, 6)] * 3 + [(0, 5)] * 3 + [(6, 3)]
+        # head (H on q_k, units on q_v), 2 x 3 LWM pairs from their lower qubit, tail
+        assert blocks == [(6, 4)] + [(2, 4)] * 3 + [(1, 4)] * 3 + [(6, 3)]
 
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("g,e,m,k,lwm", [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True),

@@ -331,7 +331,7 @@ class TestCompiledKernels:
         after = before.copy()
         sv.run_compiled((op,), after, None, params)
         assert np.max(np.abs(after - before @ dense.T)) <= 1e-10
-        sv._apply_kernel(after, op, params[[0, 1, 2]], invert=True)
+        sv._apply_kernel(after.T, op, params[[0, 1, 2]], invert=True)
         assert np.max(np.abs(after - before)) <= 1e-10
 
     @pytest.mark.parametrize("kind", sv.GATE_KINDS)
@@ -598,7 +598,7 @@ class TestFuseLayers:
                 assert len(members) >= 2 and all(m.kind in ("H", "U") and not m.controls for m in members)
                 assert len(set(targets)) == len(targets)
                 assert len(op.factors) <= sv.MAX_BLOCK_QUBITS
-                assert op.low == (0 if min(targets) < 3 else min(targets))
+                assert op.low == min(targets)
                 assert op.low + len(op.factors) - 1 == max(targets)
                 assert [op.factors[q - op.low] for q in targets] == [m.slots or "H" for m in members]
                 assert (op.matrix is None) == any(m.kind == "U" for m in members)
@@ -630,7 +630,7 @@ class TestFuseLayers:
                 assert np.max(np.abs(g - w)) <= 1e-10
 
     def test_unit_derivatives_from_a_block_match_central_differences(self):
-        # one block: H and three units, widened to qubit 0; measure every qubit
+        # one block: H and three units on qubits 0-4; measure every qubit
         rng = np.random.default_rng(1002)
         n = 5
         prog = CircuitProgram(n, [GateInstruction("H", 1)] + unit(2, (), 0) + unit(4, (), 3) + unit(0, (), 6),
@@ -721,3 +721,86 @@ class TestAnyRegisterWidth:
             for got, want in ((got_params, want_params), (got_data, want_data)):
                 assert np.max(np.abs(want)) > 1e-3
                 assert np.max(np.abs(got - want)) <= 1e-10
+
+
+class TestColumnLayout:
+    """The sweeps run on columns, one per state: the transpose of a
+    C-contiguous (dim, batch) array runs in place, a row-major (batch, dim)
+    stack is copied in and written back, and both give the same results."""
+
+    N = 6
+
+    def _ops(self):
+        # per low qubit 0-3: a constant block, every kind of single op under
+        # controls (rotations bound to per-row data), a parameterised block
+        # and a fused controlled unit
+        instrs, slot = [], 0
+        for low in range(4):
+            instrs += [GateInstruction("H", low), GateInstruction("H", low + 2)]
+            for i, kind in enumerate(sv.GATE_KINDS):
+                target = (low + 1 + i) % self.N
+                controls = (((target + 1) % self.N, i % 2), ((target + 3) % self.N, 1))
+                angle = data_slot(i % 3) if kind in sv.ROTATION_KINDS else None
+                instrs.append(GateInstruction(kind, target, controls, angle))
+            instrs += unit(low, (), slot) + [GateInstruction("H", low + 1)] + unit(low + 2, (), slot + 3)
+            instrs += unit((low + 4) % self.N, ((low, 0),), slot + 6)
+            slot += 9
+        prog = CircuitProgram(self.N, instrs, data_arity=3, param_arity=slot)
+        ops = sv.fuse_layers(sv.compile_program(prog))
+        assert {(op.low, op.matrix is None) for op in ops if op.kind == "B"} == {
+            (low, p) for low in range(4) for p in (False, True)
+        }
+        assert {op.kind for op in ops} == set(sv.GATE_KINDS) | {"B", "U"}
+        return prog, ops
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_row_major_and_column_stacks_agree(self, rows):
+        rng = np.random.default_rng(1400 + rows)
+        prog, ops = self._ops()
+        data = rng.uniform(-np.pi, np.pi, (rows, prog.data_arity))
+        params = rng.uniform(-2 * np.pi, 2 * np.pi, prog.param_arity)
+        start, bra = random_stack(rng, rows, self.N), random_stack(rng, rows, self.N)
+        row_ket, row_bra = start.copy(), bra.copy()
+        col_ket, col_bra = start.T.copy(), bra.T.copy()
+        assert np.shares_memory(sv._columns(col_ket.T), col_ket)
+        # one row is a column too; more rows go through a copy and back
+        assert np.shares_memory(sv._columns(row_ket), row_ket) == (rows == 1)
+        sv.run_compiled(ops, row_ket, data, params)
+        sv.run_compiled(ops, col_ket.T, data, params)
+        assert np.max(np.abs(row_ket - start)) > 1e-3
+        assert np.max(np.abs(col_ket.T - row_ket)) <= 1e-12
+        row_grads = sv.unapply_compiled(ops, row_ket, row_bra, data, params, prog.param_arity)
+        col_grads = sv.unapply_compiled(ops, col_ket.T, col_bra.T, data, params, prog.param_arity)
+        assert np.max(np.abs(row_ket - start)) <= 1e-10
+        for rows_state, col_state in ((row_ket, col_ket), (row_bra, col_bra)):
+            assert np.max(np.abs(col_state.T - rows_state)) <= 1e-12
+        for got, want in zip(col_grads, row_grads):
+            assert got.shape == want.shape and np.max(np.abs(want)) > 1e-3
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_evaluator_sweeps_copy_no_stack(self, monkeypatch):
+        from quanvnet import circuits as qc
+
+        rng = np.random.default_rng(1411)
+        ev = qc.QuantumEvaluator(qc.CircuitConfig(2, 6, 2, 2))
+        entries, exits = [], []
+        real_columns, real_shares = sv._columns, np.shares_memory
+
+        def columns(amps):  # entry: a view, not a copy
+            cols = real_columns(amps)
+            entries.append(real_shares(cols, amps))
+            return cols
+
+        def shares(a, b):  # exit: no write-back when the columns are the stack's own
+            exits.append(real_shares(a, b))
+            return exits[-1]
+
+        monkeypatch.setattr(sv, "_columns", columns)
+        monkeypatch.setattr(np, "shares_memory", shares)
+        data = rng.uniform(-np.pi, np.pi, (3, ev.config.data_arity))
+        params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
+        amps, _ = ev.forward(data, params)
+        ev.backward(amps, data, params, rng.normal(size=(3, ev.num_features)))
+        # forward: three segments and the H layer; backward: two H layers, then
+        # ket and bra in each of the three segments
+        assert entries == exits == [True] * 12
