@@ -129,14 +129,7 @@ def read_manifest(directory) -> dict:
             manifest = json.load(fh)
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise DataError(f"malformed manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DataError("manifest is not a JSON object")
-    required = {"format_version", "name", "image_shape", "num_classes", "splits", "normalization"}
-    missing = required - manifest.keys()
-    if missing:
-        raise DataError(f"manifest is missing fields: {sorted(missing)}")
-    if manifest["format_version"] != FORMAT_VERSION:
-        raise DataError(f"unsupported manifest format_version {manifest['format_version']}")
+    check_manifest_object(manifest, ("name", "image_shape", "num_classes", "splits", "normalization"), "manifest")
     shape = manifest["image_shape"]
     if not (isinstance(shape, list) and len(shape) == 3 and all(_is_count(s, 1) for s in shape)):
         raise DataError(f"manifest image_shape {shape!r} is not 3 positive integers")
@@ -155,6 +148,18 @@ def read_manifest(directory) -> dict:
     if not isinstance(manifest["splits"], dict):
         raise DataError("manifest splits is not a JSON object")
     return manifest
+
+
+def check_manifest_object(manifest, required: tuple, what: str) -> None:
+    """Raise ``DataError`` naming ``what`` unless ``manifest`` is a JSON
+    object with ``format_version`` 1 and every ``required`` key."""
+    if not isinstance(manifest, dict):
+        raise DataError(f"{what} is not a JSON object")
+    missing = [k for k in ("format_version",) + required if k not in manifest]
+    if missing:
+        raise DataError(f"{what} lacks {', '.join(missing)}")
+    if manifest["format_version"] != FORMAT_VERSION:
+        raise DataError(f"{what} has unsupported format_version {manifest['format_version']!r}")
 
 
 def _is_count(value, minimum: int = 0) -> bool:

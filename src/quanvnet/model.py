@@ -19,7 +19,7 @@ import numpy as np
 
 from . import circuits
 from .autoencoder import PatchAutoencoder, patchify, reconstruction_loss, unpatchify
-from .dataio import _is_count
+from .dataio import _is_count, check_manifest_object
 from .errors import ConfigError, DataError, DivergenceError
 
 SEGMENTS = ("autoencoder", "quantum", "classifier")
@@ -519,13 +519,7 @@ def _checked_manifest(manifest, path) -> tuple:
     def bad(what):
         return DataError(f"checkpoint {path}: manifest {what}")
 
-    if not isinstance(manifest, dict):
-        raise bad("is not a JSON object")
-    missing = [k for k in ("format_version", "segments", "adam", "config", "arrays") if k not in manifest]
-    if missing:
-        raise bad(f"lacks {', '.join(missing)}")
-    if manifest["format_version"] != 1:
-        raise bad(f"has unsupported format_version {manifest['format_version']!r}")
+    check_manifest_object(manifest, ("segments", "adam", "config", "arrays"), f"checkpoint {path}: manifest")
     segments = manifest["segments"]
     if not isinstance(segments, list) or not all(
         isinstance(e, dict) and isinstance(e.get("name"), str) and _is_count(e.get("length")) for e in segments

@@ -9,31 +9,31 @@ Conventions, fixed once so amplitude dumps are reproducible bit-for-bit:
 * Everything is double-precision complex; no sampling noise.
 
 ``compile_program`` turns a program into ops. Each run of param-bound RX, RY,
-RZ gates on one target and control pattern becomes one fused unit that applies
-its 2x2 product ``R_Z R_Y R_X`` in one pass; every other instruction stays one
-op. The sweeps keep states as columns, one per state of a C-contiguous
-``(2**k, batch)`` array, for any register of k qubits that holds the ops'
-qubits, so a caller can run each part of a program on the qubits live at that
-point. Each op touches only the control-matching amplitude pairs, through one
-kernel: strided views of the columns, reshaped so that the target and each
-control qubit has an axis of its own, every qubit above them folds into the
-leading axis and the batch axis comes last, so each inner run holds at least
-``batch`` amplitudes and a per-row angle broadcasts on it. The two sweeps,
-``run_compiled`` and ``unapply_compiled``, take ``(batch, dim)`` stacks (the
-transpose of columns runs in place, a row-major stack through one copy) and
-check their data and parameter vectors once at entry. The reverse sweep
-un-applies each op once from ket and bra in place and reads its angle
-derivatives from the pairs that un-apply produced; it leaves both stacks at
-the fragment's start, so a caller that builds a fragment in closed form (as
-the evaluator does the data encoding) can take its gradients from the bra
-there. ``adjoint_sweep`` runs it on copies.
+RZ gates on one target and control pattern becomes one fused unit,
+``R_Z R_Y R_X``; every other instruction stays one op. Every op is one
+controlled 2x2 matrix: its entries are constants for H, X, Z and
+constant-bound rotations, per-row arrays for data-bound rotations and Python
+complex numbers for fused units. One kernel applies them to the
+control-matching amplitude pairs as strided views of the states' columns, a
+C-contiguous ``(2**k, batch)`` array for any register of k qubits that holds
+the op's qubits: a caller can run each part of a program on the qubits live
+there, and each inner run holds at least ``batch`` amplitudes, on which a
+per-row entry broadcasts. The two sweeps, ``run_compiled`` and
+``unapply_compiled``, take ``(batch, dim)`` stacks (the transpose of columns
+runs in place, a row-major stack through one copy). The reverse sweep
+un-applies each op once from ket and bra in place, by the conjugate transpose
+of its entries, and reads every angle derivative from the 2x2 overlap of the
+pairs it produced, by one formula. It leaves both stacks at the fragment's
+start, so a caller that builds a fragment in closed form (as the evaluator
+does the data encoding) can take its gradients from the bra there.
+``adjoint_sweep`` runs it on copies.
 
 ``fuse_layers`` turns each run of consecutive uncontrolled H ops and fused
 units on distinct qubits into one dense block: the Kronecker product of its
 2x2 factors over at most ``MAX_BLOCK_QUBITS`` qubits, applied as one GEMM at
-its lowest qubit. Its un-apply forms one batch-summed overlap matrix over the
-block and reads every unit's gradients from it. ``compile_program`` never
-fuses layers, so its per-unit ops stay the gate-list reference.
+its lowest qubit; its un-apply reads every unit's gradients by the same
+formula from one batch-summed overlap over the block. ``compile_program``
+never fuses layers: its per-unit ops stay the gate-list reference.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ GATE_KINDS = ("H", "X", "Z", "RX", "RY", "RZ")
 ROTATION_KINDS = ("RX", "RY", "RZ")
 
 MAX_QUBITS = 30  # resource guard: 2**30 amplitudes is already 16 GiB
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def constant(theta: float) -> tuple:
@@ -192,9 +190,16 @@ def dump_amplitudes(state: QuantumState) -> str:
 # compiled gate kernels
 # ---------------------------------------------------------------------------
 
-_GEN_X = np.array([[0, -0.5j], [-0.5j, 0]])  # (-i/2) X, the generator of R_X
-_GEN_Y = np.array([[0, -0.5], [0.5, 0]])  # (-i/2) Y
-_GEN_Z = np.array([[-0.5j, 0], [0, 0.5j]])  # (-i/2) Z
+# The matrices of H, X and Z, and for each rotation kind its generator
+# G_A = (-i/2) A, so that R_A(theta) = cos(theta/2) I + 2 sin(theta/2) G_A.
+_MATRICES = {
+    "H": np.array([[1.0, 1.0], [1.0, -1.0]]) * (1.0 / np.sqrt(2.0)),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
+    "RX": np.array([[0, -0.5j], [-0.5j, 0]]),
+    "RY": np.array([[0, -0.5], [0.5, 0]]),
+    "RZ": np.array([[-0.5j, 0], [0, 0.5j]]),
+}
 
 
 @dataclass
@@ -205,6 +210,7 @@ class _CompiledGate:
     controls: tuple  # (qubit, required value) pairs
     angle: tuple | None  # angle source; a fused unit carries its RX slot
     slots: tuple  # fused unit only: the RX, RY, RZ param slots
+    entries: tuple | None  # (m00, m01, m10, m11) when fixed at compile time, else None
     # The kernel: ``sel0``/``sel1`` pick the control-matching pairs with target
     # bit 0/1 as strided views of the columns reshaped to ``shape + (batch,)``.
     shape: tuple
@@ -241,8 +247,9 @@ def _compile_gate(num_qubits: int, kind: str, target: int, controls: tuple, angl
     """One op with its kernel: a reshape of the columns with one axis for
     all qubits above the op's highest fixed (target or control) qubit, one
     per fixed qubit and one per run of free qubits between them, ahead of
-    the batch axis, and the basic index tuples that pick the
-    control-matching pairs with target bit 0 and 1 as strided views."""
+    the batch axis, the basic index tuples that pick the control-matching
+    pairs with target bit 0 and 1 as strided views, and the matrix entries
+    of H, X, Z and constant-bound rotations."""
     fixed = dict(controls)
     fixed[target] = None
     shape, sel, top = [-1], [slice(None)], max(fixed) + 1
@@ -258,7 +265,11 @@ def _compile_gate(num_qubits: int, kind: str, target: int, controls: tuple, angl
         sel.append(slice(None))
     axis = sel.index(None)
     sel0, sel1 = (tuple(sel[:axis] + [bit] + sel[axis + 1 :]) for bit in (0, 1))
-    return _CompiledGate(kind, num_qubits, target, controls, angle, slots, tuple(shape), sel0, sel1)
+    if angle is None:
+        entries = tuple(_MATRICES[kind].ravel().tolist())
+    else:
+        entries = _rotation(kind, angle[1]) if angle[0] == "const" else None
+    return _CompiledGate(kind, num_qubits, target, controls, angle, slots, entries, tuple(shape), sel0, sel1)
 
 
 def _fusable(run: tuple) -> bool:
@@ -303,15 +314,11 @@ def _bind(data, params) -> tuple:
     return data, params
 
 
-def _resolve_angle(cg: _CompiledGate, data: np.ndarray, params: np.ndarray):
-    """Angle value for one op: a scalar, a per-row vector for a batch of data
-    rows, or a fused unit's three angles."""
-    tag, slot = cg.angle
-    if tag == "const":
-        return slot
-    if tag == "data":
-        return data[..., slot]
-    return params[list(cg.slots)] if cg.slots else params[slot]
+def _rotation(kind: str, theta) -> tuple:
+    """Entries of R_A(theta) = cos(theta/2) I + 2 sin(theta/2) G_A, broadcast over ``theta``."""
+    c, s = np.cos(0.5 * theta), 2.0 * np.sin(0.5 * theta)
+    g00, g01, g10, g11 = _MATRICES[kind].flat
+    return c + s * g00, s * g01, s * g10, c + s * g11
 
 
 def _unit_matrix(angles: np.ndarray) -> tuple:
@@ -328,86 +335,53 @@ def _unit_matrix(angles: np.ndarray) -> tuple:
     )
 
 
-def _apply_kernel(cols: np.ndarray, cg: _CompiledGate, theta=None, invert: bool = False) -> tuple:
-    """Apply one compiled op in place to the columns ``cols`` of shape
-    (2**k, batch), for any k that holds the op's qubits; a per-row angle
-    ``theta`` has shape (batch,).
+def _entries(cg: _CompiledGate, data: np.ndarray, params: np.ndarray) -> tuple:
+    """Matrix entries of one op: fixed at compile time, a fused unit's, or a
+    rotation's for its parameter or data angle (per row for data rows)."""
+    if cg.entries is not None:
+        return cg.entries
+    if cg.slots:
+        return _unit_matrix(params[list(cg.slots)])
+    tag, slot = cg.angle
+    return _rotation(cg.kind, data[..., slot] if tag == "data" else params[slot])
 
-    Reads the control-matching pairs as strided views of ``cols``, writes the
-    new values back, target bit 0 first, and returns them: arrays of their
-    own for rotations and fused units (``None`` marks a half the op leaves
-    unchanged).
+
+def _apply_kernel(cols: np.ndarray, cg: _CompiledGate, m: tuple) -> tuple:
+    """Apply one compiled op in place to the columns ``cols`` of shape
+    (2**k, batch), for any k that holds the op's qubits, as the controlled
+    2x2 matrix with entries ``m`` = (m00, m01, m10, m11), each a scalar or a
+    per-row array of shape (batch,). Reads the control-matching pairs as
+    strided views of ``cols``, writes the new values back and returns them,
+    target bit 0 first, as arrays of their own.
     """
-    kind = cg.kind
     t = cols.reshape(cg.shape + cols.shape[1:])
     a0, a1 = t[cg.sel0], t[cg.sel1]
-    if kind == "H":
-        new = (a0 + a1) * _INV_SQRT2, (a0 - a1) * _INV_SQRT2
-    elif kind == "X":
-        new = a1, a0.copy()  # a0 is overwritten first
-    elif kind == "Z":
-        new = None, -a1
-    elif kind == "U":
-        m00, m01, m10, m11 = _unit_matrix(theta)
-        if invert:
-            m00, m01, m10, m11 = m00.conjugate(), m10.conjugate(), m01.conjugate(), m11.conjugate()
-        new = m00 * a0 + m01 * a1, m10 * a0 + m11 * a1
-    else:
-        half = -0.5 * theta if invert else 0.5 * theta
-        if kind == "RZ":
-            phase = np.exp(-1j * half)
-            new = a0 * phase, a1 * np.conj(phase)
-        else:
-            c = np.cos(half)
-            s = np.sin(half)
-            if kind == "RX":
-                new = c * a0 - 1j * s * a1, -1j * s * a0 + c * a1
-            else:  # RY
-                new = c * a0 - s * a1, s * a0 + c * a1
-    if new[0] is not None:
-        t[cg.sel0] = new[0]
-    t[cg.sel1] = new[1]
+    m00, m01, m10, m11 = m
+    new = m00 * a0 + m01 * a1, m10 * a0 + m11 * a1
+    t[cg.sel0], t[cg.sel1] = new
     return new
 
 
-def _rotation_derivative_dot(kind: str, b0, b1, k0, k1) -> np.ndarray:
-    """Per-row 2*Re(<bra| dU/dtheta |ket>) for a (controlled) rotation
-    R_A, from the pair amplitudes ``b0, b1, k0, k1`` of bra and ket taken on
-    the same side of the gate.
+def _unit_generators(rx_angle, m: tuple) -> np.ndarray:
+    """The generators of a fused unit U = R_Z R_Y R_X with entries ``m``
+    moved before it: U G' is its derivative in each angle, with G'_x = G_X,
+    G'_y = R_X^dag G_Y R_X and G'_z = U^dag G_Z U (R_Z commutes with Z)."""
+    rx, u = np.reshape((_rotation("RX", rx_angle), m), (2, 2, 2))
+    return np.array([_MATRICES["RX"], rx.conj().T @ _MATRICES["RY"] @ rx, u.conj().T @ _MATRICES["RZ"] @ u])
 
-    dU/dtheta acts as (-i/2) A R_A(theta) on the control-matching pairs and
-    as zero elsewhere. A commutes with R_A, so the inner product is
-    <bra|(-i/2) A|ket> over those pairs both after the gate and after it is
-    un-applied from bra and ket: no re-rotation is needed.
+
+def _derivative_dots(generators: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """2*Re(<bra| dU/d(angle) |ket>) = 2*Re sum_ij G'_ij S_ij for each of the
+    (g, 2, 2) ``generators``, from the 2x2 overlap S of bra and ket *before*
+    the op U (as its un-apply leaves them): (2, 2) summed over the batch, or
+    (2, 2, batch) per row; the result is (g,) or (g, batch).
+
+    dU/d(angle) is U G' on the control-matching pairs and zero elsewhere:
+    G' = G_A for a lone R_A, which commutes with it, or a fused unit's moved
+    generator. The other factors of a dense block commute with G' and cancel
+    against their un-apply, so blocks use the same formula.
     """
-    if kind == "RZ":
-        d0, d1 = -0.5j * k0, 0.5j * k1
-    elif kind == "RX":
-        d0, d1 = -0.5j * k1, -0.5j * k0
-    else:  # RY
-        d0, d1 = -0.5 * k1, 0.5 * k0
-    acc = np.conj(b0) * d0 + np.conj(b1) * d1
-    return 2.0 * np.real(acc.sum(axis=tuple(range(acc.ndim - 1))))
-
-
-def _unit_derivative_dots(angles, overlaps: np.ndarray) -> np.ndarray:
-    """Batch-summed 2*Re(<bra| dU/d(angle) |ket>) for the RX, RY and RZ angles
-    of a fused unit U = R_Z R_Y R_X, from the 2x2 overlap
-    S_ij = sum conj(bra_i) ket_j over the unit's qubit (bit i of bra, bit j of
-    ket, summed over the batch and every other bit) of bra and ket *before*
-    the unit, as its un-apply leaves them.
-
-    Moved before U, each derivative is U G' with G'_x = (-i/2)X,
-    G'_y = R_X^dag (-i/2)Y R_X and G'_z = U^dag (-i/2)Z U (R_Z commutes with
-    Z), so each gradient is 2*Re sum_ij G'_ij S_ij. Other uncontrolled
-    factors of a dense block commute with G' and cancel against their
-    un-apply, so the block path uses the same formula.
-    """
-    c, s = np.cos(0.5 * angles[0]), np.sin(0.5 * angles[0])
-    rx = np.array([[c, -1j * s], [-1j * s, c]])
-    u = np.reshape(_unit_matrix(angles), (2, 2))
-    generators = np.array([_GEN_X, rx.conj().T @ _GEN_Y @ rx, u.conj().T @ _GEN_Z @ u])
-    return 2.0 * np.real(np.sum(generators * overlaps, axis=(1, 2)))
+    return 2.0 * np.real(np.einsum("gij,ij...->g...", generators, overlaps))
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +392,6 @@ def _unit_derivative_dots(angles, overlaps: np.ndarray) -> np.ndarray:
 # 6-qubit block pass takes about 1.5 times as long as one strided 2x2 unit,
 # a 5-qubit one about as long: a block beats the two or more ops it replaces.
 MAX_BLOCK_QUBITS = 6
-
-_H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2
 
 
 @dataclass(frozen=True)
@@ -447,7 +419,7 @@ def _kron_factors(factors: tuple, params) -> np.ndarray:
     significant index bit, by broadcast outer products."""
     m = np.ones((1, 1))
     for f in factors:
-        u = np.eye(2) if f is None else _H2 if f == "H" else np.array(_unit_matrix(params[list(f)])).reshape(2, 2)
+        u = np.eye(2) if f is None else _MATRICES["H"] if f == "H" else np.reshape(_unit_matrix(params[list(f)]), (2, 2))
         m = (u[:, None, :, None] * m[None, :, None, :]).reshape(2 * len(m), 2 * len(m))
     return m
 
@@ -533,7 +505,7 @@ def run_compiled(compiled: tuple, amps: np.ndarray, data=None, params=None) -> N
         if cg.kind == "B":
             _apply_block(cols, cg, cg.matrix_for(params))
         else:
-            _apply_kernel(cols, cg, None if cg.angle is None else _resolve_angle(cg, data, params))
+            _apply_kernel(cols, cg, _entries(cg, data, params))
     if not np.shares_memory(cols, amps):
         amps[...] = cols.T
 
@@ -544,11 +516,11 @@ def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, pa
 
     ``ket`` is the state after ``compiled`` and ``bra`` the cotangent state
     ``sum_i c_i M_i |psi>`` (per row); each op is un-applied once from both,
-    so they leave as the states before the fragment. Returns
-    ``(param_grads, data_grads)``: parameter gradients summed over the batch,
-    and per-row data gradients of shape (batch, data length), (batch, 0)
-    when ``data`` is None, each read from the pair amplitudes the un-apply
-    wrote.
+    by the conjugate transpose of its matrix, so they leave as the states
+    before the fragment. Returns ``(param_grads, data_grads)``: parameter
+    gradients summed over the batch, and per-row data gradients of shape
+    (batch, data length), (batch, 0) when ``data`` is None, each read by
+    ``_derivative_dots`` from the 2x2 overlap of the pairs the un-apply wrote.
     """
     kc, bc = _columns(ket), _columns(bra)
     data, params = _bind(data, params)
@@ -557,25 +529,27 @@ def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, pa
     for cg in reversed(compiled):
         if cg.kind == "B":
             inverse = cg.matrix_for(params).conj().T
-            k = _apply_block(kc, cg, inverse)
-            b = _apply_block(bc, cg, inverse)
+            k, b = _apply_block(kc, cg, inverse), _apply_block(bc, cg, inverse)
             if cg.matrix is None:
                 for slots, overlaps in _block_unit_overlaps(cg, b, k):
-                    param_grads[list(slots)] += _unit_derivative_dots(params[list(slots)], overlaps)
+                    angles = params[list(slots)]
+                    generators = _unit_generators(angles[0], _unit_matrix(angles))
+                    param_grads[list(slots)] += _derivative_dots(generators, overlaps)
             continue
-        theta = None if cg.angle is None else _resolve_angle(cg, data, params)
-        k0, k1 = _apply_kernel(kc, cg, theta, invert=True)
-        b0, b1 = _apply_kernel(bc, cg, theta, invert=True)
-        if cg.slots:
-            overlaps = np.array([[np.vdot(b0, k0), np.vdot(b0, k1)], [np.vdot(b1, k0), np.vdot(b1, k1)]])
-            param_grads[list(cg.slots)] += _unit_derivative_dots(theta, overlaps)
-        elif cg.angle is not None and cg.angle[0] != "const":
-            tag, slot = cg.angle
-            dots = _rotation_derivative_dot(cg.kind, b0, b1, k0, k1)
-            if tag == "param":
-                param_grads[slot] += dots.sum()
-            else:
-                data_grads[:, slot] += dots
+        m00, m01, m10, m11 = m = _entries(cg, data, params)
+        inverse = m00.conjugate(), m10.conjugate(), m01.conjugate(), m11.conjugate()  # the conjugate transpose
+        k, b = _apply_kernel(kc, cg, inverse), _apply_kernel(bc, cg, inverse)
+        if cg.angle is None or cg.angle[0] == "const":
+            continue
+        # the pair overlap S_ij = sum conj(b_i) k_j: per row for a data slot, over the batch for parameters
+        tag, slot = cg.angle
+        generators = _unit_generators(params[slot], m) if cg.slots else _MATRICES[cg.kind][None]
+        if tag == "data":
+            overlaps = np.array([[np.sum(np.conj(bi) * kj, axis=tuple(range(kj.ndim - 1))) for kj in k] for bi in b])
+            data_grads[:, slot] += _derivative_dots(generators, overlaps)[0]
+        else:
+            overlaps = np.array([[np.vdot(bi, kj) for kj in k] for bi in b])
+            param_grads[list(cg.slots or (slot,))] += _derivative_dots(generators, overlaps)
     for rows, cols in ((ket, kc), (bra, bc)):
         if not np.shares_memory(cols, rows):
             rows[...] = cols.T
@@ -596,7 +570,8 @@ def adjoint_sweep(compiled: tuple, psi: np.ndarray, bra: np.ndarray, data, param
 
 def apply_gate(state: QuantumState, instr: GateInstruction, data=None, params=None) -> QuantumState:
     """Return the state after one gate; control-violating amplitudes are untouched."""
-    instr.validate(state.num_qubits)
+    lengths = (0 if v is None else np.shape(v)[-1] for v in (data, params))
+    CircuitProgram(state.num_qubits, (instr,), *lengths)  # checks the gate and that its angle slot is bound
     cg = _compile_gate(state.num_qubits, instr.kind, instr.target, instr.controls, instr.angle)
     amps = state.amplitudes[None, :].copy()
     run_compiled((cg,), amps, data, params)

@@ -81,6 +81,15 @@ class TestApplyGate:
         with pytest.raises(ValueError):
             sv.apply_gate(sv.new_zero_state(1), GateInstruction("RY", 0, (), constant(np.nan)))
 
+    @pytest.mark.parametrize("angle, data, params, message", [
+        (data_slot(5), [0.1], None, "data slot 5 outside arity 1"),
+        (param_slot(2), None, [0.1, 0.2], "param slot 2 outside arity 2"),
+        (param_slot(0), None, None, "param slot 0 outside arity 0"),
+    ])
+    def test_unbound_angle_slot_rejected(self, angle, data, params, message):
+        with pytest.raises(ValueError, match=message):
+            sv.apply_gate(sv.new_zero_state(2), GateInstruction("RX", 0, (), angle), data, params)
+
 
 class TestInstructionValidation:
     def test_target_in_controls(self):
@@ -304,6 +313,11 @@ def random_stack(rng, rows, num_qubits):
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
+def conjugate_transpose(m):
+    """Entries (m00, m01, m10, m11) of the inverse of the unitary with entries ``m``."""
+    return tuple(np.conj(m[i]) for i in (0, 2, 1, 3))
+
+
 def unit(target, controls, first_slot=0, tag=param_slot):
     return [GateInstruction(kind, target, controls, tag(first_slot + i)) for i, kind in enumerate(sv.ROTATION_KINDS)]
 
@@ -331,25 +345,39 @@ class TestCompiledKernels:
         after = before.copy()
         sv.run_compiled((op,), after, None, params)
         assert np.max(np.abs(after - before @ dense.T)) <= 1e-10
-        sv._apply_kernel(after.T, op, params[[0, 1, 2]], invert=True)
+        sv._apply_kernel(after.T, op, conjugate_transpose(sv._unit_matrix(params[[0, 1, 2]])))
         assert np.max(np.abs(after - before)) <= 1e-10
 
     @pytest.mark.parametrize("kind", sv.GATE_KINDS)
     def test_single_gates_match_dense_matrix(self, kind):
         rng = np.random.default_rng(200 + sv.GATE_KINDS.index(kind))
+        sources = [data_slot(0), param_slot(0), None] if kind in sv.ROTATION_KINDS else [None]
         for count in range(6):
-            target = int(rng.integers(self.N))
-            controls = self._controls(rng, target, count, int(rng.integers(2)))
-            angle = data_slot(0) if kind in sv.ROTATION_KINDS else None
-            prog = CircuitProgram(self.N, [GateInstruction(kind, target, controls, angle)], data_arity=1)
-            ops = sv.compile_program(prog)
-            data = rng.uniform(-np.pi, np.pi, (3, 1))  # one angle per row
-            before = random_stack(rng, 3, self.N)
-            after = before.copy()
-            sv.run_compiled(ops, after, data, None)
-            for row in range(3):
-                dense = oracles.dense_gate_matrix(self.N, prog.instructions[0], data=data[row])
-                assert np.max(np.abs(after[row] - dense @ before[row])) <= 1e-10
+            for angle in sources:
+                target = int(rng.integers(self.N))
+                controls = self._controls(rng, target, count, int(rng.integers(2)))
+                if kind in sv.ROTATION_KINDS and angle is None:
+                    angle = constant(rng.uniform(-2 * np.pi, 2 * np.pi))
+                prog = CircuitProgram(self.N, [GateInstruction(kind, target, controls, angle)], 1, 1)
+                (op,) = sv.compile_program(prog)
+                data = rng.uniform(-np.pi, np.pi, (3, 1))  # one angle per row
+                params = rng.uniform(-np.pi, np.pi, 1)
+                before = random_stack(rng, 3, self.N)
+                after = before.copy()
+                sv.run_compiled((op,), after, data, params)
+                for row in range(3):
+                    dense = oracles.dense_gate_matrix(self.N, prog.instructions[0], data=data[row], params=params)
+                    assert np.max(np.abs(after[row] - dense @ before[row])) <= 1e-10
+                # un-applied by the conjugate transpose of its entries
+                restored = after.copy()
+                sv._apply_kernel(restored.T, op, conjugate_transpose(sv._entries(op, data, params)))
+                assert np.max(np.abs(restored - before)) <= 1e-10
+                idx = np.arange(1 << self.N)
+                violating = np.zeros(1 << self.N, dtype=bool)
+                for q, v in controls:
+                    violating |= (idx >> q) & 1 != v
+                assert np.array_equal(after[:, violating], before[:, violating])
+                assert np.array_equal(restored[:, violating], before[:, violating])
 
     def test_control_violating_amplitudes_bitwise_unchanged(self):
         rng = np.random.default_rng(300)
