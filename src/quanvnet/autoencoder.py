@@ -71,24 +71,38 @@ def _shifted(d, n):
 
 
 def _conv2d(x, w, b):
-    # x (B,H,W,Ci), w (3,3,Ci,Co); same padding: each tap is one flat GEMM over every pixel
+    # x (B,H,W,Ci), w (3,3,Ci,Co); same padding. Kernel row di is one GEMM of every input row by a banded
+    # (W*Ci, W*Co) T[di] whose band dj reads input column j + dj - 1, added di - 1 whole rows away
     bsz, h, wd, ci = x.shape
-    flat = x.reshape(-1, ci)
-    out = np.broadcast_to(b, (bsz, h, wd, w.shape[3])).copy()
-    for di, dj in np.ndindex(3, 3):
-        (oi, si), (oj, sj) = _shifted(di, h), _shifted(dj, wd)
-        out[:, oi, oj] += (flat @ w[di, dj]).reshape(out.shape)[:, si, sj]
+    t, cols = np.zeros((3, wd, ci, wd, w.shape[3])), np.arange(wd)
+    for dj in range(3):
+        oj, sj = _shifted(dj, wd)
+        t[:, cols[sj], :, cols[oj], :] = w[:, dj]
+    rows, t = x.reshape(-1, wd * ci), t.reshape(3, wd * ci, -1)
+    out = (rows @ t[1]).reshape(bsz, h, wd, -1)
+    out += b
+    flat = out.reshape(bsz, h, -1)
+    for di in (0, 2):
+        oi, si = _shifted(di, h)
+        flat[:, oi] += (rows @ t[di]).reshape(flat.shape)[:, si]
     return out
 
 
 def _conv2d_backward(x, w, grad):
-    # the input gradient is the same conv with the flipped, channel-transposed kernel
-    _, h, wd, ci = x.shape
+    # (dw, db): dT[di] = (input rows di - 1 away)^T grad, and dw[di, dj] sums the diagonal at offset
+    # 1 - dj of its (W, Ci, W, Co) view. The input gradient is the same conv on _flipped(w)
+    bsz, h, wd, ci = x.shape
+    rows, g = x.reshape(bsz, h, -1), grad.reshape(bsz, h, -1)
     dw = np.empty_like(w)
-    for di, dj in np.ndindex(3, 3):
-        (oi, si), (oj, sj) = _shifted(di, h), _shifted(dj, wd)
-        dw[di, dj] = x[:, si, sj].reshape(-1, ci).T @ grad[:, oi, oj].reshape(-1, w.shape[3])
-    return _conv2d(grad, w[::-1, ::-1].swapaxes(2, 3), 0.0), dw, grad.sum(axis=(0, 1, 2))
+    for di in range(3):
+        oi, si = _shifted(di, h)
+        dt = (rows[:, si].reshape(-1, wd * ci).T @ g[:, oi].reshape(-1, g.shape[2])).reshape(wd, ci, wd, -1)
+        dw[di] = [np.diagonal(dt, 1 - dj, 0, 2).sum(axis=-1) for dj in range(3)]
+    return dw, grad.sum(axis=(0, 1, 2))
+
+
+def _flipped(w):
+    return w[::-1, ::-1].swapaxes(2, 3)  # the kernel whose conv maps an output gradient to the input gradient
 
 
 def _quadrants(x):
@@ -230,9 +244,9 @@ class PatchAutoencoder:
             x_in, pre, act_shape, idx = cache["conv"][i]
             dact = _maxpool_backward(idx, dx, act_shape)
             dpre = dact * (pre > 0)
-            dx, dw, db = _conv2d_backward(x_in, v[f"enc_conv{i}_w"], dpre)
-            gv[f"enc_conv{i}_w"][...] = dw
-            gv[f"enc_conv{i}_b"][...] = db
+            gv[f"enc_conv{i}_w"][...], gv[f"enc_conv{i}_b"][...] = _conv2d_backward(x_in, v[f"enc_conv{i}_w"], dpre)
+            if i:  # conv 0 reads the raw patches, whose gradient nobody uses
+                dx = _conv2d(dpre, _flipped(v[f"enc_conv{i}_w"]), 0.0)
         return grads
 
     # -- decoder ------------------------------------------------------------
@@ -262,9 +276,8 @@ class PatchAutoencoder:
         gv = self._views(grads)
         sig = cache["sig"]
         dpre_out = dout * sig * (1.0 - sig)
-        dx, dw, db = _conv2d_backward(cache["last_act"], v["dec_out_w"], dpre_out)
-        gv["dec_out_w"][...] = dw
-        gv["dec_out_b"][...] = db
+        gv["dec_out_w"][...], gv["dec_out_b"][...] = _conv2d_backward(cache["last_act"], v["dec_out_w"], dpre_out)
+        dx = _conv2d(dpre_out, _flipped(v["dec_out_w"]), 0.0)
         for i in reversed(range(self.blocks)):
             x_in, pre = cache["tconv"][i]
             dpre = dx * (pre > 0)

@@ -629,8 +629,6 @@ def adjoint_gradients(
         raise ValueError("cotangents must be finite")
     if program.param_arity == 0:
         return np.zeros(0)
-    _check_binding(data, program.data_arity, "data")
-    _check_binding(params, program.param_arity, "params")
     psi = run_circuit(program, data, params)
     bra = np.zeros_like(psi.amplitudes)
     for c, op in zip(cotangents, ops):

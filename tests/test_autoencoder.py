@@ -285,7 +285,7 @@ def test_maxpool_matches_the_take_along_axis_form_bit_for_bit(kind):
 CI, CO = 3, 5
 
 
-@pytest.mark.parametrize("size", [1, 2, 4, 8])
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 32])
 def test_conv_primitives_match_the_naive_oracles(size):
     rng = np.random.default_rng(15)
     x = rng.normal(size=(2, size, size, CI))
@@ -297,8 +297,13 @@ def test_conv_primitives_match_the_naive_oracles(size):
         assert np.max(np.abs(tconv[i] - naive_tconv(x[i], w2, b))) <= 1e-12
 
 
-@pytest.mark.parametrize("size", [1, 2, 4, 8])
-@pytest.mark.parametrize("forward, backward, taps", [(ae_mod._conv2d, ae_mod._conv2d_backward, 3),
+def conv2d_backward(x, w, grad):
+    """(dx, dw, db) as the autoencoder forms them: dx is the same conv on the flipped kernel."""
+    return (ae_mod._conv2d(grad, ae_mod._flipped(w), 0.0), *ae_mod._conv2d_backward(x, w, grad))
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("forward, backward, taps", [(ae_mod._conv2d, conv2d_backward, 3),
                                                      (ae_mod._tconv2d, ae_mod._tconv2d_backward, 2)])
 def test_conv_backwards_match_central_differences(size, forward, backward, taps):
     rng = np.random.default_rng(16)
@@ -315,6 +320,25 @@ def test_conv_backwards_match_central_differences(size, forward, backward, taps)
         want = oracles.central_differences(lambda v: loss(**{name: v.reshape(arg.shape)}), arg.ravel())
         assert got.shape == arg.shape
         assert oracles.relative_error(got.ravel(), want) <= 1e-5
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 32])
+def test_conv_weight_gradient_fold_matches_the_per_tap_products(size):
+    rng = np.random.default_rng(17)
+    x, grad = rng.normal(size=(3, size, size, CI)), rng.normal(size=(3, size, size, CO))
+
+    def shifted(d):  # output positions i, and the input positions i + d - 1 they read, inside [0, size)
+        lo, hi = max(0, 1 - d), min(size, size + 1 - d)
+        return slice(lo, hi), slice(lo + d - 1, hi + d - 1)
+
+    want = np.empty((3, 3, CI, CO))
+    for di, dj in np.ndindex(3, 3):
+        (oi, si), (oj, sj) = shifted(di), shifted(dj)
+        want[di, dj] = x[:, si, sj].reshape(-1, CI).T @ grad[:, oi, oj].reshape(-1, CO)
+    dw, db = ae_mod._conv2d_backward(x, rng.normal(size=(3, 3, CI, CO)), grad)
+    assert dw.shape == want.shape
+    assert oracles.relative_error(dw.ravel(), want.ravel()) <= 1e-12
+    assert oracles.relative_error(db, grad.sum(axis=(0, 1, 2))) <= 1e-12
 
 
 @pytest.mark.parametrize("patch,channels", [(1, 2), (2, 3), (4, 2), (8, 3), (16, 1)])

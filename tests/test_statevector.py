@@ -274,6 +274,15 @@ class TestAdjointGradients:
         with pytest.raises(ValueError):
             sv.adjoint_gradients(prog, None, np.zeros(2), ops, [np.inf])
 
+    def test_wrong_length_bindings_rejected_by_name(self):
+        rng = np.random.default_rng(17)
+        prog = random_program(rng, 3, 12, data_arity=2, num_params=3)
+        ops = [MeasurementOperator((0,), (1,))]
+        with pytest.raises(ValueError, match="params"):
+            sv.adjoint_gradients(prog, np.zeros(2), np.zeros(4), ops, [1.0])
+        with pytest.raises(ValueError, match="data"):
+            sv.adjoint_gradients(prog, np.zeros(1), np.zeros(3), ops, [1.0])
+
     def test_matches_central_differences(self):
         rng = np.random.default_rng(15)
         for _ in range(5):
