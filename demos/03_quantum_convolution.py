@@ -49,7 +49,7 @@ print(np.round(features, 4))
 # gradients through the whole circuit via the adjoint sweep
 ev = circuits.get_evaluator(config)
 cot = rng.normal(size=ev.num_features)
-psi, _ = ev.forward(processed.reshape(1, -1), params)
-grads, _ = ev.backward(psi, processed.reshape(1, -1), params, cot[None])
+_, _, cache = ev.forward(processed.reshape(1, -1), params)
+grads, _ = ev.backward(cache, params, cot[None])
 print(f"\nadjoint gradient over all {grads.size} angles: "
       f"|g| max {np.abs(grads).max():.4f}, mean {np.abs(grads).mean():.4f}")

@@ -247,10 +247,13 @@ class QuantumEvaluator:
     through its transpose. Each feature qubit, one of the top M, stays |0>
     until the first op that touches it, so ``forward`` starts at 2^(n-M)
     amplitudes per state and zero-pads the columns to twice their length at
-    each such cut, and ``backward`` un-applies the segments in reverse on one
-    copy of the ket, keeping the leading half of ket and bra (a contiguous
-    view) after each. ``forward`` returns the full states after the
-    extraction as the (batch, 2^n) transpose of the columns. ``program`` and
+    each such cut. ``forward`` returns the full states after the extraction
+    as the (batch, 2^n) transpose of the columns, the features, and a cache:
+    the columns, the measured state phi and the value qubits' unit states
+    with their angle derivatives. ``backward`` takes phi out of the cache as
+    its bra, so one cache serves one backward, and un-applies the segments
+    in reverse on one copy of the columns, keeping the leading half of ket
+    and bra (a contiguous view) after each. ``program`` and
     ``compiled`` hold the whole program, encoding first, unfused, as the
     per-unit gate-list reference, and ``operators`` the measurement family;
     the three are built on first use.
@@ -307,9 +310,10 @@ class QuantumEvaluator:
         return self.config.num_feature_values
 
     def forward(self, data: np.ndarray, params: np.ndarray):
-        """Simulate a batch of data rows; returns (final amplitudes, features)."""
+        """Simulate a batch of data rows; returns (final amplitudes, features,
+        cache for ``backward``)."""
         data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        states, _ = _unit_states(self._angles(data))
+        states, derivs = _unit_states(self._angles(data))
         branch = states[:, 0]
         for n in range(1, self.config.value_qubits):  # value qubit n on bit n of the leading axis
             branch = (states[:, None, n] * branch[None]).reshape((-1,) + branch.shape[1:])
@@ -326,21 +330,20 @@ class QuantumEvaluator:
         probs = phi.real**2 + phi.imag**2
         # 2^m for the m measured qubits: one per feature index bit plus q_f's
         features = (2.0 * self.num_features) * probs[self._table].sum(axis=1)
-        return cols.T, features.T
+        return cols.T, features.T, {"cols": cols, "phi": phi, "states": states, "derivs": derivs}
 
-    def backward(self, amps: np.ndarray, data: np.ndarray, params: np.ndarray, cotangents: np.ndarray):
-        """Adjoint sweep from stored forward amplitudes, shaped (batch, 2^n).
+    def backward(self, cache: dict, params: np.ndarray, cotangents: np.ndarray):
+        """Adjoint sweep from the cache of one ``forward``, which it consumes.
 
         Returns the parameter gradient summed over the batch and the
         per-row gradient with respect to every data slot.
         """
-        data = np.atleast_2d(np.asarray(data, dtype=np.float64))
         cotangents = np.atleast_2d(np.asarray(cotangents, dtype=np.float64))
-        ket, bra = amps.T.copy(), amps.T.copy()
-        sv.run_compiled(self._h_gates, bra.T)
+        ket, bra = cache["cols"].copy(), cache.pop("phi")
         weights = np.zeros(bra.shape)
         weights[self._table] = (2.0 * self.num_features) * cotangents.T[:, None, :]
         bra *= weights
+        del weights  # half a stack's bytes: free them before the sweeps' temporaries
         sv.run_compiled(self._h_gates, bra.T)
         # Before each feature qubit's first op the ket's half with that qubit
         # at 1 is zero and no earlier op reads it: keep the other half.
@@ -352,7 +355,7 @@ class QuantumEvaluator:
         # angle's gradient is 2 Re <bra| d(encoded state)/d angle>, and only
         # its superpixel's branch depends on it.
         nv = self.config.value_qubits
-        states, derivs = _unit_states(self._angles(data))
+        states, derivs = cache["states"], cache["derivs"]
         conj = np.conj(bra[self._encoding_table].transpose(2, 0, 1)) * self._encoding_scale
         conj = conj.reshape(conj.shape[:2] + (2,) * nv)  # axis 1 + nv - n holds value qubit n
         grads = np.empty(derivs.shape[:1] + states.shape[1:])
@@ -360,7 +363,7 @@ class QuantumEvaluator:
             others = [op for m in range(nv) if m != n for op in (states[:, m], [1 + nv - m, 0, 1])]
             env = np.einsum(conj, [0, 1, *range(2, 2 + nv)], *others, [1 + nv - n, 0, 1])
             grads[:, n] = 2.0 * np.real(np.einsum("krs,ikrs->irs", env, derivs[:, :, n]))
-        return param_grads, np.moveaxis(grads, (0, 1), (3, 2)).reshape(data.shape[0], -1)
+        return param_grads, np.moveaxis(grads, (0, 1), (3, 2)).reshape(grads.shape[2], -1)
 
     def _angles(self, data: np.ndarray) -> np.ndarray:
         """Data rows as (RX/RY/RZ angle, value qubit, row, superpixel)."""
@@ -402,10 +405,8 @@ def quantum_forward(config: CircuitConfig, processed_image: np.ndarray, quantum_
     processed_image = np.asarray(processed_image, dtype=np.float64)
     if processed_image.shape != (size, size, config.features_per_superpixel):
         raise ValueError(f"processed image must have shape {(size, size, config.features_per_superpixel)}")
-    if not np.all(np.isfinite(processed_image)):
-        raise ValueError("processed image contains non-finite angles")
     ev = get_evaluator(config)
-    _, features = ev.forward(processed_image.reshape(1, -1), np.asarray(quantum_params, dtype=np.float64))
+    _, features, _ = ev.forward(processed_image.reshape(1, -1), np.asarray(quantum_params, dtype=np.float64))
     return features[0]
 
 

@@ -29,9 +29,11 @@ ADAM_EPS = 1e-8
 LOG_CLIP = 1e-12
 CHECKPOINT_MAGIC = "QVNCKPT1"
 # A training step holds three full (2**n, batch) complex column stacks at
-# once: the forward's final states (kept for the backward), the backward's
-# cotangent bra, and its one copy of the final states, which it un-applies
-# segment by segment as leading views. The backward's real weights and the
+# once: the forward's final states and its measured state phi, both cached
+# for the backward, and the backward's one copy of the final states. The
+# backward weights phi in place as its cotangent bra, and un-applies bra and
+# copy segment by segment as leading views. The cached unit states and their
+# derivatives, the backward's real weights (freed before its sweeps) and the
 # temporaries of the ops come on top: a strided 2x2 op's half-stack pair
 # arrays, and a dense block's full-stack GEMM output. The forward's grow
 # step, where the last feature qubit enters, briefly holds 1.5 stacks (the
@@ -224,8 +226,9 @@ class HybridModel:
         patches = tiles.reshape(-1, *tiles.shape[-3:])
         angles, enc_cache = self.autoencoder.encode(store.segments["autoencoder"], patches)
         processed = angles.reshape(batch, self.grid, self.grid, cfg.features)
-        data = processed.reshape(batch, -1)
-        psi, features = self.evaluator.forward(data, store.segments["quantum"])
+        psi, features, ev_cache = self.evaluator.forward(processed.reshape(batch, -1), store.segments["quantum"])
+        if not with_caches:
+            ev_cache = None  # it holds a full measured stack: free it before the decoder runs
         w, bias = self._classifier_views(store.segments["classifier"])
         logits = features @ w + bias
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -236,15 +239,11 @@ class HybridModel:
             recon_patches, dec_cache = self.autoencoder.decode(store.segments["autoencoder"], angles)
             out["reconstruction"] = unpatchify(recon_patches.reshape(tiles.shape))
             if with_caches:
-                out["recon_patches"] = recon_patches
                 out["dec_cache"] = dec_cache
         else:
             out["reconstruction"] = None
         if with_caches:
-            out["patches"] = patches
-            out["enc_cache"] = enc_cache
-            out["psi"] = psi
-            out["data"] = data
+            out.update(psi=psi, enc_cache=enc_cache, ev_cache=ev_cache)
         return out
 
     def forward_chunks(self, images: np.ndarray, store: ParameterStore):
@@ -290,15 +289,13 @@ class HybridModel:
         cotangents = dlogits @ w.T
 
         # quantum path, chaining into the encoder through the data slots
-        grad_quantum, data_grads = self.evaluator.backward(
-            out["psi"], out["data"], store.segments["quantum"], cotangents
-        )
+        grad_quantum, data_grads = self.evaluator.backward(out["ev_cache"], store.segments["quantum"], cotangents)
         dangles = data_grads.reshape(-1, cfg.features)
 
         if cfg.reconstruction_enabled:
             l_mse = reconstruction_loss(images, out["reconstruction"])
             scale = cfg.alpha * 2.0 / (batch * cfg.image_size**2 * cfg.channels)
-            dout = scale * (out["recon_patches"] - out["patches"])
+            dout = scale * (out["dec_cache"]["sig"] - out["enc_cache"]["patches"])
             grad_ae, dangles_recon = self.autoencoder.decode_backward(
                 store.segments["autoencoder"], out["dec_cache"], dout
             )

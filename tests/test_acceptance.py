@@ -130,7 +130,7 @@ def test_criterion_4_gradient_suite():
         cot = rng.normal(size=ev.num_features)
 
         def qloss(p):
-            _, feats = ev.forward(data[None, :], p)
+            _, feats, _ = ev.forward(data[None, :], p)
             return float(feats[0] @ cot)
 
         got = sv.adjoint_gradients(ev.program, data, params, ev.operators, cot)
@@ -145,7 +145,7 @@ def test_criterion_4_gradient_suite():
     cot12 = rng.normal(size=64)
 
     def qloss12(p):
-        _, feats = ev12.forward(data12[None, :], p)
+        _, feats, _ = ev12.forward(data12[None, :], p)
         return float(feats[0] @ cot12)
 
     got12 = sv.adjoint_gradients(ev12.program, data12, params12, ev12.operators, cot12)

@@ -59,13 +59,13 @@ def test_encoding_prefix_replays_to_the_oracle_state():
         )
         assert np.max(np.abs(got[row] - want)) <= 1e-10
     sv.run_compiled(ev.compiled[n_enc:], got, data, params)
-    amps, _ = ev.forward(data, params)
+    amps, _, _ = ev.forward(data, params)
     assert np.max(np.abs(got - amps)) <= 1e-10
 
 
 def test_extraction_suffix_sweep_gives_the_full_parameter_gradient():
     ev, n_enc, data, params, rng = _setup()
-    amps, _ = ev.forward(data, params)
+    amps, _, _ = ev.forward(data, params)
     bra = amps * rng.normal(size=amps.shape)  # any cotangent state does: only the sweeps are compared
     whole, _ = sv.adjoint_sweep(ev.compiled, amps, bra, data, params, ev.program.param_arity)
     suffix, _ = sv.adjoint_sweep(ev.compiled[n_enc:], amps, bra, data, params, ev.program.param_arity)
@@ -100,8 +100,8 @@ def test_evaluator_sweeps_run_no_data_bound_op(monkeypatch):
             return real(compiled, *args, **kwargs)
 
         monkeypatch.setattr(sv, name, spy)
-    amps, _ = ev.forward(data, params)
-    ev.backward(amps, data, params, rng.normal(size=(ROWS, ev.num_features)))
+    _, _, cache = ev.forward(data, params)
+    ev.backward(cache, params, rng.normal(size=(ROWS, ev.num_features)))
     assert {name for name, _ in swept} == {"run_compiled", "unapply_compiled"}
     assert all(cg.angle is None or cg.angle[0] != "data" for _, compiled in swept for cg in compiled)
 

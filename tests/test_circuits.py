@@ -291,16 +291,43 @@ class TestQuantumForward:
         with pytest.raises(ValueError):
             qc.quantum_forward(CANONICAL, np.zeros((4, 4, 9)), np.zeros(198))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        processed = np.zeros((4, 4, 3))
+        processed[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            qc.quantum_forward(SMALL, processed, np.zeros(qc.resource_report(SMALL).trainable_quantum_params))
+
 
 class TestEvaluatorBackward:
+    def _forward(self, seed):
+        rng = np.random.default_rng(seed)
+        ev = qc.get_evaluator(SMALL)
+        params = rng.uniform(0, 2 * np.pi, ev.program.param_arity)
+        amps, _, cache = ev.forward(rng.uniform(0, np.pi, (3, ev.program.data_arity)), params)
+        return ev, params, rng.normal(size=(3, ev.num_features)), amps, cache
+
+    def test_backward_leaves_the_forward_amplitudes_unchanged(self):
+        ev, params, cot, amps, cache = self._forward(61)
+        kept = amps.copy()
+        ev.backward(cache, params, cot)
+        assert np.array_equal(amps, kept)
+
+    def test_second_backward_on_one_cache_raises(self):
+        # the cached measured state becomes the first backward's bra
+        ev, params, cot, _, cache = self._forward(67)
+        ev.backward(cache, params, cot)
+        with pytest.raises(KeyError):
+            ev.backward(cache, params, cot)
+
     def test_param_gradients_match_general_adjoint(self):
         rng = np.random.default_rng(47)
         ev = qc.get_evaluator(SMALL)
         data = rng.uniform(0, np.pi, ev.program.data_arity)
         params = rng.uniform(0, 2 * np.pi, ev.program.param_arity)
         cot = rng.normal(size=ev.num_features)
-        amps, _ = ev.forward(data[None, :], params)
-        got, _ = ev.backward(amps, data[None, :], params, cot[None, :])
+        _, _, cache = ev.forward(data[None, :], params)
+        got, _ = ev.backward(cache, params, cot[None, :])
         want = sv.adjoint_gradients(ev.program, data, params, ev.operators, cot)
         assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -312,11 +339,11 @@ class TestEvaluatorBackward:
         cot = rng.normal(size=ev.num_features)
 
         def loss(d):
-            _, feats = ev.forward(d[None, :], params)
+            _, feats, _ = ev.forward(d[None, :], params)
             return float(feats[0] @ cot)
 
-        amps, _ = ev.forward(data[None, :], params)
-        _, dgrads = ev.backward(amps, data[None, :], params, cot[None, :])
+        _, _, cache = ev.forward(data[None, :], params)
+        _, dgrads = ev.backward(cache, params, cot[None, :])
         want = oracles.central_differences(loss, data, eps=1e-4)
         assert oracles.relative_error(dgrads[0], want) <= 1e-5
 
@@ -399,8 +426,8 @@ def test_measurement_table_matches_per_operator_expectations_and_gradients():
     data = rng.uniform(0, np.pi, (2, ev.program.data_arity))
     params = rng.uniform(0, 2 * np.pi, ev.program.param_arity)
     cot = rng.normal(size=(2, ev.num_features))
-    amps, features = ev.forward(data, params)
-    got, _ = ev.backward(amps, data, params, cot)
+    _, features, cache = ev.forward(data, params)
+    got, _ = ev.backward(cache, params, cot)
     want = np.zeros(ev.program.param_arity)
     for row in range(2):
         state = sv.run_circuit(ev.program, data[row], params)
@@ -424,7 +451,7 @@ class TestClosedFormEncoding:
         ev = qc.QuantumEvaluator(config)
         data = rng.uniform(-np.pi, np.pi, (rows, ev.program.data_arity))
         # no kernel register and zero parameters: the extraction is the identity
-        amps, _ = ev.forward(data, np.zeros(ev.program.param_arity))
+        amps, _, _ = ev.forward(data, np.zeros(ev.program.param_arity))
         n_enc = len(qc.build_encoding(config, ev.layout).instructions)
         replay = np.zeros_like(amps)
         replay[:, 0] = 1.0
@@ -442,8 +469,8 @@ class TestClosedFormEncoding:
         data = rng.uniform(-np.pi, np.pi, (2, ev.program.data_arity))
         params = rng.uniform(0, 2 * np.pi, ev.program.param_arity)
         cot = rng.normal(size=(2, ev.num_features))
-        amps, _ = ev.forward(data, params)
-        got_params, got_data = ev.backward(amps, data, params, cot)
+        _, _, cache = ev.forward(data, params)
+        got_params, got_data = ev.backward(cache, params, cot)
 
         def loss(d, p):
             return float(np.sum(ev.forward(d, p)[1] * cot))
@@ -527,7 +554,7 @@ class TestFusedSchedule:
         data = rng.uniform(-np.pi, np.pi, (rows, config.data_arity))
         params = rng.uniform(0, 2 * np.pi, arity)
         cot = rng.normal(size=(rows, ev.num_features))
-        amps, features = ev.forward(data, params)
+        amps, features, cache = ev.forward(data, params)
         full = np.zeros_like(amps)
         full[:, 0] = 1.0
         sv.run_compiled(ev.compiled, full, data, params)
@@ -540,7 +567,7 @@ class TestFusedSchedule:
                 bra[row] += c * sv.apply_measurement_operator(state, op)
             direct = [sv.expectation(state, op) for op in ev.operators]
             assert np.max(np.abs(features[row] - direct)) <= 1e-10
-        got, _ = ev.backward(amps, data, params, cot)
+        got, _ = ev.backward(cache, params, cot)
         want, _ = sv.adjoint_sweep(ev.compiled[n_enc:], full, bra, data, params, arity)
         assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -591,7 +618,7 @@ class TestSegmentSchedule:
         data = rng.uniform(-np.pi, np.pi, (rows, config.data_arity))
         params = rng.uniform(0, 2 * np.pi, arity)
         cot = rng.normal(size=(rows, ev.num_features))
-        amps, _ = ev.forward(data, params)
+        amps, _, cache = ev.forward(data, params)
         n = ev.layout.total_qubits
         bra = np.stack([
             sum(c * sv.apply_measurement_operator(sv.QuantumState(n, row), op)
@@ -600,7 +627,7 @@ class TestSegmentSchedule:
         ])
         # the fused extraction ops, then the encoding gate list for the data gradients
         want = sv.unapply_compiled(ev.compiled[:n_enc] + ev._ops, amps.copy(), bra, data, params, arity)
-        got = ev.backward(amps, data, params, cot)
+        got = ev.backward(cache, params, cot)
         for got_grads, want_grads in zip(got, want):
             assert got_grads.shape == want_grads.shape and np.max(np.abs(want_grads)) > 1e-3
             assert np.max(np.abs(got_grads - want_grads)) <= 1e-10

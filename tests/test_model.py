@@ -191,6 +191,28 @@ class TestBackward:
         for seg in qm.SEGMENTS:
             assert np.allclose(single[seg], doubled[seg], rtol=1e-11, atol=1e-13)
 
+    def test_one_step_runs_the_unit_states_once_and_the_h_layer_twice(self, small_model, monkeypatch):
+        # the backward reads the unit states and the measured state from the forward's cache
+        rng = np.random.default_rng(8)
+        images = rng.uniform(0, 1, (2, 16, 16, 2))
+        store = random_store(small_model, rng)
+        ev, calls = small_model.evaluator, []
+        real_unit_states, real_run = circuits._unit_states, circuits.sv.run_compiled
+
+        def unit_states(angles):
+            calls.append("unit states")
+            return real_unit_states(angles)
+
+        def run_compiled(compiled, *args, **kwargs):
+            if compiled is ev._h_gates:
+                calls.append("H layer")
+            return real_run(compiled, *args, **kwargs)
+
+        monkeypatch.setattr(circuits, "_unit_states", unit_states)
+        monkeypatch.setattr(circuits.sv, "run_compiled", run_compiled)
+        small_model.loss_and_grads(images, np.array([0, 2]), store)
+        assert calls == ["unit states", "H layer", "H layer"]
+
 
 class TestAdam:
     def _store(self):

@@ -523,10 +523,10 @@ class TestSweepContract:
         data = rng.uniform(0, np.pi, (2, ev.program.data_arity))
         params = rng.uniform(0, 2 * np.pi, ev.program.param_arity)
         cot = rng.normal(size=(2, ev.num_features))
-        amps, _ = ev.forward(data, params)
+        amps, _, cache = ev.forward(data, params)
         bra = _cotangent_bras(amps, ev.operators, cot)
         got = sv.adjoint_sweep(ev.compiled, amps, bra, data, params, ev.program.param_arity)
-        want = ev.backward(amps, data, params, cot)
+        want = ev.backward(cache, params, cot)
         assert np.max(np.abs(got[0] - want[0])) <= 1e-10
         assert got[1].shape == want[1].shape == data.shape
         assert np.max(np.abs(got[1] - want[1])) <= 1e-10
@@ -542,12 +542,12 @@ class TestSweepContract:
         data = rng.uniform(-np.pi, np.pi, (rows, ev.program.data_arity))
         params = rng.uniform(0, 2 * np.pi, ev.program.param_arity)
         cot = rng.normal(size=(rows, ev.num_features))
-        amps, _ = ev.forward(data, params)
+        amps, _, cache = ev.forward(data, params)
         full = np.zeros_like(amps)
         full[:, 0] = 1.0
         sv.run_compiled(ev.compiled, full, data, params)
         assert np.max(np.abs(amps - full)) <= 1e-10
-        got_params, got_data = ev.backward(amps, data, params, cot)
+        got_params, got_data = ev.backward(cache, params, cot)
         want_params, want_data = sv.adjoint_sweep(ev.compiled, full, _cotangent_bras(full, ev.operators, cot),
                                                   data, params, ev.program.param_arity)
         assert np.max(np.abs(want_data)) > 1e-3
@@ -836,8 +836,8 @@ class TestColumnLayout:
         monkeypatch.setattr(np, "shares_memory", shares)
         data = rng.uniform(-np.pi, np.pi, (3, ev.config.data_arity))
         params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
-        amps, _ = ev.forward(data, params)
-        ev.backward(amps, data, params, rng.normal(size=(3, ev.num_features)))
-        # forward: three segments and the H layer; backward: two H layers, then
-        # ket and bra in each of the three segments
-        assert entries == exits == [True] * 12
+        _, _, cache = ev.forward(data, params)
+        ev.backward(cache, params, rng.normal(size=(3, ev.num_features)))
+        # forward: three segments and the H layer; backward: one H layer on
+        # the cached measured state, then ket and bra in each of the three segments
+        assert entries == exits == [True] * 11
