@@ -99,15 +99,6 @@ def make_layout(config: CircuitConfig) -> RegisterLayout:
     return RegisterLayout(*regs)
 
 
-def _x_qubit(layout: RegisterLayout, g: int, b: int) -> int:
-    """Qubit carrying bit x_b (b-th least significant bit of the row index)."""
-    return layout.q_l[g - b]
-
-
-def _y_qubit(layout: RegisterLayout, g: int, b: int) -> int:
-    return layout.q_l[2 * g - b]
-
-
 def _location_controls(layout: RegisterLayout, g: int, x: int, y: int) -> tuple:
     controls = []
     for j in range(g):
@@ -143,16 +134,21 @@ def build_encoding(config: CircuitConfig, layout: RegisterLayout) -> CircuitProg
     return CircuitProgram(layout.total_qubits, instrs, data_arity=config.data_arity, param_arity=0)
 
 
+def _cz_signs(num_qubits: int) -> np.ndarray:
+    """Sign of the all-pairs CZ on each basis state of ``num_qubits`` qubits:
+    (-1)^(k(k-1)/2), one flip per pair of set bits, for Hamming weight k."""
+    weight = np.array([k.bit_count() for k in range(1 << num_qubits)])
+    return (-1.0) ** (weight * (weight - 1) // 2)
+
+
 def cz_sign_pattern(v_amplitudes) -> np.ndarray:
     """Sign action of the all-pairs CZ on a 3-qubit value register:
     (a,b,c,d,e,f,g,h) -> (a,b,c,-d,e,-f,-g,-h)."""
     v = np.asarray(v_amplitudes, dtype=np.complex128)
     if v.shape != (8,):
         raise ValueError("value register must have 8 amplitudes (3 qubits)")
-    out = v.copy()
-    for idx in range(8):
-        if idx.bit_count() >= 2:
-            out[idx] = -out[idx]
+    out, flip = v.copy(), _cz_signs(3) < 0
+    out[flip] = -out[flip]
     return out
 
 
@@ -176,7 +172,7 @@ def build_feature_extraction(config: CircuitConfig, layout: RegisterLayout) -> C
     for q in layout.q_v:
         unit(q)
     for b in range(1, config.num_blocks + 1):
-        xq, yq = _x_qubit(layout, g, b), _y_qubit(layout, g, b)
+        xq, yq = layout.q_l[g - b], layout.q_l[2 * g - b]  # x_b and y_b, each axis's b-th least significant bit
         chain = ((layout.q_f[b - 2], 1),) if b > 1 else ()
         for v in range(nv):
             if config.lwm_enabled:
@@ -243,20 +239,19 @@ class QuantumEvaluator:
     with each run of uncontrolled units (the head's H and value-qubit units,
     each block's LWM pair, the tail units) fused into one dense block by
     ``sv.fuse_layers``: 67 ops become 56 on the canonical circuit. The states
-    are the columns of a C-contiguous (2^k, batch) array, swept in place
-    through its transpose. Each feature qubit, one of the top M, stays |0>
-    until the first op that touches it, so ``forward`` starts at 2^(n-M)
-    amplitudes per state and zero-pads the columns to twice their length at
-    each such cut. ``forward`` returns the full states after the extraction
-    as the (batch, 2^n) transpose of the columns, the features, and a cache:
-    the columns, the measured state phi and the value qubits' unit states
-    with their angle derivatives. ``backward`` takes phi out of the cache as
-    its bra, so one cache serves one backward, and un-applies the segments
-    in reverse on one copy of the columns, keeping the leading half of ket
-    and bra (a contiguous view) after each. ``program`` and
-    ``compiled`` hold the whole program, encoding first, unfused, as the
-    per-unit gate-list reference, and ``operators`` the measurement family;
-    the three are built on first use.
+    are the columns of one zeroed C-contiguous (2^n, batch) array, swept in
+    place through its transpose. Each feature qubit, one of the top M, stays
+    |0> until the first op that touches it, so ``forward`` runs each segment
+    of ops on the leading 2^(n-M), 2^(n-M+1), ... rows, a contiguous view.
+    It returns the final states as the (batch, 2^n) transpose of the
+    columns, the features, and a cache: the columns, the measured state phi
+    and the value qubits' unit states with their angle derivatives.
+    ``backward`` consumes the cache: it un-applies the segments in reverse
+    on the cached columns as its ket and on phi as its bra, in place on the
+    same leading views, so the returned states hold only until then.
+    ``program`` and ``compiled`` hold the whole program, encoding first,
+    unfused, as the per-unit gate-list reference, and ``operators`` the
+    measurement family; the three are built on first use.
 
     The measurement family of this circuit is diagonal after a Hadamard on
     every measured qubit: (I + sX)/2 = H |(1-s)/2><(1-s)/2| H. Expectations
@@ -290,8 +285,7 @@ class QuantumEvaluator:
         # Row s lists superpixel s's amplitudes of the encoded state, column
         # bit j on value qubit j; the scale is each column's CZ sign / 2^g.
         self._encoding_table = sv.basis_indices(self.layout.q_l)[:, None] | sv.basis_indices(self.layout.q_v[::-1])[None, :]
-        weight = np.array([k.bit_count() for k in range(1 << config.value_qubits)])
-        self._encoding_scale = (-1.0) ** (weight * (weight - 1) // 2) / config.grid_size
+        self._encoding_scale = _cz_signs(config.value_qubits) / config.grid_size
 
     @cached_property
     def program(self) -> CircuitProgram:
@@ -317,14 +311,10 @@ class QuantumEvaluator:
         branch = states[:, 0]
         for n in range(1, self.config.value_qubits):  # value qubit n on bit n of the leading axis
             branch = (states[:, None, n] * branch[None]).reshape((-1,) + branch.shape[1:])
-        cols = np.zeros((self._segments[0][0], data.shape[0]), dtype=np.complex128)
+        cols = np.zeros((self._segments[-1][0], data.shape[0]), dtype=np.complex128)
         cols[self._encoding_table] = branch.transpose(2, 0, 1) * self._encoding_scale[:, None]
-        for width, start, stop in self._segments:
-            if len(cols) < width:  # the next feature qubit enters in |0>
-                grown = np.zeros((width, cols.shape[1]), dtype=np.complex128)
-                grown[: len(cols)] = cols
-                cols = grown
-            sv.run_compiled(self._ops[start:stop], cols.T, None, params)
+        for width, start, stop in self._segments:  # rows past width stay zero: their feature qubit is |0>
+            sv.run_compiled(self._ops[start:stop], cols[:width].T, None, params)
         phi = cols.copy()
         sv.run_compiled(self._h_gates, phi.T)
         probs = phi.real**2 + phi.imag**2
@@ -339,7 +329,7 @@ class QuantumEvaluator:
         per-row gradient with respect to every data slot.
         """
         cotangents = np.atleast_2d(np.asarray(cotangents, dtype=np.float64))
-        ket, bra = cache["cols"].copy(), cache.pop("phi")
+        ket, bra = cache.pop("cols"), cache.pop("phi")
         weights = np.zeros(bra.shape)
         weights[self._table] = (2.0 * self.num_features) * cotangents.T[:, None, :]
         bra *= weights

@@ -22,7 +22,17 @@ from .errors import ConfigError, DataError, DivergenceError
 METRICS_HEADER = "epoch,l_ce,l_mse,loss,train_acc,val_loss,val_acc"
 CONFIG_FORMAT_VERSION = 1
 _MODEL_KEYS = tuple(f.name for f in fields(qm.ModelConfig))
-_RUN_ONLY_KEYS = ("data", "out", "deterministic", "train_fraction", "minority", "pad_to")
+# what a config file's run-only keys must hold, by JSON type (null leaves a key unset)
+_RUN_ONLY_KINDS = {
+    "data": ("a path string", lambda v: type(v) is str),
+    "out": ("a path string", lambda v: type(v) is str),
+    "deterministic": ("a bool", lambda v: type(v) is bool),
+    "train_fraction": ("a number", lambda v: type(v) in (int, float)),
+    "minority": ("a [class, fraction] pair",
+                 lambda v: type(v) is list and [*map(type, v)] in ([int, int], [int, float])),
+    "pad_to": ("an int", lambda v: type(v) is int),
+}
+_RUN_ONLY_KEYS = tuple(_RUN_ONLY_KINDS)
 # model flags are spelled like their ModelConfig field, except these two
 _FLAG_NAMES = {"num_classes": "classes", "learning_rate": "lr"}
 _FLAG_HELP = {
@@ -56,6 +66,9 @@ def _load_config_file(path) -> dict:
     unknown = set(raw) - set(_MODEL_KEYS) - set(_RUN_ONLY_KEYS) - {"format_version"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, (kind, holds) in _RUN_ONLY_KINDS.items():
+        if raw.get(key) is not None and not holds(raw[key]):
+            raise ConfigError(f"{key} must be {kind}, got {raw[key]!r:.40}")
     return raw
 
 def _run_config(args) -> dict:

@@ -52,13 +52,6 @@ class SyntheticSpec:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
-    def split_counts(self) -> dict:
-        return {
-            "train": self.train_samples,
-            "validation": self.validation_samples,
-            "test": self.test_samples,
-        }
-
 
 def channel_range(images: np.ndarray) -> np.ndarray:
     """Per-channel (min, max) pairs, shape (channels, 2)."""
@@ -140,10 +133,11 @@ def read_manifest(directory) -> dict:
         isinstance(norm, list)
         and len(norm) == shape[2]
         and all(isinstance(pair, list) and len(pair) == 2 for pair in norm)
-        and all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max for pair in norm for v in pair)
+        and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for pair in norm for v in pair)
+        and all(lo <= hi for lo, hi in norm)
     ):
         raise DataError(
-            f"manifest normalization must hold one finite [min, max] pair for each of {shape[2]} channels"
+            f"manifest normalization must hold one finite [min, max] pair, min <= max, for each of {shape[2]} channels"
         )
     if not isinstance(manifest["splits"], dict):
         raise DataError("manifest splits is not a JSON object")
@@ -279,7 +273,7 @@ def generate_synthetic(spec: SyntheticSpec, directory) -> dict:
         bases.append(0.5 + 0.4 * np.sin(2 * np.pi * cycles * wave / n))
     splits = {}
     for split in SPLIT_ORDER:
-        count = spec.split_counts()[split]
+        count = getattr(spec, f"{split}_samples")
         labels = np.arange(count) % spec.num_classes
         images = np.empty((count, n, n, spec.channels), dtype=np.float64)
         for i in range(count):

@@ -28,17 +28,15 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOG_CLIP = 1e-12
 CHECKPOINT_MAGIC = "QVNCKPT1"
-# A training step holds three full (2**n, batch) complex column stacks at
-# once: the forward's final states and its measured state phi, both cached
-# for the backward, and the backward's one copy of the final states. The
-# backward weights phi in place as its cotangent bra, and un-applies bra and
-# copy segment by segment as leading views. The cached unit states and their
-# derivatives, the backward's real weights (freed before its sweeps) and the
-# temporaries of the ops come on top: a strided 2x2 op's half-stack pair
-# arrays, and a dense block's full-stack GEMM output. The forward's grow
-# step, where the last feature qubit enters, briefly holds 1.5 stacks (the
-# half-length columns and their zero-padded copy), below the backward's 3.
-STATE_COPIES = 3
+# A training step holds at most five full (2**n, batch) complex column stacks
+# at once (tracemalloc peak of one evaluator forward and backward: 3.55 on
+# the canonical 12 qubits at batch 50, 4.90 on 18 qubits at batch 2): the
+# forward's one zeroed stack of columns and its measured state phi, both
+# cached and un-applied in place by the backward as ket and bra; the cached
+# unit states with their angle derivatives (about 0.4 stacks on both); and one
+# uncontrolled un-apply's pair arrays plus temporaries, up to 2.5 stacks. The
+# forward alone peaks at 3.5 stacks on both.
+STATE_COPIES = 5
 STATE_BUDGET_BYTES = 2 << 30
 
 
@@ -243,7 +241,7 @@ class HybridModel:
         else:
             out["reconstruction"] = None
         if with_caches:
-            out.update(psi=psi, enc_cache=enc_cache, ev_cache=ev_cache)
+            out.update(psi=psi, enc_cache=enc_cache, ev_cache=ev_cache)  # psi holds until ev_cache's backward
         return out
 
     def forward_chunks(self, images: np.ndarray, store: ParameterStore):

@@ -538,18 +538,21 @@ def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, pa
             continue
         m00, m01, m10, m11 = m = _entries(cg, data, params)
         inverse = m00.conjugate(), m10.conjugate(), m01.conjugate(), m11.conjugate()  # the conjugate transpose
-        k, b = _apply_kernel(kc, cg, inverse), _apply_kernel(bc, cg, inverse)
-        if cg.angle is None or cg.angle[0] == "const":
+        if cg.angle is None or cg.angle[0] == "const":  # no gradient, so no pairs to keep
+            _apply_kernel(kc, cg, inverse)
+            _apply_kernel(bc, cg, inverse)
             continue
         # the pair overlap S_ij = sum conj(b_i) k_j: per row for a data slot, over the batch for parameters
         tag, slot = cg.angle
         generators = _unit_generators(params[slot], m) if cg.slots else _MATRICES[cg.kind][None]
+        k, b = _apply_kernel(kc, cg, inverse), _apply_kernel(bc, cg, inverse)
         if tag == "data":
             overlaps = np.array([[np.sum(np.conj(bi) * kj, axis=tuple(range(kj.ndim - 1))) for kj in k] for bi in b])
             data_grads[:, slot] += _derivative_dots(generators, overlaps)[0]
         else:
             overlaps = np.array([[np.vdot(bi, kj) for kj in k] for bi in b])
             param_grads[list(cg.slots or (slot,))] += _derivative_dots(generators, overlaps)
+        del k, b  # up to two stacks of pairs: free them before the next op's un-apply
     for rows, cols in ((ket, kc), (bra, bc)):
         if not np.shares_memory(cols, rows):
             rows[...] = cols.T

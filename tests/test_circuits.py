@@ -307,11 +307,24 @@ class TestEvaluatorBackward:
         amps, _, cache = ev.forward(rng.uniform(0, np.pi, (3, ev.program.data_arity)), params)
         return ev, params, rng.normal(size=(3, ev.num_features)), amps, cache
 
-    def test_backward_leaves_the_forward_amplitudes_unchanged(self):
+    def test_segments_and_unapplies_run_in_the_returned_amplitudes(self, monkeypatch):
+        # one zeroed stack per step: forward runs each segment on its leading
+        # rows, and backward un-applies that same stack in place as its ket
+        ev, stacks = qc.get_evaluator(SMALL), []
+        for name in ("run_compiled", "unapply_compiled"):
+            real = getattr(sv, name)
+
+            def spy(compiled, stack, *args, real=real, name=name):
+                if compiled is not ev._h_gates:
+                    stacks.append((name, stack))
+                return real(compiled, stack, *args)
+
+            monkeypatch.setattr(sv, name, spy)
         ev, params, cot, amps, cache = self._forward(61)
-        kept = amps.copy()
         ev.backward(cache, params, cot)
-        assert np.array_equal(amps, kept)
+        segments = len(ev._segments)
+        assert [name for name, _ in stacks] == ["run_compiled"] * segments + ["unapply_compiled"] * segments
+        assert all(np.shares_memory(stack, amps) for _, stack in stacks)
 
     def test_second_backward_on_one_cache_raises(self):
         # the cached measured state becomes the first backward's bra

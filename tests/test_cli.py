@@ -392,6 +392,35 @@ def test_mistyped_config_file_exits_2(tmp_path, capsys, content, message):
     assert err.startswith("config error:") and message in err
 
 
+@pytest.mark.parametrize("content", [
+    {"train_fraction": "0.5"}, {"train_fraction": [0.5]}, {"train_fraction": True},
+    {"pad_to": "32"}, {"pad_to": 16.5}, {"data": 5}, {"out": 7}, {"deterministic": "yes"},
+    {"minority": "0:0.5"}, {"minority": 0}, {"minority": [0.0, 0.5]}, {"minority": [0, 0.5, 1]},
+])
+def test_mistyped_run_only_key_in_a_config_file_exits_2_before_any_output(dataset_dir, tmp_path, capsys, content):
+    (key,) = content
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    flags = {"data": ["--data", str(dataset_dir)], "out": ["--out", str(out)]}
+    code = main(["train", "--config", str(path)] + [arg for name, args in flags.items() if name != key for arg in args])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: {key} must be ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    {"data": "d", "out": "o", "deterministic": True, "train_fraction": 1, "minority": [1, 0.5], "pad_to": 32},
+    dict.fromkeys(["data", "out", "deterministic", "train_fraction", "minority", "pad_to"]),
+])
+def test_well_typed_or_null_run_only_keys_in_a_config_file_are_accepted(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(content))
+    assert main(["resources", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_checkpoint_with_a_mistyped_config_field_exits_3(trained, dataset_dir, tmp_path, capsys):
     header, _, rest = (trained / "run0.ckpt").read_bytes().partition(b"\n")
     length = int(header.split()[1])

@@ -93,6 +93,17 @@ class TestNormalization:
         assert np.array_equal(alone["test"][0], full["test"][0])
         assert np.array_equal(alone["test"][1], full["test"][1])
 
+    @pytest.mark.parametrize("pair", [[True, False], [1.0, 0.0], [0, "1"]])
+    def test_malformed_pair_is_a_data_error(self, tmp_path, pair):
+        # bools are JSON numbers to isinstance; min > max would load every image as zeros
+        dataio.generate_synthetic(small_spec(), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["normalization"][1] = pair
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="normalization"):
+            dataio.load_dataset(tmp_path)
+
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         imgs = rng.uniform(-2, 5, (10, 4, 4, 3))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -410,10 +411,32 @@ def test_seed_must_be_non_negative():
 
 
 def test_state_stacks_over_the_budget_rejected_before_any_allocation():
-    # 20 qubits (g=7, E=9, M=2, K=2): STATE_COPIES stacks of 16 MiB per row fit 42 rows in 2 GiB
-    assert qm.ModelConfig(image_size=512, batch_size=42).circuit_config().grid_log == 7
-    with pytest.raises(ConfigError, match="batch_size 43 on 20 qubits"):
-        qm.ModelConfig(image_size=512, batch_size=43)
+    # 20 qubits (g=7, E=9, M=2, K=2): STATE_COPIES stacks of 16 MiB per row fit 25 rows in 2 GiB
+    assert qm.ModelConfig(image_size=512, batch_size=25).circuit_config().grid_log == 7
+    with pytest.raises(ConfigError, match="batch_size 26 on 20 qubits"):
+        qm.ModelConfig(image_size=512, batch_size=26)
     with pytest.raises(ConfigError, match="batch_size 50 on 22 qubits"):
         qm.ModelConfig(image_size=1024)
     qm.ModelConfig(image_size=1024, batch_size=1)
+
+
+# 18 qubits at batch 2, where no LWM pair fuses into a block, so an unfused
+# un-apply's pairs scale with the stack; and the canonical 12 qubits at batch 50
+@pytest.mark.parametrize("config, rows", [(circuits.CircuitConfig(6, 9, 2, 2), 2),
+                                          (circuits.CircuitConfig(3, 9, 2, 2), 50)])
+def test_one_evaluator_step_holds_at_most_state_copies_stacks(config, rows):
+    rng = np.random.default_rng(31)
+    ev = circuits.QuantumEvaluator(config)
+    data = rng.uniform(0, np.pi, (rows, config.data_arity))
+    params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
+    cot = rng.normal(size=(rows, ev.num_features))
+    tracemalloc.start()
+    try:
+        # held through the backward, as loss_and_grads holds forward_batch's psi
+        amps, features, cache = ev.forward(data, params)
+        ev.backward(cache, params, cot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert amps.shape == (rows, 1 << ev.layout.total_qubits) and features.shape == (rows, ev.num_features)
+    assert peak <= qm.STATE_COPIES * rows * (16 << ev.layout.total_qubits)
