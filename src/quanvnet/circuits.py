@@ -240,15 +240,15 @@ class QuantumEvaluator:
     each block's LWM pair, the tail units) fused into one dense block by
     ``sv.fuse_layers``: 67 ops become 56 on the canonical circuit. The states
     are the columns of one zeroed C-contiguous (2^n, batch) array, swept in
-    place through its transpose. Each feature qubit, one of the top M, stays
-    |0> until the first op that touches it, so ``forward`` runs each segment
-    of ops on the leading 2^(n-M), 2^(n-M+1), ... rows, a contiguous view.
+    place through its transpose. Qubits above the highest one the ops have
+    touched so far are still |0>: ``forward`` runs each segment of ops, cut
+    where that qubit rises, on the leading rows that hold it, a view.
     It returns the final states as the (batch, 2^n) transpose of the
     columns, the features, and a cache: the columns, the measured state phi
     and the value qubits' unit states with their angle derivatives.
-    ``backward`` consumes the cache: it un-applies the segments in reverse
-    on the cached columns as its ket and on phi as its bra, in place on the
-    same leading views, so the returned states hold only until then.
+    ``backward`` consumes the cache: it weights phi in place as its bra and
+    un-applies the segments in reverse on it and on the cached columns as its
+    ket, in place on the same views, so the returned states last until then.
     ``program`` and ``compiled`` hold the whole program, encoding first,
     unfused, as the per-unit gate-list reference, and ``operators`` the
     measurement family; the three are built on first use.
@@ -266,22 +266,24 @@ class QuantumEvaluator:
         self.layout = make_layout(config)
         self.extraction = build_feature_extraction(config, self.layout)
         self._ops = sv.fuse_layers(sv.compile_program(self.extraction))
-        # (stack width, first op, end op) per part of the schedule, cut where
-        # each feature qubit is first touched; they must enter in order.
+        # (stack width, first op, end op) per part of the schedule: a part starts
+        # where the highest qubit touched so far, at least q_f[0] - 1, rises.
         n = self.layout.total_qubits
-        cuts = [next(i for i, op in enumerate(self._ops) if q in _op_qubits(op)) for q in self.layout.q_f]
-        if cuts != sorted(cuts):
-            raise ValueError(f"feature qubits must enter in block order, first touched at ops {cuts}")
-        widths = [1 << q for q in self.layout.q_f] + [1 << n]
-        self._segments = tuple(zip(widths, [0] + cuts, cuts + [len(self._ops)]))
+        tops = np.maximum.accumulate([self.layout.q_f[0] - 1] + [_top_qubit(op) for op in self._ops])
+        starts = [i for i in range(len(self._ops)) if i == 0 or tops[i + 1] > tops[i]]
+        self._segments = tuple((2 << int(tops[i + 1]), i, j) for i, j in zip(starts, starts[1:] + [len(self._ops)]))
 
         order = measured_qubit_order(config, self.layout)
         rest = tuple(q for q in range(n) if q not in order)
         self._h_gates = sv.fuse_layers(sv.compile_program(CircuitProgram(n, [GateInstruction("H", q) for q in order])))
         # Row i lists the amplitudes whose measured bits read (i, 1), order[0]
         # most significant, over the unmeasured bits with rest[0] most
-        # significant: the order the features' marginal sums run in.
+        # significant: the order the features' marginal sums run in. They are
+        # the upper half (q_f[-1], the top qubit, is 1), whose axes, highest
+        # qubit first, ``_upper_axes`` puts in that order for ``_cot_shape``.
         self._table = sv.basis_indices(order)[1::2, None] | sv.basis_indices(rest)[None, :]
+        self._upper_axes = tuple(n - 2 - q for q in order[:-1] + rest) + (n - 1,)
+        self._cot_shape = (2,) * (len(order) - 1) + (1,) * len(rest) + (-1,)
         # Row s lists superpixel s's amplitudes of the encoded state, column
         # bit j on value qubit j; the scale is each column's CZ sign / 2^g.
         self._encoding_table = sv.basis_indices(self.layout.q_l)[:, None] | sv.basis_indices(self.layout.q_v[::-1])[None, :]
@@ -311,9 +313,9 @@ class QuantumEvaluator:
         branch = states[:, 0]
         for n in range(1, self.config.value_qubits):  # value qubit n on bit n of the leading axis
             branch = (states[:, None, n] * branch[None]).reshape((-1,) + branch.shape[1:])
-        cols = np.zeros((self._segments[-1][0], data.shape[0]), dtype=np.complex128)
+        cols = np.zeros((1 << self.layout.total_qubits, data.shape[0]), dtype=np.complex128)
         cols[self._encoding_table] = branch.transpose(2, 0, 1) * self._encoding_scale[:, None]
-        for width, start, stop in self._segments:  # rows past width stay zero: their feature qubit is |0>
+        for width, start, stop in self._segments:  # rows past width stay zero: every qubit above is |0>
             sv.run_compiled(self._ops[start:stop], cols[:width].T, None, params)
         phi = cols.copy()
         sv.run_compiled(self._h_gates, phi.T)
@@ -330,13 +332,11 @@ class QuantumEvaluator:
         """
         cotangents = np.atleast_2d(np.asarray(cotangents, dtype=np.float64))
         ket, bra = cache.pop("cols"), cache.pop("phi")
-        weights = np.zeros(bra.shape)
-        weights[self._table] = (2.0 * self.num_features) * cotangents.T[:, None, :]
-        bra *= weights
-        del weights  # half a stack's bytes: free them before the sweeps' temporaries
+        bra[: len(bra) // 2] = 0
+        upper = bra[len(bra) // 2 :].reshape((2,) * (len(self._upper_axes) - 1) + (-1,)).transpose(self._upper_axes)
+        upper *= (2.0 * self.num_features) * cotangents.T.reshape(self._cot_shape)
         sv.run_compiled(self._h_gates, bra.T)
-        # Before each feature qubit's first op the ket's half with that qubit
-        # at 1 is zero and no earlier op reads it: keep the other half.
+        # Rows past a segment's width are zero before it, and no earlier op reads them.
         param_grads = np.zeros(self.extraction.param_arity)
         for width, start, stop in reversed(self._segments):
             ket, bra = ket[:width], bra[:width]
@@ -363,11 +363,11 @@ class QuantumEvaluator:
         return np.moveaxis(angles, (3, 2), (0, 1))
 
 
-def _op_qubits(op) -> set:
-    """Target and controls of an op, or a block's whole span."""
+def _top_qubit(op) -> int:
+    """Highest qubit an op touches: its target or a control, or a block's top."""
     if op.kind == "B":
-        return set(range(op.low, op.low + len(op.factors)))
-    return {op.target, *dict(op.controls)}
+        return op.low + len(op.factors) - 1
+    return max((op.target, *dict(op.controls)))
 
 
 def _unit_states(angles: np.ndarray) -> tuple:

@@ -115,8 +115,9 @@ def _seed(merged: dict) -> int:
     return seed
 
 
-def _load_data(merged: dict, needed: tuple) -> dict:
-    """The dataset's splits in ``needed``; each must hold samples."""
+def _load_data(merged: dict, needed: tuple, num_classes: int, reader: str) -> dict:
+    """The dataset's splits in ``needed``; each must hold samples, and a
+    label past the ``num_classes`` of ``reader`` is a config error."""
     if not merged.get("data"):
         raise ConfigError("--data is required")
     data_dir = Path(merged["data"])
@@ -133,6 +134,8 @@ def _load_data(merged: dict, needed: tuple) -> dict:
     for split in needed:
         if data[split][1].size == 0:
             raise DataError(f"the {split} split of {data_dir} holds no samples")
+    if max(int(data[split][1].max()) for split in needed) >= num_classes:
+        raise ConfigError(f"dataset has more classes than {reader}")
     return data
 
 
@@ -151,7 +154,7 @@ def _write_metrics_csv(path: Path, rows) -> None:
 def cmd_train(args) -> int:
     merged = _run_config(args)
     config = _model_config(merged)
-    data = _load_data(merged, dataio.SPLIT_ORDER)
+    data = _load_data(merged, dataio.SPLIT_ORDER, config.num_classes, f"the model's {config.num_classes}")
     out = _require_out(merged)
     model = qm.HybridModel(config)
     _echo_config(merged, out)
@@ -184,7 +187,7 @@ def _checkpoint_and_split(args, merged: dict):
     of ``--data``; a dataset the checkpoint cannot read, by image shape or
     class count, is a config error."""
     store, config = qm.load_checkpoint(args.checkpoint)
-    images, labels = _load_data(merged, (args.split,))[args.split]
+    images, labels = _load_data(merged, (args.split,), config.num_classes, "the checkpoint")[args.split]
     model = qm.HybridModel(config)
     model.check_store(store)
     if images.shape[1:] != (config.image_size, config.image_size, config.channels):
@@ -192,8 +195,6 @@ def _checkpoint_and_split(args, merged: dict):
             f"checkpoint expects {(config.image_size, config.image_size, config.channels)} images, "
             f"dataset provides {images.shape[1:]}"
         )
-    if int(labels.max()) >= config.num_classes:
-        raise ConfigError("dataset has more classes than the checkpoint")
     return model, store, images, labels
 
 

@@ -51,6 +51,8 @@ class SyntheticSpec:
         for name in ("train_samples", "validation_samples", "test_samples", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.train_samples < 1:
+            raise ValueError("train_samples must be >= 1: the normalization constants come from the training split")
 
 
 def channel_range(images: np.ndarray) -> np.ndarray:
@@ -266,19 +268,13 @@ def generate_synthetic(spec: SyntheticSpec, directory) -> dict:
     n = spec.image_size
     rows, cols = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     cycles = 4.0  # grating frequency across the image
-    bases = []
-    for cls in range(spec.num_classes):
-        theta = cls * np.pi / spec.num_classes
-        wave = rows * np.cos(theta) + cols * np.sin(theta)
-        bases.append(0.5 + 0.4 * np.sin(2 * np.pi * cycles * wave / n))
+    theta = np.arange(spec.num_classes)[:, None, None] * np.pi / spec.num_classes
+    bases = 0.5 + 0.4 * np.sin(2 * np.pi * cycles * (rows * np.cos(theta) + cols * np.sin(theta)) / n)
     splits = {}
     for split in SPLIT_ORDER:
         count = getattr(spec, f"{split}_samples")
         labels = np.arange(count) % spec.num_classes
-        images = np.empty((count, n, n, spec.channels), dtype=np.float64)
-        for i in range(count):
-            base = bases[labels[i]][:, :, None]
-            noise = rng.uniform(-spec.noise, spec.noise, (n, n, spec.channels)) if spec.noise > 0 else 0.0
-            images[i] = np.clip(base + noise, 0.0, 1.0)
-        splits[split] = (images, labels)
+        # one draw per split; zero noise draws zeros, which leave the gratings as they are
+        noise = rng.uniform(-spec.noise, spec.noise, (count, n, n, spec.channels))
+        splits[split] = (np.clip(bases[labels][..., None] + noise, 0.0, 1.0), labels)
     return write_dataset(directory, f"synthetic-{spec.num_classes}class", splits, spec.num_classes)

@@ -29,13 +29,10 @@ ADAM_EPS = 1e-8
 LOG_CLIP = 1e-12
 CHECKPOINT_MAGIC = "QVNCKPT1"
 # A training step holds at most five full (2**n, batch) complex column stacks
-# at once (tracemalloc peak of one evaluator forward and backward: 3.55 on
-# the canonical 12 qubits at batch 50, 4.90 on 18 qubits at batch 2): the
-# forward's one zeroed stack of columns and its measured state phi, both
-# cached and un-applied in place by the backward as ket and bra; the cached
-# unit states with their angle derivatives (about 0.4 stacks on both); and one
-# uncontrolled un-apply's pair arrays plus temporaries, up to 2.5 stacks. The
-# forward alone peaks at 3.5 stacks on both.
+# at once at any batch size (tracemalloc peak of one evaluator forward and
+# backward: 4.13 on the canonical 12 qubits at batch 1, 3.50 at batch 50, 4.90
+# on 18 qubits at batch 2), unless the data outweighs the state: thin circuits
+# (E = 3, K = 1, M = 1) peak at up to 8.3 in the forward's unit states.
 STATE_COPIES = 5
 STATE_BUDGET_BYTES = 2 << 30
 

@@ -438,8 +438,11 @@ def _apply_block(cols: np.ndarray, blk: _Block, m: np.ndarray) -> np.ndarray:
 def _block_unit_overlaps(blk: _Block, b: np.ndarray, k: np.ndarray):
     """(slots, 2x2 overlap) for each unit of the block, from the batch-summed
     ``2^w x 2^w`` overlap ``S = sum conj(b) k^T`` of the block-shaped views,
-    reduced to the unit's qubit by a partial trace over the others."""
-    s = (np.conj(b) @ k.swapaxes(1, 2)).sum(axis=0)
+    reduced to the unit's qubit by a partial trace over the others. It sums
+    chunks of the outer axis, each conjugated on its own and within a quarter
+    of a view, so that no temporary grows with the qubits above the block."""
+    step = max(1, b.size // (4 * b.shape[1] * max(b.shape[1:])))
+    s = sum((np.conj(b[i : i + step]) @ k[i : i + step].swapaxes(1, 2)).sum(axis=0) for i in range(0, len(b), step))
     w = len(blk.factors)
     for p, f in enumerate(blk.factors):
         if isinstance(f, tuple):

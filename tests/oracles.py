@@ -143,6 +143,29 @@ def central_differences(f, x, eps=1e-4):
     return grad
 
 
+def shift_gradient(f, x, slots):
+    """Derivative of a scalar function in each flat entry ``slots`` of ``x``
+    by the four-term shift rule, from forward evaluations alone:
+    f' = d1 [f(t + pi/2) - f(t - pi/2)] - d2 [f(t + 3pi/2) - f(t - 3pi/2)],
+    d1 = (sqrt2 + 1) / (4 sqrt2), d2 = (sqrt2 - 1) / (4 sqrt2). It is exact
+    when the entry is the angle of one rotation exp(-i t A / 2), controlled
+    or not, whose generator has eigenvalues in {0, +-1/2}: the loss is then
+    a trigonometric polynomial in t with frequencies 0, 1/2 and 1 (Wierichs
+    et al. 2022, arXiv:2107.12390)."""
+    x = np.asarray(x, dtype=np.float64)
+    d1, d2 = (np.sqrt(2) + 1) / (4 * np.sqrt(2)), (np.sqrt(2) - 1) / (4 * np.sqrt(2))
+
+    def shifted(slot, delta):
+        moved = x.copy()
+        moved.flat[slot] += delta
+        return f(moved)
+
+    return np.array([
+        d1 * (shifted(i, np.pi / 2) - shifted(i, -np.pi / 2)) - d2 * (shifted(i, 1.5 * np.pi) - shifted(i, -1.5 * np.pi))
+        for i in slots
+    ])
+
+
 def relative_error(a, b):
     """Max componentwise |a-b| / max(1, |a|, |b|)."""
     a = np.asarray(a, dtype=np.float64)

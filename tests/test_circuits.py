@@ -453,7 +453,8 @@ def test_measurement_table_matches_per_operator_expectations_and_gradients():
 class TestClosedFormEncoding:
     """The evaluator builds the encoded state and its data-angle gradients in
     closed form; the gate-list encoding in ``compiled`` is the reference
-    (gradients against the full gate-list sweep: ``test_statevector.py``)."""
+    (gradients against the full gate-list sweep: ``test_statevector.py``),
+    and the shift rule and central differences check the gradients."""
 
     # value registers of 1 to 4 qubits (the CZ sign beyond E = 9) on grids 2x2 to 8x8
     @pytest.mark.parametrize("rows", [1, 7])
@@ -492,6 +493,12 @@ class TestClosedFormEncoding:
         want_params = oracles.central_differences(lambda p: loss(data, p), params)
         assert oracles.relative_error(got_data.reshape(-1), want_data) <= 1e-5
         assert oracles.relative_error(got_params, want_params) <= 1e-5
+        # the shift rule is exact on every slot: each binds one rotation
+        data_slots, param_slots = rng.choice(data.size, 12, replace=False), rng.choice(params.size, 12, replace=False)
+        want_data = oracles.shift_gradient(lambda d: loss(d, params), data, data_slots)
+        want_params = oracles.shift_gradient(lambda p: loss(data, p), params, param_slots)
+        assert oracles.relative_error(got_data.flat[data_slots], want_data) <= 1e-10
+        assert oracles.relative_error(got_params[param_slots], want_params) <= 1e-10
 
 
 class TestLazyReference:
@@ -616,9 +623,9 @@ class TestSegmentSchedule:
         assert [start for _, start, _ in ev._segments] == [0] + [stop for _, _, stop in ev._segments[:-1]]
         assert ev._segments[-1][2] == len(ev._ops)
         for b, (_, cut, _) in enumerate(ev._segments[1:]):
-            assert q_f[b] in qc._op_qubits(ev._ops[cut])
+            assert qc._top_qubit(ev._ops[cut]) == q_f[b]
             for op in ev._ops[:cut]:  # so none touches q_f[b:], the top qubits
-                assert max(qc._op_qubits(op)) < q_f[b]
+                assert qc._top_qubit(op) < q_f[b]
 
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("g,e,m,k,lwm", SCHEDULE_CONFIGS)
@@ -645,7 +652,7 @@ class TestSegmentSchedule:
             assert got_grads.shape == want_grads.shape and np.max(np.abs(want_grads)) > 1e-3
             assert np.max(np.abs(got_grads - want_grads)) <= 1e-10
 
-    def test_feature_qubits_out_of_block_order_rejected(self, monkeypatch):
+    def test_first_op_on_the_last_feature_qubit_runs_one_full_width_segment(self, monkeypatch):
         real = qc.build_feature_extraction
 
         def early_last_feature_qubit(config, layout):
@@ -654,5 +661,24 @@ class TestSegmentSchedule:
             return sv.CircuitProgram(prog.num_qubits, first + prog.instructions, param_arity=prog.param_arity)
 
         monkeypatch.setattr(qc, "build_feature_extraction", early_last_feature_qubit)
-        with pytest.raises(ValueError, match="block order"):
-            qc.QuantumEvaluator(qc.CircuitConfig(2, 3, 2, 4, False))
+        config = qc.CircuitConfig(2, 3, 2, 4, False)
+        ev = qc.QuantumEvaluator(config)
+        n = ev.layout.total_qubits
+        assert ev._segments == ((1 << n, 0, len(ev._ops)),)
+        rng = np.random.default_rng(1500)
+        data = rng.uniform(-np.pi, np.pi, (3, config.data_arity))
+        params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
+        cot = rng.normal(size=(3, ev.num_features))
+        amps, _, cache = ev.forward(data, params)
+        full = np.zeros_like(amps)
+        full[:, 0] = 1.0
+        sv.run_compiled(ev.compiled, full, data, params)
+        assert np.max(np.abs(amps - full)) <= 1e-10
+        bra = np.stack([
+            sum(c * sv.apply_measurement_operator(sv.QuantumState(n, row), op) for c, op in zip(cots, ev.operators))
+            for row, cots in zip(full, cot)
+        ])
+        want = sv.adjoint_sweep(ev.compiled, full, bra, data, params, ev.extraction.param_arity)
+        for got_grads, want_grads in zip(ev.backward(cache, params, cot), want):
+            assert got_grads.shape == want_grads.shape and np.max(np.abs(want_grads)) > 1e-3
+            assert np.max(np.abs(got_grads - want_grads)) <= 1e-10

@@ -253,6 +253,14 @@ class TestSynth:
         for f in sorted(p.name for p in a.iterdir()):
             assert (a / f).read_bytes() == (b / f).read_bytes()
 
+    def test_no_training_samples_exits_2(self, tmp_path, capsys):
+        code = main(["synth", "--classes", "3", "--image-size", "8", "--channels", "1",
+                     "--train-samples", "0", "--out", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("config error: train_samples must be >= 1: "
+                       "the normalization constants come from the training split\n")
+
     def test_synth_then_train(self, tmp_path, config_file):
         data = tmp_path / "data"
         assert main(["synth", "--classes", "3", "--image-size", "16", "--channels", "2",
@@ -489,6 +497,15 @@ def test_eval_and_analyze_on_more_classes_than_the_checkpoint_exit_2_without_out
     assert code == 2
     assert err == "config error: dataset has more classes than the checkpoint\n"
     assert not out.exists()
+
+
+def test_train_on_more_classes_than_the_model_exits_2_before_any_run(dataset_dir, config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(train_args(dataset_dir, config_file, out, "--classes", "2"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "config error: dataset has more classes than the model's 2\n"
+    assert not (out / "run0_metrics.csv").exists()
 
 
 @pytest.mark.parametrize("content, message", [

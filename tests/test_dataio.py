@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -145,6 +146,18 @@ class TestSynthetic:
         dataio.generate_synthetic(small_spec(), b)
         for f in sorted(p.name for p in a.iterdir()):
             assert (a / f).read_bytes() == (b / f).read_bytes()
+
+    def test_golden_digest(self, tmp_path):
+        # sha256 over the sorted file names and contents, computed with the
+        # per-sample generator this one replaced; the validation split is empty
+        spec = dataio.SyntheticSpec(num_classes=3, image_size=6, channels=2, train_samples=5,
+                                    validation_samples=0, test_samples=4, noise=0.2, seed=5)
+        dataio.generate_synthetic(spec, tmp_path)
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == "890134c83a2869ec8bc71a6a91b7358cde3ed17ad2c3eaf8c58a8f138996668b"
 
     def test_zero_noise_gives_identical_class_images(self, tmp_path):
         dataio.generate_synthetic(small_spec(noise=0.0), tmp_path)

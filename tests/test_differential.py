@@ -4,7 +4,8 @@ Hypothesis draws small circuit geometries (g 1-3, E 3-12, every valid M,
 K in {1, 2, 4}, LWM on and off, at most 13 qubits), a batch of 1-7 rows and
 random angles. The evaluator's closed-form encoding plus extraction sweep must
 agree with the whole gate list run op by op (``ev.compiled``) on amplitudes,
-features and gradients, and its gradients with central differences.
+features and gradients, and its gradients with central differences; a second
+net checks them against the four-term shift rule, from forwards alone.
 """
 
 import numpy as np
@@ -87,3 +88,27 @@ def test_evaluator_matches_the_gate_list_and_central_differences(case):
     for slot in rng.choice(data.size, 2, replace=False):
         want = _central_difference(lambda d: loss(d, params), data, slot)
         assert oracles.relative_error(got_data.flat[slot], want) <= 1e-5
+
+
+@settings(max_examples=30)
+@given(cases())
+def test_evaluator_gradients_match_the_shift_rule(case):
+    # exact from forwards alone, since each slot binds one rotation
+    config, rows, seed = case
+    rng = np.random.default_rng(seed)
+    ev = qc.get_evaluator(config)
+    data = rng.uniform(-np.pi, np.pi, (rows, config.data_arity))
+    params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
+    cot = rng.normal(size=(rows, ev.num_features))
+    _, _, cache = ev.forward(data, params)
+    got_params, got_data = ev.backward(cache, params, cot)
+
+    def loss(d, p):
+        return float(np.sum(ev.forward(d, p)[1] * cot))
+
+    slots = rng.choice(params.size, 2, replace=False)
+    want = oracles.shift_gradient(lambda p: loss(data, p), params, slots)
+    assert oracles.relative_error(got_params[slots], want) <= 1e-10
+    slots = rng.choice(data.size, 2, replace=False)
+    want = oracles.shift_gradient(lambda d: loss(d, params), data, slots)
+    assert oracles.relative_error(got_data.flat[slots], want) <= 1e-10

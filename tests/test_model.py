@@ -421,9 +421,13 @@ def test_state_stacks_over_the_budget_rejected_before_any_allocation():
 
 
 # 18 qubits at batch 2, where no LWM pair fuses into a block, so an unfused
-# un-apply's pairs scale with the stack; and the canonical 12 qubits at batch 50
+# un-apply's pairs scale with the stack; the canonical 12 qubits at batch 50;
+# and at batch 1, where a block's batch-summed overlap does not shrink with
+# the batch, the canonical 12 qubits and 17 qubits with 6-qubit blocks
 @pytest.mark.parametrize("config, rows", [(circuits.CircuitConfig(6, 9, 2, 2), 2),
-                                          (circuits.CircuitConfig(3, 9, 2, 2), 50)])
+                                          (circuits.CircuitConfig(3, 9, 2, 2), 50),
+                                          (circuits.CircuitConfig(3, 9, 2, 2), 1),
+                                          (circuits.CircuitConfig(4, 18, 1, 4), 1)])
 def test_one_evaluator_step_holds_at_most_state_copies_stacks(config, rows):
     rng = np.random.default_rng(31)
     ev = circuits.QuantumEvaluator(config)
