@@ -61,8 +61,10 @@ def reconstruction_loss(original: np.ndarray, reconstructed: np.ndarray) -> floa
 
 
 def _sigmoid(z):
-    e = np.exp(-np.abs(z))  # never overflows; equals the two-sided stable form bit for bit
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(z)  # exp(-|z|) never overflows; equals the two-sided stable form bit for bit
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.where(z >= 0, 1.0, e)
+    return np.divide(out, np.add(1.0, e, out=e), out=out)
 
 
 def _shifted(d, n):

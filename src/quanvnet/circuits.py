@@ -245,10 +245,11 @@ class QuantumEvaluator:
     where that qubit rises, on the leading rows that hold it, a view.
     It returns the final states as the (batch, 2^n) transpose of the
     columns, the features, and a cache: the columns, the measured state phi
-    and the value qubits' unit states with their angle derivatives.
-    ``backward`` consumes the cache: it weights phi in place as its bra and
-    un-applies the segments in reverse on it and on the cached columns as its
-    ket, in place on the same views, so the returned states last until then.
+    and the value qubits' unit states with their parts u = R_Y R_X|0> and
+    R_Z's phases. ``backward`` consumes the cache: it weights phi in place as
+    its bra and un-applies the segments in reverse on it and on the cached
+    columns as its ket, in place on the same views, so the returned states
+    last until then; it forms the angle derivatives from u and the phases.
     ``program`` and ``compiled`` hold the whole program, encoding first,
     unfused, as the per-unit gate-list reference, and ``operators`` the
     measurement family; the three are built on first use.
@@ -309,7 +310,7 @@ class QuantumEvaluator:
         """Simulate a batch of data rows; returns (final amplitudes, features,
         cache for ``backward``)."""
         data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        states, derivs = _unit_states(self._angles(data))
+        states, u, phase = _unit_states(self._angles(data))
         branch = states[:, 0]
         for n in range(1, self.config.value_qubits):  # value qubit n on bit n of the leading axis
             branch = (states[:, None, n] * branch[None]).reshape((-1,) + branch.shape[1:])
@@ -322,7 +323,7 @@ class QuantumEvaluator:
         probs = phi.real**2 + phi.imag**2
         # 2^m for the m measured qubits: one per feature index bit plus q_f's
         features = (2.0 * self.num_features) * probs[self._table].sum(axis=1)
-        return cols.T, features.T, {"cols": cols, "phi": phi, "states": states, "derivs": derivs}
+        return cols.T, features.T, {"cols": cols, "phi": phi, "states": states, "u": u, "phase": phase}
 
     def backward(self, cache: dict, params: np.ndarray, cotangents: np.ndarray):
         """Adjoint sweep from the cache of one ``forward``, which it consumes.
@@ -345,14 +346,19 @@ class QuantumEvaluator:
         # angle's gradient is 2 Re <bra| d(encoded state)/d angle>, and only
         # its superpixel's branch depends on it.
         nv = self.config.value_qubits
-        states, derivs = cache["states"], cache["derivs"]
+        states, u, phase = cache["states"], cache["u"], cache["phase"]
         conj = np.conj(bra[self._encoding_table].transpose(2, 0, 1)) * self._encoding_scale
         conj = conj.reshape(conj.shape[:2] + (2,) * nv)  # axis 1 + nv - n holds value qubit n
-        grads = np.empty(derivs.shape[:1] + states.shape[1:])
+        grads = np.empty((3,) + states.shape[1:])
         for n in range(nv):  # contract every other value qubit's state out of the branch
             others = [op for m in range(nv) if m != n for op in (states[:, m], [1 + nv - m, 0, 1])]
             env = np.einsum(conj, [0, 1, *range(2, 2 + nv)], *others, [1 + nv - n, 0, 1])
-            grads[:, n] = 2.0 * np.real(np.einsum("krs,ikrs->irs", env, derivs[:, :, n]))
+            # 2 Re <env| d(R_Z u)/d angle> for u = R_Y R_X|0>: du/da = i conj(u1, -u0)/2, du/db = (-u1, u0)/2,
+            # and R_Z's generator -iZ/2 commutes with it, so d(R_Z u)/dc = R_Z (-i)(u0, -u1)/2
+            (e0, e1), (u0, u1) = env * phase[:, n], u[:, n]
+            grads[0, n] = np.imag(e1 * np.conj(u0) - e0 * np.conj(u1))
+            grads[1, n] = np.real(e1 * u0 - e0 * u1)
+            grads[2, n] = np.imag(e0 * u0 - e1 * u1)
         return param_grads, np.moveaxis(grads, (0, 1), (3, 2)).reshape(grads.shape[2], -1)
 
     def _angles(self, data: np.ndarray) -> np.ndarray:
@@ -372,15 +378,12 @@ def _top_qubit(op) -> int:
 
 def _unit_states(angles: np.ndarray) -> tuple:
     """R_Z(c) R_Y(b) R_X(a)|0> for angles (a, b, c) stacked on the leading
-    axis, as its two amplitudes stacked the same way, and their derivatives
-    with respect to a, b and c: shapes (2, ...) and (3, 2, ...)."""
+    axis, as its two amplitudes stacked the same way, and its parts u =
+    R_Y R_X|0> and R_Z's diagonal, each of shape (2, ...)."""
     (ca, cb, cc), (sa, sb, sc) = np.cos(0.5 * angles), np.sin(0.5 * angles)
     phase = np.array([cc - 1j * sc, cc + 1j * sc])  # R_Z = diag(phase)
     u = np.array([cb * ca + 1j * sb * sa, sb * ca - 1j * cb * sa])  # R_Y R_X|0>
-    du_a = 0.5 * np.array([1j * sb * ca - cb * sa, -sb * sa - 1j * cb * ca])  # R_Y (-i/2)X R_X|0>
-    du_b = 0.5 * np.array([-u[1], u[0]])  # (-i/2)Y R_Y R_X|0>
-    du_c = np.array([-0.5j * u[0], 0.5j * u[1]])  # (-i/2)Z, which commutes with R_Z
-    return phase * u, phase * np.array([du_a, du_b, du_c])
+    return phase * u, u, phase
 
 
 @lru_cache(maxsize=8)

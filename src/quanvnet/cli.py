@@ -115,9 +115,10 @@ def _seed(merged: dict) -> int:
     return seed
 
 
-def _load_data(merged: dict, needed: tuple, num_classes: int, reader: str) -> dict:
-    """The dataset's splits in ``needed``; each must hold samples, and a
-    label past the ``num_classes`` of ``reader`` is a config error."""
+def _load_data(merged: dict, needed: tuple, config: qm.ModelConfig, reader: str) -> dict:
+    """The dataset's splits in ``needed``; each must hold samples, and an
+    image shape other than ``config``'s or a label past the ``num_classes``
+    of ``reader`` is a config error."""
     if not merged.get("data"):
         raise ConfigError("--data is required")
     data_dir = Path(merged["data"])
@@ -131,10 +132,13 @@ def _load_data(merged: dict, needed: tuple, num_classes: int, reader: str) -> di
         seed=_seed(merged),
         pad_to=merged.get("pad_to"),
     )
+    shape = (config.image_size, config.image_size, config.channels)
     for split in needed:
         if data[split][1].size == 0:
             raise DataError(f"the {split} split of {data_dir} holds no samples")
-    if max(int(data[split][1].max()) for split in needed) >= num_classes:
+        if data[split][0].shape[1:] != shape:
+            raise ConfigError(f"the model reads {shape} images, dataset provides {data[split][0].shape[1:]}")
+    if max(int(data[split][1].max()) for split in needed) >= config.num_classes:
         raise ConfigError(f"dataset has more classes than {reader}")
     return data
 
@@ -154,7 +158,7 @@ def _write_metrics_csv(path: Path, rows) -> None:
 def cmd_train(args) -> int:
     merged = _run_config(args)
     config = _model_config(merged)
-    data = _load_data(merged, dataio.SPLIT_ORDER, config.num_classes, f"the model's {config.num_classes}")
+    data = _load_data(merged, dataio.SPLIT_ORDER, config, f"the model's {config.num_classes}")
     out = _require_out(merged)
     model = qm.HybridModel(config)
     _echo_config(merged, out)
@@ -187,14 +191,9 @@ def _checkpoint_and_split(args, merged: dict):
     of ``--data``; a dataset the checkpoint cannot read, by image shape or
     class count, is a config error."""
     store, config = qm.load_checkpoint(args.checkpoint)
-    images, labels = _load_data(merged, (args.split,), config.num_classes, "the checkpoint")[args.split]
+    images, labels = _load_data(merged, (args.split,), config, "the checkpoint")[args.split]
     model = qm.HybridModel(config)
     model.check_store(store)
-    if images.shape[1:] != (config.image_size, config.image_size, config.channels):
-        raise ConfigError(
-            f"checkpoint expects {(config.image_size, config.image_size, config.channels)} images, "
-            f"dataset provides {images.shape[1:]}"
-        )
     return model, store, images, labels
 
 
@@ -217,11 +216,14 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     merged = _run_config(args)
     model, store, images, labels = _checkpoint_and_split(args, merged)
-    out = _require_out(merged)
     config = model.config
+    if args.ami and labels.size < config.num_classes:
+        raise DataError(f"--ami needs at least {config.num_classes} samples, one per class, "
+                        f"but the {args.split} split holds {labels.size}")
+    out = _require_out(merged)
     features = []
     processed = []
-    for _, fw in model.forward_chunks(images, store):
+    for _, fw in model.forward_chunks(images, store, reconstruct=False):
         features.append(fw["features"])
         processed.append(fw["processed"].reshape(fw["processed"].shape[0], -1))
     features = np.concatenate(features)

@@ -29,11 +29,12 @@ ADAM_EPS = 1e-8
 LOG_CLIP = 1e-12
 CHECKPOINT_MAGIC = "QVNCKPT1"
 # A training step holds at most five full (2**n, batch) complex column stacks
-# at once at any batch size (tracemalloc peak of one evaluator forward and
-# backward: 4.13 on the canonical 12 qubits at batch 1, 3.50 at batch 50, 4.90
-# on 18 qubits at batch 2), unless the data outweighs the state: thin circuits
-# (E = 3, K = 1, M = 1) peak at up to 8.3 in the forward's unit states.
+# plus DATA_SLOT_BYTES per data slot of each row at any batch size (tracemalloc
+# peak of one evaluator forward and backward: 3.93 stacks on the canonical 12
+# qubits at batch 1, 3.41 at batch 50, 4.81 on 18 qubits at batch 2; thin circuits,
+# E = 3, K = 1, M = 1 on 12 qubits: 58.4 bytes per slot over 5 stacks at batch 1, so 4 complex128).
 STATE_COPIES = 5
+DATA_SLOT_BYTES = 64
 STATE_BUDGET_BYTES = 2 << 30
 
 
@@ -80,11 +81,11 @@ class ModelConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         qubits = circuits.make_layout(circuit).total_qubits
-        state_bytes = self.batch_size * STATE_COPIES * (16 << qubits)
+        state_bytes = self.batch_size * (STATE_COPIES * (16 << qubits) + DATA_SLOT_BYTES * circuit.data_arity)
         if state_bytes > STATE_BUDGET_BYTES:
             raise ConfigError(
                 f"batch_size {self.batch_size} on {qubits} qubits needs {state_bytes / 2**30:.3g} GiB of "
-                f"state stacks, over the {STATE_BUDGET_BYTES >> 30} GiB budget"
+                f"state stacks and unit states, over the {STATE_BUDGET_BYTES >> 30} GiB budget"
             )
 
     @property
@@ -211,7 +212,8 @@ class HybridModel:
 
     # -- forward -------------------------------------------------------------
 
-    def forward_batch(self, images: np.ndarray, store: ParameterStore, with_caches: bool = False) -> dict:
+    def forward_batch(self, images: np.ndarray, store: ParameterStore, with_caches: bool = False,
+                      reconstruct: bool = True) -> dict:
         cfg = self.config
         images = np.asarray(images, dtype=np.float64)
         if images.shape[1:] != (cfg.image_size, cfg.image_size, cfg.channels):
@@ -230,7 +232,7 @@ class HybridModel:
         expz = np.exp(shifted)
         probs = expz / expz.sum(axis=1, keepdims=True)
         out = {"probs": probs, "processed": processed, "features": features}
-        if cfg.reconstruction_enabled:
+        if cfg.reconstruction_enabled and reconstruct:
             recon_patches, dec_cache = self.autoencoder.decode(store.segments["autoencoder"], angles)
             out["reconstruction"] = unpatchify(recon_patches.reshape(tiles.shape))
             if with_caches:
@@ -241,13 +243,13 @@ class HybridModel:
             out.update(psi=psi, enc_cache=enc_cache, ev_cache=ev_cache)  # psi holds until ev_cache's backward
         return out
 
-    def forward_chunks(self, images: np.ndarray, store: ParameterStore):
+    def forward_chunks(self, images: np.ndarray, store: ParameterStore, reconstruct: bool = True):
         """Yields ``(slice, forward_batch output)`` for consecutive
         ``batch_size`` slices of ``images``."""
         n = images.shape[0]
         for start in range(0, n, self.config.batch_size):
             sl = slice(start, min(start + self.config.batch_size, n))
-            yield sl, self.forward_batch(images[sl], store)
+            yield sl, self.forward_batch(images[sl], store, reconstruct=reconstruct)
 
     def forward(self, image: np.ndarray, store: ParameterStore):
         """Single sample: (class probabilities, reconstruction, processed image,
@@ -419,7 +421,7 @@ def train_single_run(model: HybridModel, train_split, val_split, run_seed: int, 
 def evaluate(model: HybridModel, store: ParameterStore, images: np.ndarray, labels: np.ndarray) -> EvalMetrics:
     """Accuracy plus per-class precision/recall/F1 (zero denominators give 0)."""
     model.check_store(store)
-    chunks = model.forward_chunks(images, store)
+    chunks = model.forward_chunks(images, store, reconstruct=False)
     predicted = np.concatenate([out["probs"].argmax(axis=1) for _, out in chunks])
     labels = np.asarray(labels)
     c = model.config.num_classes

@@ -249,6 +249,18 @@ def test_sigmoid_equals_the_two_branch_form_bit_for_bit():
     assert np.isnan(ae_mod._sigmoid(np.array([np.nan]))[0])
 
 
+def test_sigmoid_of_a_decoder_pre_activation_is_bitwise_and_leaves_its_input():
+    # the decoder output head's (patches, P, P, C) shape, with signed zeros, infinities and huge values inside
+    z = 8.0 * np.random.default_rng(15).standard_normal((3200, 4, 4, 4))
+    z.flat[:10] = [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 745.0, -745.0, 5e-324, -5e-324]
+    before = z.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ae_mod._sigmoid(z)
+    assert np.array_equal(got, two_branch_sigmoid(z)) and got.shape == z.shape
+    assert np.array_equal(z, before) and np.array_equal(np.signbit(z), np.signbit(before))
+
+
 def take_along_axis_pool(x):
     """Max pool and its backward through a transposed (..., 4) window axis:
     the first maximum by argmax, read and written with take/put_along_axis."""

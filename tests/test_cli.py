@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from quanvnet import dataio
+from quanvnet import model as qm
+from quanvnet.autoencoder import PatchAutoencoder
 from quanvnet.cli import main
 
 
@@ -497,6 +499,60 @@ def test_eval_and_analyze_on_more_classes_than_the_checkpoint_exit_2_without_out
     assert code == 2
     assert err == "config error: dataset has more classes than the checkpoint\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "analyze"])
+def test_images_of_another_shape_exit_2_naming_both_shapes_without_output(dataset_dir, config_file, trained, tmp_path,
+                                                                         capsys, command):
+    out = tmp_path / "out"
+    if command == "train":  # a 1-channel model on the 2-channel dataset
+        args, shapes = train_args(dataset_dir, config_file, out, "--channels", "1"), ((16, 16, 1), (16, 16, 2))
+    else:  # the checkpoint's 16x16 model on the dataset padded to 32x32
+        args = [command, "--checkpoint", str(trained / "run0.ckpt"), "--data", str(dataset_dir), "--out", str(out),
+                "--pad-to", "32"]
+        shapes = ((16, 16, 2), (32, 32, 2))
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: the model reads {shapes[0]} images, dataset provides {shapes[1]}\n"
+    assert not out.exists()
+
+
+def test_analyze_ami_on_fewer_samples_than_classes_exits_3_without_output(trained, tmp_path, capsys):
+    data = tmp_path / "one-test-sample"
+    spec = dataio.SyntheticSpec(num_classes=3, image_size=16, channels=2, train_samples=3,
+                                validation_samples=1, test_samples=1, seed=4)
+    dataio.generate_synthetic(spec, data)
+    out = tmp_path / "out"
+    args = ["analyze", "--checkpoint", str(trained / "run0.ckpt"), "--data", str(data), "--out", str(out)]
+    code = main(args + ["--ami"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "data error: --ami needs at least 3 samples, one per class, but the test split holds 1\n"
+    assert not out.exists()
+    assert main(args) == 0  # the magnitudes need no clustering
+
+
+def test_evaluate_and_analyze_decode_nothing_while_validation_and_forward_still_do(trained, dataset_dir, tmp_path,
+                                                                                 monkeypatch):
+    real, calls = PatchAutoencoder.decode, []
+
+    def decode(self, *args):
+        calls.append(args[1].shape[0])
+        return real(self, *args)
+
+    monkeypatch.setattr(PatchAutoencoder, "decode", decode)
+    store, config = qm.load_checkpoint(trained / "run0.ckpt")
+    model = qm.HybridModel(config)
+    images = np.random.default_rng(5).uniform(0, 1, (5, 16, 16, 2))
+    labels = np.arange(5) % 3
+    qm.evaluate(model, store, images, labels)
+    assert main(["analyze", "--checkpoint", str(trained / "run0.ckpt"), "--data", str(dataset_dir),
+                 "--out", str(tmp_path / "out"), "--ami"]) == 0
+    assert calls == []
+    qm._epoch_eval(model, images, labels, store)
+    model.forward(images[0], store)
+    assert calls == [5 * 16, 16]  # one decoded patch per superpixel: 5 images, then 1
 
 
 def test_train_on_more_classes_than_the_model_exits_2_before_any_run(dataset_dir, config_file, tmp_path, capsys):

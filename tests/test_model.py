@@ -209,10 +209,35 @@ class TestBackward:
                 calls.append("H layer")
             return real_run(compiled, *args, **kwargs)
 
+        # and that cache holds the unit states' parts, not their angle derivatives
+        real_backward, cached = ev.backward, []
+
+        def backward(cache, *args):
+            cached.append(sorted(cache))
+            return real_backward(cache, *args)
+
         monkeypatch.setattr(circuits, "_unit_states", unit_states)
         monkeypatch.setattr(circuits.sv, "run_compiled", run_compiled)
+        monkeypatch.setattr(ev, "backward", backward)
         small_model.loss_and_grads(images, np.array([0, 2]), store)
         assert calls == ["unit states", "H layer", "H layer"]
+        assert cached == [["cols", "phase", "phi", "states", "u"]]
+
+    def test_a_forward_only_batch_builds_no_derivative_arrays(self, small_model, monkeypatch):
+        # every array the unit states hand out holds two amplitudes, none a (3, 2, ...) stack of angle derivatives
+        rng = np.random.default_rng(9)
+        images = rng.uniform(0, 1, (2, 16, 16, 2))
+        store = random_store(small_model, rng)
+        real, returned = circuits._unit_states, []
+
+        def unit_states(angles):
+            returned.append(real(angles))
+            return returned[-1]
+
+        monkeypatch.setattr(circuits, "_unit_states", unit_states)
+        small_model.forward_batch(images, store)
+        shape = (2, small_model.circuit_config.value_qubits, 2, small_model.circuit_config.grid_size**2)
+        assert len(returned) == 1 and all(a.shape == shape for a in returned[0])
 
 
 class TestAdam:
@@ -348,6 +373,28 @@ class TestEvaluateEndToEnd:
         assert 0.0 <= metrics.accuracy <= 1.0
         assert metrics.f1.shape == (3,)
 
+    def test_evaluate_scores_without_decoding_bitwise_as_the_decoding_forward(self, small_model, monkeypatch):
+        rng = np.random.default_rng(13)
+        store = random_store(small_model, rng)
+        images = rng.uniform(0, 1, (7, 16, 16, 2))
+        labels = np.arange(7) % 3
+        decoding = [small_model.forward_batch(images[sl], store) for sl in (slice(0, 4), slice(4, 7))]
+        real, reconstructions = qm.HybridModel.forward_batch, []
+
+        def spy(self, *args, **kwargs):
+            out = real(self, *args, **kwargs)
+            reconstructions.append(out["reconstruction"])
+            return out
+
+        monkeypatch.setattr(qm.HybridModel, "forward_batch", spy)
+        metrics = qm.evaluate(small_model, store, images, labels)
+        assert [r is None for r in reconstructions] == [True, True]
+        assert all(out["reconstruction"] is not None for out in decoding)
+        want = _metrics_from_predictions(labels, np.concatenate([out["probs"] for out in decoding]).argmax(axis=1))
+        assert metrics.accuracy == want.accuracy
+        for name in ("precision", "recall", "f1"):
+            assert np.array_equal(getattr(metrics, name), getattr(want, name))
+
     def test_layout_mismatch_rejected(self, small_model):
         other = qm.HybridModel(qm.ModelConfig(**{**SMALL.__dict__, "features": 6}))
         store = other.init_store(0)
@@ -411,10 +458,11 @@ def test_seed_must_be_non_negative():
 
 
 def test_state_stacks_over_the_budget_rejected_before_any_allocation():
-    # 20 qubits (g=7, E=9, M=2, K=2): STATE_COPIES stacks of 16 MiB per row fit 25 rows in 2 GiB
-    assert qm.ModelConfig(image_size=512, batch_size=25).circuit_config().grid_log == 7
-    with pytest.raises(ConfigError, match="batch_size 26 on 20 qubits"):
-        qm.ModelConfig(image_size=512, batch_size=26)
+    # 20 qubits (g=7, E=9, M=2, K=2): STATE_COPIES stacks of 16 MiB and DATA_SLOT_BYTES
+    # for each of the 147456 data slots per row fit 23 rows in 2 GiB
+    assert qm.ModelConfig(image_size=512, batch_size=23).circuit_config().grid_log == 7
+    with pytest.raises(ConfigError, match="batch_size 24 on 20 qubits"):
+        qm.ModelConfig(image_size=512, batch_size=24)
     with pytest.raises(ConfigError, match="batch_size 50 on 22 qubits"):
         qm.ModelConfig(image_size=1024)
     qm.ModelConfig(image_size=1024, batch_size=1)
@@ -422,12 +470,18 @@ def test_state_stacks_over_the_budget_rejected_before_any_allocation():
 
 # 18 qubits at batch 2, where no LWM pair fuses into a block, so an unfused
 # un-apply's pairs scale with the stack; the canonical 12 qubits at batch 50;
-# and at batch 1, where a block's batch-summed overlap does not shrink with
-# the batch, the canonical 12 qubits and 17 qubits with 6-qubit blocks
+# at batch 1, where a block's batch-summed overlap does not shrink with the
+# batch, the canonical 12 qubits and 17 qubits with 6-qubit blocks; and a thin
+# circuit (E = 3, K = 1, M = 1), whose 3072 data slots per row outweigh its 12
+# qubits, within the stacks plus DATA_SLOT_BYTES per slot
+THIN = circuits.CircuitConfig(5, 3, 1, 1)
+
+
 @pytest.mark.parametrize("config, rows", [(circuits.CircuitConfig(6, 9, 2, 2), 2),
                                           (circuits.CircuitConfig(3, 9, 2, 2), 50),
                                           (circuits.CircuitConfig(3, 9, 2, 2), 1),
-                                          (circuits.CircuitConfig(4, 18, 1, 4), 1)])
+                                          (circuits.CircuitConfig(4, 18, 1, 4), 1),
+                                          (THIN, 1), (THIN, 3), (THIN, 20)])
 def test_one_evaluator_step_holds_at_most_state_copies_stacks(config, rows):
     rng = np.random.default_rng(31)
     ev = circuits.QuantumEvaluator(config)
@@ -443,4 +497,5 @@ def test_one_evaluator_step_holds_at_most_state_copies_stacks(config, rows):
     finally:
         tracemalloc.stop()
     assert amps.shape == (rows, 1 << ev.layout.total_qubits) and features.shape == (rows, ev.num_features)
-    assert peak <= qm.STATE_COPIES * rows * (16 << ev.layout.total_qubits)
+    data_bytes = qm.DATA_SLOT_BYTES * config.data_arity if config == THIN else 0
+    assert peak <= rows * (qm.STATE_COPIES * (16 << ev.layout.total_qubits) + data_bytes)
