@@ -172,7 +172,7 @@ class PatchAutoencoder:
             layers.append(_LayerSpec(f"enc_conv{i}_b", (HIDDEN_CHANNELS,), None))
         layers.append(_LayerSpec("enc_dense_w", (enc_flat, num_features), (enc_flat, num_features)))
         layers.append(_LayerSpec("enc_dense_b", (num_features,), None))
-        self._encoder_end = sum(int(np.prod(l.shape)) for l in layers)
+        encoder_layers = len(layers)
 
         layers.append(_LayerSpec("dec_dense_w", (num_features, dec_flat), (num_features, dec_flat)))
         layers.append(_LayerSpec("dec_dense_b", (dec_flat,), None))
@@ -183,7 +183,11 @@ class PatchAutoencoder:
         layers.append(_LayerSpec("dec_out_w", (3, 3, HIDDEN_CHANNELS, channels), (9 * HIDDEN_CHANNELS, 9 * channels)))
         layers.append(_LayerSpec("dec_out_b", (channels,), None))
         self.layers = layers
-        self.num_params = sum(int(np.prod(l.shape)) for l in layers)
+        sizes = [int(np.prod(l.shape)) for l in layers]
+        ends = np.cumsum(sizes).tolist()
+        self._encoder_end, self.num_params = ends[encoder_layers - 1], ends[-1]
+        # each layer's name, its slice of the flat vector and its shape, for ``_views``
+        self._spans = [(l.name, slice(end - size, end), l.shape) for l, size, end in zip(layers, sizes, ends)]
 
     @property
     def encoder_slice(self) -> slice:
@@ -191,8 +195,7 @@ class PatchAutoencoder:
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         flat = np.zeros(self.num_params)
-        for name, view in self._views(flat).items():
-            spec = next(l for l in self.layers if l.name == name)
+        for spec, view in zip(self.layers, self._views(flat).values()):
             if spec.fan is not None:
                 bound = np.sqrt(6.0 / (spec.fan[0] + spec.fan[1]))
                 view[...] = rng.uniform(-bound, bound, spec.shape)
@@ -201,13 +204,7 @@ class PatchAutoencoder:
     def _views(self, flat: np.ndarray) -> dict:
         if flat.shape != (self.num_params,):
             raise ValueError(f"expected {self.num_params} autoencoder parameters, got {flat.shape}")
-        views = {}
-        offset = 0
-        for spec in self.layers:
-            size = int(np.prod(spec.shape))
-            views[spec.name] = flat[offset : offset + size].reshape(spec.shape)
-            offset += size
-        return views
+        return {name: flat[span].reshape(shape) for name, span, shape in self._spans}
 
     # -- encoder ------------------------------------------------------------
 

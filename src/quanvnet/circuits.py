@@ -235,21 +235,21 @@ class QuantumEvaluator:
     its value qubits' R_Z R_Y R_X|0> states times the all-pairs CZ sign
     (-1)^(k(k-1)/2) for Hamming weight k, at amplitude 1/2^g; its data-angle
     gradients follow from the same product and the cotangent state at the
-    encoding boundary. Only the ``extraction`` fragment runs as compiled ops,
-    with each run of uncontrolled units (the head's H and value-qubit units,
-    each block's LWM pair, the tail units) fused into one dense block by
-    ``sv.fuse_layers``: 67 ops become 56 on the canonical circuit. The states
-    are the columns of one zeroed C-contiguous (2^n, batch) array, swept in
-    place through its transpose. Qubits above the highest one the ops have
-    touched so far are still |0>: ``forward`` runs each segment of ops, cut
-    where that qubit rises, on the leading rows that hold it, a view.
-    It returns the final states as the (batch, 2^n) transpose of the
-    columns, the features, and a cache: the columns, the measured state phi
-    and the value qubits' unit states with their parts u = R_Y R_X|0> and
-    R_Z's phases. ``backward`` consumes the cache: it weights phi in place as
-    its bra and un-applies the segments in reverse on it and on the cached
-    columns as its ket, in place on the same views, so the returned states
-    last until then; it forms the angle derivatives from u and the phases.
+    encoding boundary. Only the ``extraction`` fragment runs as compiled ops:
+    each run of uncontrolled units (head, LWM pair, tail) as one dense block,
+    each block's kernel units for one value qubit, one per pattern of (x_b,
+    y_b, q_k), as one multiplexor: 67 ops become 14 on the canonical circuit,
+    bound once per ``forward``. The states are the columns of one zeroed
+    (2^n, batch) array, swept in place through its transpose; qubits above
+    the highest one the ops have touched so far are still |0>, so each
+    segment of ops, cut where that qubit rises, runs on the leading rows
+    that hold it. ``forward`` returns the states as the (batch, 2^n)
+    transpose of the columns, the features, and a cache: the columns, the
+    measured state phi, the bound ops and the value qubits' unit states with
+    their parts u = R_Y R_X|0> and R_Z's phases. ``backward`` consumes it: it
+    weights phi in place as its bra and un-applies the segments in reverse on
+    it and on the columns as its ket, so the returned states last until
+    then, and forms the angle derivatives from u and the phases.
     ``program`` and ``compiled`` hold the whole program, encoding first,
     unfused, as the per-unit gate-list reference, and ``operators`` the
     measurement family; the three are built on first use.
@@ -266,7 +266,7 @@ class QuantumEvaluator:
         self.config = config
         self.layout = make_layout(config)
         self.extraction = build_feature_extraction(config, self.layout)
-        self._ops = sv.fuse_layers(sv.compile_program(self.extraction))
+        self._ops = sv.fuse_multiplexors(sv.fuse_layers(sv.compile_program(self.extraction)))
         # (stack width, first op, end op) per part of the schedule: a part starts
         # where the highest qubit touched so far, at least q_f[0] - 1, rises.
         n = self.layout.total_qubits
@@ -316,14 +316,15 @@ class QuantumEvaluator:
             branch = (states[:, None, n] * branch[None]).reshape((-1,) + branch.shape[1:])
         cols = np.zeros((1 << self.layout.total_qubits, data.shape[0]), dtype=np.complex128)
         cols[self._encoding_table] = branch.transpose(2, 0, 1) * self._encoding_scale[:, None]
+        ops = sv.bind_params(self._ops, params)
         for width, start, stop in self._segments:  # rows past width stay zero: every qubit above is |0>
-            sv.run_compiled(self._ops[start:stop], cols[:width].T, None, params)
+            sv.run_compiled(ops[start:stop], cols[:width].T, None, params)
         phi = cols.copy()
         sv.run_compiled(self._h_gates, phi.T)
         probs = phi.real**2 + phi.imag**2
         # 2^m for the m measured qubits: one per feature index bit plus q_f's
         features = (2.0 * self.num_features) * probs[self._table].sum(axis=1)
-        return cols.T, features.T, {"cols": cols, "phi": phi, "states": states, "u": u, "phase": phase}
+        return cols.T, features.T, {"cols": cols, "phi": phi, "ops": ops, "states": states, "u": u, "phase": phase}
 
     def backward(self, cache: dict, params: np.ndarray, cotangents: np.ndarray):
         """Adjoint sweep from the cache of one ``forward``, which it consumes.
@@ -338,10 +339,10 @@ class QuantumEvaluator:
         upper *= (2.0 * self.num_features) * cotangents.T.reshape(self._cot_shape)
         sv.run_compiled(self._h_gates, bra.T)
         # Rows past a segment's width are zero before it, and no earlier op reads them.
-        param_grads = np.zeros(self.extraction.param_arity)
+        param_grads, ops = np.zeros(self.extraction.param_arity), cache.pop("ops")
         for width, start, stop in reversed(self._segments):
             ket, bra = ket[:width], bra[:width]
-            param_grads += sv.unapply_compiled(self._ops[start:stop], ket.T, bra.T, None, params, len(param_grads))[0]
+            param_grads += sv.unapply_compiled(ops[start:stop], ket.T, bra.T, None, params, len(param_grads))[0]
         # bra is now the cotangent state at the encoding boundary; each data
         # angle's gradient is 2 Re <bra| d(encoded state)/d angle>, and only
         # its superpixel's branch depends on it.

@@ -30,9 +30,9 @@ LOG_CLIP = 1e-12
 CHECKPOINT_MAGIC = "QVNCKPT1"
 # A training step holds at most five full (2**n, batch) complex column stacks
 # plus DATA_SLOT_BYTES per data slot of each row at any batch size (tracemalloc
-# peak of one evaluator forward and backward: 3.93 stacks on the canonical 12
-# qubits at batch 1, 3.41 at batch 50, 4.81 on 18 qubits at batch 2; thin circuits,
-# E = 3, K = 1, M = 1 on 12 qubits: 58.4 bytes per slot over 5 stacks at batch 1, so 4 complex128).
+# peak of one evaluator forward and backward: 4.62 stacks on the canonical 12
+# qubits at batch 1, 3.42 at batch 50, 4.81 on 18 qubits at batch 2; thin circuits,
+# E = 3, K = 1, M = 1 on 12 qubits: 57.6 bytes per slot over 5 stacks at batch 1, so 4 complex128).
 STATE_COPIES = 5
 DATA_SLOT_BYTES = 64
 STATE_BUDGET_BYTES = 2 << 30

@@ -8,38 +8,36 @@ Conventions, fixed once so amplitude dumps are reproducible bit-for-bit:
   ``A in {X, Y, Z}``.
 * Everything is double-precision complex; no sampling noise.
 
-``compile_program`` turns a program into ops. Each run of param-bound RX, RY,
-RZ gates on one target and control pattern becomes one fused unit,
-``R_Z R_Y R_X``; every other instruction stays one op. Every op is one
-controlled 2x2 matrix: its entries are constants for H, X, Z and
-constant-bound rotations, per-row arrays for data-bound rotations and Python
-complex numbers for fused units. One kernel applies them to the
-control-matching amplitude pairs as strided views of the states' columns, a
-C-contiguous ``(2**k, batch)`` array for any register of k qubits that holds
-the op's qubits: a caller can run each part of a program on the qubits live
-there, and each inner run holds at least ``batch`` amplitudes, on which a
-per-row entry broadcasts. The two sweeps, ``run_compiled`` and
-``unapply_compiled``, take ``(batch, dim)`` stacks (the transpose of columns
-runs in place, a row-major stack through one copy). The reverse sweep
-un-applies each op once from ket and bra in place, by the conjugate transpose
-of its entries, and reads every angle derivative from the 2x2 overlap of the
-pairs it produced, by one formula. It leaves both stacks at the fragment's
-start, so a caller that builds a fragment in closed form (as the evaluator
-does the data encoding) can take its gradients from the bra there.
-``adjoint_sweep`` runs it on copies.
+``compile_program`` turns a program into ops, each param-bound RX, RY, RZ
+run on one target and control pattern into one fused unit ``R_Z R_Y R_X``.
+Every op is one controlled 2x2 matrix (constant entries for H, X, Z and
+constant angles, per-row arrays for data angles, ``bind_params``' for units),
+applied by one kernel to the control-matching pairs as strided views of the
+states' columns, a C-contiguous ``(2**k, batch)`` array for any register
+that holds the op's qubits, so a caller can run each part of a program on
+the qubits live there; a per-row entry broadcasts on the batch axis.
+``run_compiled`` and ``unapply_compiled`` take ``(batch, dim)`` stacks. The
+reverse sweep un-applies each op once from ket and bra in place, by its
+conjugate transpose, reads every angle derivative from the 2x2 overlap of
+the pairs it wrote by one formula, and leaves both stacks at the fragment's
+start, where a closed-form fragment (the evaluator's encoding) can take its
+gradients from the bra. ``adjoint_sweep`` runs it on copies.
 
-``fuse_layers`` turns each run of consecutive uncontrolled H ops and fused
-units on distinct qubits into one dense block: the Kronecker product of its
-2x2 factors over at most ``MAX_BLOCK_QUBITS`` qubits, applied as one GEMM at
-its lowest qubit; its un-apply reads every unit's gradients by the same
-formula from one batch-summed overlap over the block. ``compile_program``
-never fuses layers: its per-unit ops stay the gate-list reference.
+``fuse_layers`` runs each layer of uncontrolled H ops and units on distinct
+qubits as one dense block, its Kronecker matrix as one GEMM, with one
+batch-summed overlap for the gradients. ``fuse_multiplexors`` runs each set
+of controlled units, one per pattern of their varying controls, as one
+multiplexor: one kernel call with an axis per pattern qubit, and one 2x2
+overlap per pattern. ``bind_params`` builds all unit matrices of a schedule
+in one vectorized pass. ``compile_program``'s unfused ops stay the gate-list
+reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -204,13 +202,13 @@ _MATRICES = {
 
 @dataclass
 class _CompiledGate:
-    kind: str  # a GATE_KINDS entry, or "U" for a fused RX, RY, RZ unit
+    kind: str  # a GATE_KINDS entry, "U" for a fused RX, RY, RZ unit or "M" for a multiplexor of them
     num_qubits: int
     target: int
-    controls: tuple  # (qubit, required value) pairs
-    angle: tuple | None  # angle source; a fused unit carries its RX slot
-    slots: tuple  # fused unit only: the RX, RY, RZ param slots
-    entries: tuple | None  # (m00, m01, m10, m11) when fixed at compile time, else None
+    controls: tuple  # (qubit, required value) pairs; value None marks a multiplexor's pattern qubit
+    angle: tuple | None  # angle source; a fused unit or multiplexor carries its first RX slot
+    slots: tuple | np.ndarray  # a unit's RX, RY, RZ param slots; a multiplexor's, one triple per pattern
+    entries: tuple | None  # (m00, m01, m10, m11) when fixed at compile time or bound, else None
     # The kernel: ``sel0``/``sel1`` pick the control-matching pairs with target
     # bit 0/1 as strided views of the columns reshaped to ``shape + (batch,)``.
     shape: tuple
@@ -249,8 +247,9 @@ def _compile_gate(num_qubits: int, kind: str, target: int, controls: tuple, angl
     per fixed qubit and one per run of free qubits between them, ahead of
     the batch axis, the basic index tuples that pick the control-matching
     pairs with target bit 0 and 1 as strided views, and the matrix entries
-    of H, X, Z and constant-bound rotations."""
-    fixed = dict(controls)
+    of H, X, Z and constant-bound rotations. A multiplexor's pattern qubits
+    keep their axes, and its slot triples are shaped to broadcast along them."""
+    fixed = {q: slice(0, 2) if v is None else v for q, v in controls}  # slice(0, 2): a kept pattern axis
     fixed[target] = None
     shape, sel, top = [-1], [slice(None)], max(fixed) + 1
     for q in sorted(fixed, reverse=True):
@@ -265,16 +264,15 @@ def _compile_gate(num_qubits: int, kind: str, target: int, controls: tuple, angl
         sel.append(slice(None))
     axis = sel.index(None)
     sel0, sel1 = (tuple(sel[:axis] + [bit] + sel[axis + 1 :]) for bit in (0, 1))
-    if angle is None:
-        entries = tuple(_MATRICES[kind].ravel().tolist())
-    else:
-        entries = _rotation(kind, angle[1]) if angle[0] == "const" else None
+    if kind == "M":  # one triple per pattern, the highest pattern qubit's bit first; the last 1 is the batch axis
+        slots = np.reshape(slots, [2 if a == slice(0, 2) else 1 for a in sel0 if isinstance(a, slice)] + [1, 3])
+    const = angle is not None and angle[0] == "const"
+    entries = tuple(_MATRICES[kind].ravel().tolist()) if angle is None else _rotation(kind, angle[1]) if const else None
     return _CompiledGate(kind, num_qubits, target, controls, angle, slots, entries, tuple(shape), sel0, sel1)
 
 
 def _fusable(run: tuple) -> bool:
-    """True for param-bound RX, RY, RZ in that order on one target and one
-    control pattern."""
+    """True for param-bound RX, RY, RZ in that order on one target and controls."""
     return (
         tuple(g.kind for g in run) == ROTATION_KINDS
         and all(g.angle[0] == "param" for g in run)
@@ -287,19 +285,12 @@ def compile_program(program: CircuitProgram) -> tuple:
     """Compile every instruction to one op with its kernel, fusing each
     param-bound RX, RY, RZ run that shares a target and controls into one
     unit op. Data- and constant-bound rotations stay one op each."""
-    out = []
-    instrs = program.instructions
-    i = 0
+    out, instrs, i = [], program.instructions, 0
     while i < len(instrs):
-        run = instrs[i : i + 3]
-        if _fusable(run):
-            slots = tuple(g.angle[1] for g in run)
-            out.append(_compile_gate(program.num_qubits, "U", run[0].target, run[0].controls, run[0].angle, slots))
-            i += 3
-        else:
-            g = instrs[i]
-            out.append(_compile_gate(program.num_qubits, g.kind, g.target, g.controls, g.angle))
-            i += 1
+        run = instrs[i : i + 3] if _fusable(instrs[i : i + 3]) else instrs[i : i + 1]
+        slots, g = tuple(r.angle[1] for r in run) if len(run) == 3 else (), run[0]
+        out.append(_compile_gate(program.num_qubits, "U" if slots else g.kind, g.target, g.controls, g.angle, slots))
+        i += len(run)
     return tuple(out)
 
 
@@ -322,26 +313,20 @@ def _rotation(kind: str, theta) -> tuple:
 
 
 def _unit_matrix(angles: np.ndarray) -> tuple:
-    """Entries (m00, m01, m10, m11) of R_Z(c) R_Y(b) R_X(a) for a fused
-    unit's angles (a, b, c), as Python complex numbers."""
-    (ca, cb, cc), (sa, sb, sc) = np.cos(0.5 * angles).tolist(), np.sin(0.5 * angles).tolist()
-    p = complex(cc, -sc)  # R_Z = diag(p, conj(p))
-    q = p.conjugate()
-    return (
-        p * complex(cb * ca, sb * sa),
-        p * complex(-sb * ca, -cb * sa),
-        q * complex(sb * ca, -cb * sa),
-        q * complex(cb * ca, -sb * sa),
-    )
+    """Entries (m00, m01, m10, m11) of R_Z(c) R_Y(b) R_X(a) for fused units'
+    angles (..., 3) = (a, b, c), each of shape (...)."""
+    half = 0.5 * np.moveaxis(angles, -1, 0)
+    (ca, cb, cc), (sa, sb, sc) = np.cos(half), np.sin(half)
+    p = cc - 1j * sc  # R_Z = diag(p, conj(p))
+    a, b = cb * ca + 1j * (sb * sa), sb * ca - 1j * (cb * sa)  # R_Y R_X|0>
+    return p * a, -p * np.conj(b), np.conj(p) * b, np.conj(p * a)
 
 
 def _entries(cg: _CompiledGate, data: np.ndarray, params: np.ndarray) -> tuple:
-    """Matrix entries of one op: fixed at compile time, a fused unit's, or a
+    """Matrix entries of one op: fixed at compile time or bound, else a
     rotation's for its parameter or data angle (per row for data rows)."""
     if cg.entries is not None:
         return cg.entries
-    if cg.slots:
-        return _unit_matrix(params[list(cg.slots)])
     tag, slot = cg.angle
     return _rotation(cg.kind, data[..., slot] if tag == "data" else params[slot])
 
@@ -349,10 +334,10 @@ def _entries(cg: _CompiledGate, data: np.ndarray, params: np.ndarray) -> tuple:
 def _apply_kernel(cols: np.ndarray, cg: _CompiledGate, m: tuple) -> tuple:
     """Apply one compiled op in place to the columns ``cols`` of shape
     (2**k, batch), for any k that holds the op's qubits, as the controlled
-    2x2 matrix with entries ``m`` = (m00, m01, m10, m11), each a scalar or a
-    per-row array of shape (batch,). Reads the control-matching pairs as
-    strided views of ``cols``, writes the new values back and returns them,
-    target bit 0 first, as arrays of their own.
+    2x2 matrix with entries ``m`` = (m00, m01, m10, m11), each a scalar or an
+    array that broadcasts over the pairs (per row, or per multiplexor pattern).
+    Reads the control-matching pairs as strided views of ``cols``, writes the
+    new values back and returns them, target bit 0 first, as arrays of their own.
     """
     t = cols.reshape(cg.shape + cols.shape[1:])
     a0, a1 = t[cg.sel0], t[cg.sel1]
@@ -362,26 +347,36 @@ def _apply_kernel(cols: np.ndarray, cg: _CompiledGate, m: tuple) -> tuple:
     return new
 
 
-def _unit_generators(rx_angle, m: tuple) -> np.ndarray:
-    """The generators of a fused unit U = R_Z R_Y R_X with entries ``m``
-    moved before it: U G' is its derivative in each angle, with G'_x = G_X,
-    G'_y = R_X^dag G_Y R_X and G'_z = U^dag G_Z U (R_Z commutes with Z)."""
-    rx, u = np.reshape((_rotation("RX", rx_angle), m), (2, 2, 2))
-    return np.array([_MATRICES["RX"], rx.conj().T @ _MATRICES["RY"] @ rx, u.conj().T @ _MATRICES["RZ"] @ u])
+def _unit_generators(rx_angles: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The (units, 3, 2, 2) generators of fused units U = R_Z R_Y R_X with
+    matrices ``u`` moved before them, U G' being U's derivative in each
+    angle: G_X, R_X^dag G_Y R_X and U^dag G_Z U (R_Z commutes with Z)."""
+    rx = np.reshape(_rotation("RX", rx_angles), (2, 2, -1)).transpose(2, 0, 1)
+    moved = [np.conj(v).swapaxes(1, 2) @ _MATRICES[kind] @ v for v, kind in ((rx, "RY"), (u, "RZ"))]
+    return np.stack([np.broadcast_to(_MATRICES["RX"], u.shape)] + moved, axis=1)
+
+
+def _pair_overlaps(b: tuple, k: tuple, keep: tuple) -> np.ndarray:
+    """S_ij = sum conj(b_i) k_j over the pairs' axes but those ``keep`` flags, as (kept
+    axes..., 2, 2); ``np.vecdot`` sums the contiguous run past the last kept axis."""
+    last = max((i + 1 for i, kept in enumerate(keep) if kept), default=0)
+    lead, axes = k[0].shape[:last] + (-1,), tuple(i for i in range(last) if not keep[i])
+    s = [[np.vecdot(bi.reshape(lead), kj.reshape(lead)).sum(axis=axes) for kj in k] for bi in b]
+    return np.moveaxis(np.array(s), (0, 1), (-2, -1))
 
 
 def _derivative_dots(generators: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """2*Re(<bra| dU/d(angle) |ket>) = 2*Re sum_ij G'_ij S_ij for each of the
-    (g, 2, 2) ``generators``, from the 2x2 overlap S of bra and ket *before*
-    the op U (as its un-apply leaves them): (2, 2) summed over the batch, or
-    (2, 2, batch) per row; the result is (g,) or (g, batch).
+    """2*Re(<bra| dU/d(angle) |ket>) = 2*Re sum_ij G'_ij S_ij, (..., g), for
+    (..., g, 2, 2) ``generators`` and the (..., 2, 2) overlaps S of bra and
+    ket *before* the op U, as its un-apply leaves them: one per unit, pattern
+    or row on the leading axes.
 
     dU/d(angle) is U G' on the control-matching pairs and zero elsewhere:
     G' = G_A for a lone R_A, which commutes with it, or a fused unit's moved
-    generator. The other factors of a dense block commute with G' and cancel
-    against their un-apply, so blocks use the same formula.
+    generator. The other factors of a block, and the other patterns of a
+    multiplexor, commute with G' and cancel against their un-apply.
     """
-    return 2.0 * np.real(np.einsum("gij,ij...->g...", generators, overlaps))
+    return 2.0 * np.real(np.einsum("...gij,...ij->...g", generators, overlaps))
 
 
 # ---------------------------------------------------------------------------
@@ -399,27 +394,25 @@ class _Block:
     """Uncontrolled H ops and fused units on distinct qubits, run as one dense
     ``2^w x 2^w`` matrix over qubits ``low .. low + w - 1``, ``low`` the
     lowest of them: ``M @ view`` over the columns reshaped to
-    (-1, 2^w, 2^low * batch), or for a real ``M`` over their float64 view.
-    A matrix with parameters is built per sweep by broadcast outer products
-    (``np.kron`` costs more at batch 1)."""
+    (-1, 2^w, 2^low * batch), or for a real ``M`` over their float64 view."""
 
     low: int
     factors: tuple  # per qubit, lowest first: None (identity), "H", or a unit's RX, RY, RZ param slots
-    matrix: np.ndarray | None  # built at compile time when no factor has parameters
+    matrix: np.ndarray | None  # built at compile time when no factor has parameters, else by bind_params
+    slots: tuple  # the parameter factors' slot triples
+    units: np.ndarray | None = None  # bound: the (units, 2, 2) matrices of the parameter factors
 
     kind = "B"
     angle = None  # like every op of the sweeps: a block binds no data or constant angle
 
-    def matrix_for(self, params: np.ndarray) -> np.ndarray:
-        return _kron_factors(self.factors, params) if self.matrix is None else self.matrix
 
-
-def _kron_factors(factors: tuple, params) -> np.ndarray:
-    """Kronecker product of the factors, the lowest qubit on the least
-    significant index bit, by broadcast outer products."""
+def _kron_factors(factors: tuple, units) -> np.ndarray:
+    """Kronecker product of the factors, ``units`` yielding those with
+    parameters, the lowest qubit on the least significant index bit, by
+    broadcast outer products (``np.kron`` costs more at batch 1)."""
     m = np.ones((1, 1))
     for f in factors:
-        u = np.eye(2) if f is None else _MATRICES["H"] if f == "H" else np.reshape(_unit_matrix(params[list(f)]), (2, 2))
+        u = np.eye(2) if f is None else _MATRICES["H"] if f == "H" else next(units)
         m = (u[:, None, :, None] * m[None, :, None, :]).reshape(2 * len(m), 2 * len(m))
     return m
 
@@ -435,29 +428,28 @@ def _apply_block(cols: np.ndarray, blk: _Block, m: np.ndarray) -> np.ndarray:
     return t
 
 
-def _block_unit_overlaps(blk: _Block, b: np.ndarray, k: np.ndarray):
-    """(slots, 2x2 overlap) for each unit of the block, from the batch-summed
-    ``2^w x 2^w`` overlap ``S = sum conj(b) k^T`` of the block-shaped views,
-    reduced to the unit's qubit by a partial trace over the others. It sums
-    chunks of the outer axis, each conjugated on its own and within a quarter
-    of a view, so that no temporary grows with the qubits above the block."""
+def _block_unit_overlaps(blk: _Block, b: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The (units, 2, 2) overlaps of the block's units, in factor order: partial
+    traces of the batch-summed ``2^w x 2^w`` overlap ``S = sum conj(b) k^T``
+    of the block-shaped views. It sums chunks of the outer axis, each within a
+    quarter of a view, into ``S`` through one product buffer, so that no
+    temporary grows with the qubits above the block."""
     step = max(1, b.size // (4 * b.shape[1] * max(b.shape[1:])))
-    s = sum((np.conj(b[i : i + step]) @ k[i : i + step].swapaxes(1, 2)).sum(axis=0) for i in range(0, len(b), step))
-    w = len(blk.factors)
-    for p, f in enumerate(blk.factors):
-        if isinstance(f, tuple):
-            hi, lo = 1 << (w - 1 - p), 1 << p
-            yield f, np.einsum("xiyxjy->ij", s.reshape(hi, 2, lo, hi, 2, lo))
+    s = np.zeros(b.shape[1:2] * 2, dtype=np.complex128)
+    prod = np.empty((min(step, len(b)),) + s.shape, dtype=np.complex128)
+    for i in range(0, len(b), step):
+        chunk = np.matmul(np.conj(b[i : i + step]), k[i : i + step].swapaxes(1, 2), out=prod[: len(b) - i])
+        s += chunk[0] if len(chunk) == 1 else chunk.sum(axis=0)
+    shapes = [(1 << (len(blk.factors) - 1 - p), 2, 1 << p) for p, f in enumerate(blk.factors) if isinstance(f, tuple)]
+    return np.array([np.einsum("xiyxjy->ij", s.reshape(shape + shape)) for shape in shapes])
 
 
 def _fused_block(run: list) -> _Block:
     by_qubit = {op.target: op for op in run}
     low = min(by_qubit)
-    factors = tuple(
-        (by_qubit[q].slots or "H") if q in by_qubit else None for q in range(low, max(by_qubit) + 1)
-    )
-    constant = not any(isinstance(f, tuple) for f in factors)
-    return _Block(low, factors, _kron_factors(factors, None) if constant else None)
+    factors = tuple((by_qubit[q].slots or "H") if q in by_qubit else None for q in range(low, max(by_qubit) + 1))
+    slots = tuple(f for f in factors if isinstance(f, tuple))
+    return _Block(low, factors, None if slots else _kron_factors(factors, None), slots)
 
 
 def fuse_layers(ops: tuple) -> tuple:
@@ -484,6 +476,45 @@ def fuse_layers(ops: tuple) -> tuple:
     return tuple(out)
 
 
+def fuse_multiplexors(ops: tuple) -> tuple:
+    """Merge each run of consecutive controlled fused units on one target and
+    set of control qubits whose varying controls, the pattern qubits, take
+    every pattern once into one multiplexor op (kind "M"): its units act on
+    disjoint pairs, so they commute. Every other op is kept as is."""
+    out = []
+    for key, run in groupby(ops, lambda op: (op.target, frozenset(dict(op.controls))) if op.kind == "U" else None):
+        run, qubits = list(run), sorted(key[1] if key else (), reverse=True)
+        values = np.array([[dict(op.controls)[q] for q in qubits] for op in run])
+        varies = (values != values[0]).any(axis=0)
+        patterns = values[:, varies]
+        if not varies.any() or sorted(map(tuple, patterns)) != sorted(np.ndindex((2,) * varies.sum())):
+            out.extend(run)
+            continue
+        slots = np.empty((2,) * varies.sum() + (3,), dtype=np.intp)
+        slots[tuple(patterns.T)] = [op.slots for op in run]
+        controls = tuple((q, None if vary else int(v)) for q, v, vary in zip(qubits, values[0], varies))
+        out.append(_compile_gate(run[0].num_qubits, "M", run[0].target, controls, run[0].angle, slots))
+    return tuple(out)
+
+
+def bind_params(ops: tuple, params) -> tuple:
+    """The ops with every fused unit's matrix built for ``params`` in one
+    vectorized pass over their angles: a unit's or multiplexor's entries, a
+    block's units and Kronecker matrix. Bound or parameter-free ops are kept."""
+    todo = [i for i, g in enumerate(ops) if np.size(g.slots) and (g.matrix if g.kind == "B" else g.entries) is None]
+    if not todo:
+        return tuple(ops)
+    slots = [np.reshape(ops[i].slots, (-1, 3)) for i in todo]
+    units = np.reshape(_unit_matrix(_bind(None, params)[1][np.concatenate(slots)]), (2, 2, -1)).transpose(2, 0, 1)
+    out = list(ops)
+    for i, u in zip(todo, np.split(units, np.cumsum([len(s) for s in slots])[:-1])):
+        if ops[i].kind == "B":
+            out[i] = replace(ops[i], matrix=_kron_factors(ops[i].factors, iter(u)), units=u)
+        else:  # a multiplexor's entries broadcast like its slots, a unit's are scalars
+            out[i] = replace(ops[i], entries=tuple(u.reshape(-1, 4).T.reshape((4,) + np.shape(ops[i].slots)[:-1])))
+    return tuple(out)
+
+
 def _columns(amps: np.ndarray) -> np.ndarray:
     """The (dim, batch) columns of a (batch, dim) stack: its transpose when
     that is C-contiguous, else a C-contiguous copy of a row-major stack."""
@@ -495,18 +526,18 @@ def _columns(amps: np.ndarray) -> np.ndarray:
 
 
 def run_compiled(compiled: tuple, amps: np.ndarray, data=None, params=None) -> None:
-    """Run a compiled op sequence (``compile_program`` ops, fused or not by
-    ``fuse_layers``) in place on a (batch, dim) stack: the transpose of
-    C-contiguous columns in place, a C-contiguous one through one copy.
+    """Run compiled ops (fused or not, bound or not) in place on a (batch,
+    dim) stack: the transpose of C-contiguous columns in place, a
+    C-contiguous one through one copy.
 
     ``data`` holds one row of data angles per state (or one vector for all)
     and ``params`` one vector for all rows; both must be finite.
     """
     cols = _columns(amps)
     data, params = _bind(data, params)
-    for cg in compiled:
+    for cg in bind_params(compiled, params):
         if cg.kind == "B":
-            _apply_block(cols, cg, cg.matrix_for(params))
+            _apply_block(cols, cg, cg.matrix)
         else:
             _apply_kernel(cols, cg, _entries(cg, data, params))
     if not np.shares_memory(cols, amps):
@@ -523,38 +554,41 @@ def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, pa
     before the fragment. Returns ``(param_grads, data_grads)``: parameter
     gradients summed over the batch, and per-row data gradients of shape
     (batch, data length), (batch, 0) when ``data`` is None, each read by
-    ``_derivative_dots`` from the 2x2 overlap of the pairs the un-apply wrote.
+    ``_derivative_dots`` from the 2x2 overlaps of the pairs the un-apply wrote.
+    It conjugates the matrices of blocks bound by ``bind_params`` in place.
     """
     kc, bc = _columns(ket), _columns(bra)
     data, params = _bind(data, params)
     param_grads = np.zeros(param_arity)
     data_grads = np.zeros((kc.shape[1], data.shape[-1]))
-    for cg in reversed(compiled):
+    for cg in reversed(bind_params(compiled, params)):
         if cg.kind == "B":
-            inverse = cg.matrix_for(params).conj().T
+            inverse = (np.conj(cg.matrix, out=cg.matrix) if cg.units is not None else cg.matrix.conj()).T
             k, b = _apply_block(kc, cg, inverse), _apply_block(bc, cg, inverse)
-            if cg.matrix is None:
-                for slots, overlaps in _block_unit_overlaps(cg, b, k):
-                    angles = params[list(slots)]
-                    generators = _unit_generators(angles[0], _unit_matrix(angles))
-                    param_grads[list(slots)] += _derivative_dots(generators, overlaps)
+            if cg.units is not None:
+                generators = _unit_generators(params[[s[0] for s in cg.slots]], cg.units)
+                param_grads[np.array(cg.slots)] += _derivative_dots(generators, _block_unit_overlaps(cg, b, k))
             continue
         m00, m01, m10, m11 = m = _entries(cg, data, params)
-        inverse = m00.conjugate(), m10.conjugate(), m01.conjugate(), m11.conjugate()  # the conjugate transpose
+        inverse = np.conj(m00), np.conj(m10), np.conj(m01), np.conj(m11)  # the conjugate transpose
         if cg.angle is None or cg.angle[0] == "const":  # no gradient, so no pairs to keep
             _apply_kernel(kc, cg, inverse)
             _apply_kernel(bc, cg, inverse)
             continue
-        # the pair overlap S_ij = sum conj(b_i) k_j: per row for a data slot, over the batch for parameters
+        # the pair overlaps S_ij = sum conj(b_i) k_j: per row for a data slot, over the batch for parameters
         tag, slot = cg.angle
-        generators = _unit_generators(params[slot], m) if cg.slots else _MATRICES[cg.kind][None]
         k, b = _apply_kernel(kc, cg, inverse), _apply_kernel(bc, cg, inverse)
         if tag == "data":
-            overlaps = np.array([[np.sum(np.conj(bi) * kj, axis=tuple(range(kj.ndim - 1))) for kj in k] for bi in b])
-            data_grads[:, slot] += _derivative_dots(generators, overlaps)[0]
-        else:
-            overlaps = np.array([[np.vdot(bi, kj) for kj in k] for bi in b])
-            param_grads[list(cg.slots or (slot,))] += _derivative_dots(generators, overlaps)
+            overlaps = _pair_overlaps(b, k, (False,) * (k[0].ndim - 1) + (True,))
+            data_grads[:, slot] += _derivative_dots(_MATRICES[cg.kind][None], overlaps)[:, 0]
+        else:  # over the batch, and one overlap per pattern of a multiplexor (the axes its entries vary on)
+            overlaps = _pair_overlaps(b, k, tuple(n > 1 for n in np.shape(m00))).reshape(-1, 2, 2)
+            if np.size(cg.slots):  # fused units: R_Z R_Y R_X per pattern
+                slots = np.reshape(cg.slots, (-1, 3))
+                generators = _unit_generators(params[slots[:, 0]], np.reshape(m, (4, -1)).T.reshape(-1, 2, 2))
+            else:
+                slots, generators = np.array([[slot]]), _MATRICES[cg.kind][None]
+            param_grads[slots] += _derivative_dots(generators, overlaps)
         del k, b  # up to two stacks of pairs: free them before the next op's un-apply
     for rows, cols in ((ket, kc), (bra, bc)):
         if not np.shares_memory(cols, rows):
@@ -640,12 +674,5 @@ def adjoint_gradients(
     for c, op in zip(cotangents, ops):
         if c != 0.0:
             bra += c * apply_measurement_operator(psi, op)
-    param_grads, _ = adjoint_sweep(
-        compile_program(program),
-        psi.amplitudes[None, :],
-        bra[None, :],
-        data,
-        params,
-        program.param_arity,
-    )
-    return param_grads
+    compiled = compile_program(program)
+    return adjoint_sweep(compiled, psi.amplitudes[None, :], bra[None, :], data, params, program.param_arity)[0]

@@ -550,17 +550,50 @@ class TestLazyReference:
 
 class TestFusedSchedule:
     """The evaluator runs each run of uncontrolled units, and the measurement
-    Hadamards, as dense blocks (``sv.fuse_layers``); ``compiled`` stays the
-    per-unit gate-list reference it is checked against."""
+    Hadamards, as dense blocks (``sv.fuse_layers``), and each block's kernel
+    units for one value qubit as one multiplexor (``sv.fuse_multiplexors``);
+    ``compiled`` stays the per-unit gate-list reference it is checked
+    against."""
 
     def test_canonical_schedule(self):
         ev = qc.QuantumEvaluator(CANONICAL)
         assert len(sv.compile_program(ev.extraction)) == 67
-        assert len(ev._ops) == 56 and len(ev._h_gates) == 2
+        assert len(ev._ops) == 14 and len(ev._h_gates) == 2
         assert all(op.kind == "B" for op in ev._h_gates)
         blocks = [(op.low, len(op.factors)) for op in ev._ops if op.kind == "B"]
         # head (H on q_k, units on q_v), 2 x 3 LWM pairs from their lower qubit, tail
         assert blocks == [(6, 4)] + [(2, 4)] * 3 + [(1, 4)] * 3 + [(6, 3)]
+        # block b's 8 kernel units for value qubit v: target q_f[b-1], fixed q_v[v] = 1 (and q_f[0] = 1
+        # for b = 2), one unit per pattern of (q_k, y_b, x_b), the pattern qubits marked None
+        muxes = [(op.target, op.controls) for op in ev._ops if op.kind == "M"]
+        assert [op.kind for op in ev._ops] == ["B"] + ["B", "M"] * 6 + ["B"]
+        assert muxes == [(10, ((9, None), (6 + v, 1), (5, None), (2, None))) for v in range(3)] + [
+            (11, ((10, 1), (9, None), (6 + v, 1), (4, None), (1, None))) for v in range(3)
+        ]
+        triples = [tuple(t) for op in ev._ops if op.kind == "M" for t in op.slots.reshape(-1, 3)]
+        assert sorted(triples) == sorted(cg.slots for cg in sv.compile_program(ev.extraction) if cg.controls)
+        assert len(triples) == 48
+
+    def test_a_single_image_forward_dispatches_each_op_once(self, monkeypatch):
+        # a timing-free latency guard: 14 extraction ops and 2 H blocks, and
+        # one pass over the unit angles, which the backward reuses
+        ev, calls = qc.QuantumEvaluator(CANONICAL), []
+        for name in ("_apply_kernel", "_apply_block", "_unit_matrix", "_kron_factors"):
+            real = getattr(sv, name)
+
+            def spy(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(sv, name, spy)
+        rng = np.random.default_rng(1050)
+        params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
+        _, _, cache = ev.forward(rng.uniform(0, np.pi, (1, CANONICAL.data_arity)), params)
+        assert sorted(calls) == sorted(["_unit_matrix"] + ["_kron_factors"] * 8 + ["_apply_kernel"] * 6
+                                       + ["_apply_block"] * 10)
+        calls.clear()
+        ev.backward(cache, params, rng.normal(size=(1, ev.num_features)))
+        assert sorted(calls) == ["_apply_block"] * 18 + ["_apply_kernel"] * 12
 
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("g,e,m,k,lwm", [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True),
@@ -612,7 +645,7 @@ class TestSegmentSchedule:
 
     def test_canonical_cut_points(self):
         ev = qc.QuantumEvaluator(CANONICAL)
-        assert ev._segments == ((1024, 0, 2), (2048, 2, 29), (4096, 29, 56))
+        assert ev._segments == ((1024, 0, 2), (2048, 2, 8), (4096, 8, 14))
 
     @pytest.mark.parametrize("g,e,m,k,lwm", SCHEDULE_CONFIGS)
     def test_no_op_before_a_cut_touches_a_later_feature_qubit(self, g, e, m, k, lwm):

@@ -209,7 +209,7 @@ class TestBackward:
                 calls.append("H layer")
             return real_run(compiled, *args, **kwargs)
 
-        # and that cache holds the unit states' parts, not their angle derivatives
+        # and that cache holds the unit states' parts, not their angle derivatives, and the bound ops
         real_backward, cached = ev.backward, []
 
         def backward(cache, *args):
@@ -221,7 +221,7 @@ class TestBackward:
         monkeypatch.setattr(ev, "backward", backward)
         small_model.loss_and_grads(images, np.array([0, 2]), store)
         assert calls == ["unit states", "H layer", "H layer"]
-        assert cached == [["cols", "phase", "phi", "states", "u"]]
+        assert cached == [["cols", "ops", "phase", "phi", "states", "u"]]
 
     def test_a_forward_only_batch_builds_no_derivative_arrays(self, small_model, monkeypatch):
         # every array the unit states hand out holds two amplitudes, none a (3, 2, ...) stack of angle derivatives

@@ -841,3 +841,131 @@ class TestColumnLayout:
         # forward: three segments and the H layer; backward: one H layer on
         # the cached measured state, then ket and bra in each of the three segments
         assert entries == exits == [True] * 11
+
+
+# ---------------------------------------------------------------------------
+# multiplexors: runs of controlled units, one per control pattern, as one op
+# ---------------------------------------------------------------------------
+
+
+def kernel_run(target, pattern, fixed, first_slot, order=None):
+    """One fused unit per pattern of the ``pattern`` qubits (in ``order``, a
+    permutation of the patterns), each under the ``fixed`` controls too."""
+    units, patterns = [], list(range(1 << len(pattern)))
+    for i, p in enumerate(patterns if order is None else order):
+        controls = tuple((q, (p >> j) & 1) for j, q in enumerate(pattern)) + fixed
+        units += unit(target, controls, first_slot + 3 * i)
+    return units
+
+
+class TestFuseMultiplexors:
+    N = 6
+
+    def _fused(self, instrs):
+        arity = 1 + max(i.angle[1] for i in instrs if i.angle is not None)
+        return sv.fuse_multiplexors(sv.compile_program(CircuitProgram(self.N, instrs, param_arity=arity)))
+
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_a_run_that_covers_every_pattern_once_becomes_one_op(self, value):
+        (op,) = self._fused(kernel_run(5, (1, 3), ((0, value),), 0, order=[2, 0, 3, 1]))
+        assert op.kind == "M" and op.target == 5
+        assert dict(op.controls) == {0: value, 1: None, 3: None}
+        # one slot triple per pattern, bit of qubit 3 first, broadcast along the pattern axes
+        triples = op.slots.reshape(-1, 3).tolist()
+        assert triples == [[3, 4, 5], [9, 10, 11], [0, 1, 2], [6, 7, 8]]
+        assert op.angle == param_slot(0)
+
+    def test_other_runs_stay_per_unit(self):
+        full = kernel_run(5, (1, 3), ((0, 1),), 0)
+        missing = full[:9]
+        repeated = full[:9] + unit(5, ((1, 0), (3, 0), (0, 1)), 12)
+        moved = full[:9] + unit(4, ((1, 1), (3, 1), (0, 1)), 9)
+        flipped = full[:9] + unit(5, ((1, 1), (3, 1), (0, 0)), 9)  # a fixed control with another value
+        for instrs in (missing, repeated, moved, flipped):
+            assert all(op.kind == "U" for op in self._fused(instrs))
+        # a differing fixed control ends nothing: with every value it is one more pattern qubit
+        both = kernel_run(5, (1, 3), ((0, 1),), 0) + kernel_run(5, (1, 3), ((0, 0),), 12)
+        (op,) = self._fused(both)
+        assert dict(op.controls) == {0: None, 1: None, 3: None}
+
+    def test_runs_end_at_any_other_op(self):
+        run, h = kernel_run(5, (1, 3), ((0, 1),), 0), [GateInstruction("H", 2)]
+        assert [op.kind for op in self._fused(run[:9] + h + run[9:])] == ["U", "U", "U", "H", "U"]
+        # each half covers qubit 1's two values under qubit 3 fixed: a multiplexor of its own
+        halves = self._fused(run[:6] + h + run[6:])
+        assert [(op.kind, dict(op.controls)) for op in halves] == [
+            ("M", {0: 1, 1: None, 3: 0}), ("H", {}), ("M", {0: 1, 1: None, 3: 1}),
+        ]
+        assert [op.kind for op in self._fused(run + [GateInstruction("X", 5)] + kernel_run(5, (2,), (), 12))] == [
+            "M", "X", "M",
+        ]
+
+
+def random_multiplexed_program(rng, n, runs):
+    """Complete kernel runs on random targets, pattern and fixed qubits
+    (values 0 and 1, patterns in random order), between uncontrolled units,
+    Hadamards, data-bound rotations and an incomplete run."""
+    instrs, slot = [GateInstruction("H", q) for q in range(n)], 0
+    for _ in range(runs):
+        qubits = [int(q) for q in rng.permutation(n)]
+        target, pattern = qubits[0], tuple(qubits[1 : 1 + int(rng.integers(1, 4))])
+        fixed = tuple((q, int(rng.integers(2))) for q in qubits[1 + len(pattern) :][: int(rng.integers(3))])
+        instrs += kernel_run(target, pattern, fixed, slot, order=rng.permutation(1 << len(pattern)))
+        slot += 3 << len(pattern)
+        instrs += unit(int(rng.integers(n)), (), slot) + [GateInstruction("RY", target, fixed, data_slot(0))]
+        slot += 3
+    instrs += kernel_run(0, (1, 2), (), slot)[:9]
+    return CircuitProgram(n, instrs, data_arity=1, param_arity=slot + 9)
+
+
+class TestMultiplexedSweeps:
+    """Schedules with multiplexors, bound or not, against the per-unit gate list."""
+
+    N = 6
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_match_the_gate_list_on_amplitudes_and_gradients(self, rows):
+        rng = np.random.default_rng(1600 + rows)
+        for _ in range(6):
+            prog = random_multiplexed_program(rng, self.N, 4)
+            ops = sv.compile_program(prog)
+            fused = sv.fuse_multiplexors(sv.fuse_layers(ops))
+            assert sum(op.kind == "M" for op in fused) == 4 and "U" in {op.kind for op in fused}
+            data = rng.uniform(-np.pi, np.pi, (rows, 1))
+            params = rng.uniform(-2 * np.pi, 2 * np.pi, prog.param_arity)
+            start, bra = random_stack(rng, rows, self.N), random_stack(rng, rows, self.N)
+            want = start.copy()
+            sv.run_compiled(ops, want, data, params)
+            want_grads = sv.adjoint_sweep(ops, want, bra, data, params, prog.param_arity)
+            for schedule in (fused, sv.bind_params(fused, params)):
+                ket, got_bra = start.copy(), bra.copy()
+                sv.run_compiled(schedule, ket, data, params)
+                assert np.max(np.abs(ket - want)) <= 1e-10
+                got_grads = sv.unapply_compiled(schedule, ket, got_bra, data, params, prog.param_arity)
+                assert np.max(np.abs(ket - start)) <= 1e-10
+                for got, expected in zip(got_grads, want_grads):
+                    assert got.shape == expected.shape and np.max(np.abs(expected)) > 1e-3
+                    assert np.max(np.abs(got - expected)) <= 1e-10
+
+    def test_bind_builds_every_unit_matrix_in_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(1610)
+        prog = random_multiplexed_program(rng, self.N, 3)
+        fused = sv.fuse_multiplexors(sv.fuse_layers(sv.compile_program(prog)))
+        params = rng.uniform(-2 * np.pi, 2 * np.pi, prog.param_arity)
+        calls = []
+        real = sv._unit_matrix
+
+        def unit_matrix(angles):
+            calls.append(len(angles))
+            return real(angles)
+
+        monkeypatch.setattr(sv, "_unit_matrix", unit_matrix)
+        bound = sv.bind_params(fused, params)
+        units = sum(np.size(op.slots) // 3 for op in fused if op.kind in ("U", "M"))
+        units += sum(len(op.slots) for op in fused if op.kind == "B")
+        assert calls == [units] == [prog.param_arity // 3]
+        assert all(a is b for a, b in zip(sv.bind_params(bound, params), bound)) and calls == [units]  # at no cost
+        ket = random_stack(rng, 2, self.N)
+        sv.run_compiled(bound, ket, np.zeros((2, 1)), params)
+        sv.unapply_compiled(bound, ket, random_stack(rng, 2, self.N), np.zeros((2, 1)), params, prog.param_arity)
+        assert len(calls) == 1
