@@ -244,12 +244,13 @@ class QuantumEvaluator:
     the highest one the ops have touched so far are still |0>, so each
     segment of ops, cut where that qubit rises, runs on the leading rows
     that hold it. ``forward`` returns the states as the (batch, 2^n)
-    transpose of the columns, the features, and a cache: the columns, the
-    measured state phi, the bound ops and the value qubits' unit states with
-    their parts u = R_Y R_X|0> and R_Z's phases. ``backward`` consumes it: it
-    weights phi in place as its bra and un-applies the segments in reverse on
-    it and on the columns as its ket, so the returned states last until
-    then, and forms the angle derivatives from u and the phases.
+    transpose of the columns, the features (marginals of the measured state
+    phi's upper half, read through ``_upper_axes``) and a cache: the
+    columns, phi, the bound ops, and the unit states with their
+    ``sv._unit_parts``. ``backward`` consumes it: it weights phi's upper half
+    in place through the same axes as its bra, un-applies the segments in
+    reverse on it and on the columns as its ket, so the returned states last
+    until then, and forms all data-angle derivatives at once from the parts.
     ``program`` and ``compiled`` hold the whole program, encoding first,
     unfused, as the per-unit gate-list reference, and ``operators`` the
     measurement family; the three are built on first use.
@@ -277,12 +278,10 @@ class QuantumEvaluator:
         order = measured_qubit_order(config, self.layout)
         rest = tuple(q for q in range(n) if q not in order)
         self._h_gates = sv.fuse_layers(sv.compile_program(CircuitProgram(n, [GateInstruction("H", q) for q in order])))
-        # Row i lists the amplitudes whose measured bits read (i, 1), order[0]
-        # most significant, over the unmeasured bits with rest[0] most
-        # significant: the order the features' marginal sums run in. They are
-        # the upper half (q_f[-1], the top qubit, is 1), whose axes, highest
-        # qubit first, ``_upper_axes`` puts in that order for ``_cot_shape``.
-        self._table = sv.basis_indices(order)[1::2, None] | sv.basis_indices(rest)[None, :]
+        # The features are the marginals of the upper half (q_f[-1], the top
+        # qubit, is 1): ``_upper_axes`` puts its axes, highest qubit first, in
+        # the order the features and ``_cot_shape`` run in, the measured bits
+        # (order[0] first), then the unmeasured ones (rest[0] first), then the batch.
         self._upper_axes = tuple(n - 2 - q for q in order[:-1] + rest) + (n - 1,)
         self._cot_shape = (2,) * (len(order) - 1) + (1,) * len(rest) + (-1,)
         # Row s lists superpixel s's amplitudes of the encoded state, column
@@ -309,22 +308,27 @@ class QuantumEvaluator:
     def forward(self, data: np.ndarray, params: np.ndarray):
         """Simulate a batch of data rows; returns (final amplitudes, features,
         cache for ``backward``)."""
-        data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        states, u, phase = _unit_states(self._angles(data))
-        branch = states[:, 0]
-        for n in range(1, self.config.value_qubits):  # value qubit n on bit n of the leading axis
-            branch = (states[:, None, n] * branch[None]).reshape((-1,) + branch.shape[1:])
-        cols = np.zeros((1 << self.layout.total_qubits, data.shape[0]), dtype=np.complex128)
+        data, params = sv._bind(np.atleast_2d(data), params)
+        sv._check_binding(data, self.config.data_arity, "data")
+        sv._check_binding(params, self.extraction.param_arity, "params")
+        nv = self.config.value_qubits
+        p, a, b = parts = sv._unit_parts(data.reshape(len(data), -1, nv, 3))  # (row, superpixel, value qubit)
+        states = np.array([p * a, np.conj(p) * b])  # R_Z R_Y R_X|0>, each unit matrix's first column
+        branch = states[..., 0]
+        for n in range(1, nv):  # value qubit n on bit n of the leading axis
+            branch = (states[:, None, ..., n] * branch[None]).reshape((-1,) + branch.shape[1:])
+        cols = np.zeros((1 << self.layout.total_qubits, len(data)), dtype=np.complex128)
         cols[self._encoding_table] = branch.transpose(2, 0, 1) * self._encoding_scale[:, None]
         ops = sv.bind_params(self._ops, params)
         for width, start, stop in self._segments:  # rows past width stay zero: every qubit above is |0>
             sv.run_compiled(ops[start:stop], cols[:width].T, None, params)
         phi = cols.copy()
         sv.run_compiled(self._h_gates, phi.T)
-        probs = phi.real**2 + phi.imag**2
+        upper = self._upper(phi)
+        probs = (upper.real**2 + upper.imag**2).reshape(self.num_features, -1, len(data))
         # 2^m for the m measured qubits: one per feature index bit plus q_f's
-        features = (2.0 * self.num_features) * probs[self._table].sum(axis=1)
-        return cols.T, features.T, {"cols": cols, "phi": phi, "ops": ops, "states": states, "u": u, "phase": phase}
+        features = (2.0 * self.num_features) * probs.sum(axis=1)
+        return cols.T, features.T, {"cols": cols, "phi": phi, "ops": ops, "states": states, "parts": parts}
 
     def backward(self, cache: dict, params: np.ndarray, cotangents: np.ndarray):
         """Adjoint sweep from the cache of one ``forward``, which it consumes.
@@ -335,8 +339,7 @@ class QuantumEvaluator:
         cotangents = np.atleast_2d(np.asarray(cotangents, dtype=np.float64))
         ket, bra = cache.pop("cols"), cache.pop("phi")
         bra[: len(bra) // 2] = 0
-        upper = bra[len(bra) // 2 :].reshape((2,) * (len(self._upper_axes) - 1) + (-1,)).transpose(self._upper_axes)
-        upper *= (2.0 * self.num_features) * cotangents.T.reshape(self._cot_shape)
+        self._upper(bra)[...] *= (2.0 * self.num_features) * cotangents.T.reshape(self._cot_shape)
         sv.run_compiled(self._h_gates, bra.T)
         # Rows past a segment's width are zero before it, and no earlier op reads them.
         param_grads, ops = np.zeros(self.extraction.param_arity), cache.pop("ops")
@@ -347,27 +350,22 @@ class QuantumEvaluator:
         # angle's gradient is 2 Re <bra| d(encoded state)/d angle>, and only
         # its superpixel's branch depends on it.
         nv = self.config.value_qubits
-        states, u, phase = cache["states"], cache["u"], cache["phase"]
+        states, (p, a, b) = cache["states"], cache["parts"]
         conj = np.conj(bra[self._encoding_table].transpose(2, 0, 1)) * self._encoding_scale
         conj = conj.reshape(conj.shape[:2] + (2,) * nv)  # axis 1 + nv - n holds value qubit n
-        grads = np.empty((3,) + states.shape[1:])
+        env = np.empty(states.shape, dtype=np.complex128)
         for n in range(nv):  # contract every other value qubit's state out of the branch
-            others = [op for m in range(nv) if m != n for op in (states[:, m], [1 + nv - m, 0, 1])]
-            env = np.einsum(conj, [0, 1, *range(2, 2 + nv)], *others, [1 + nv - n, 0, 1])
-            # 2 Re <env| d(R_Z u)/d angle> for u = R_Y R_X|0>: du/da = i conj(u1, -u0)/2, du/db = (-u1, u0)/2,
-            # and R_Z's generator -iZ/2 commutes with it, so d(R_Z u)/dc = R_Z (-i)(u0, -u1)/2
-            (e0, e1), (u0, u1) = env * phase[:, n], u[:, n]
-            grads[0, n] = np.imag(e1 * np.conj(u0) - e0 * np.conj(u1))
-            grads[1, n] = np.real(e1 * u0 - e0 * u1)
-            grads[2, n] = np.imag(e0 * u0 - e1 * u1)
-        return param_grads, np.moveaxis(grads, (0, 1), (3, 2)).reshape(grads.shape[2], -1)
+            others = [op for m in range(nv) if m != n for op in (states[..., m], [1 + nv - m, 0, 1])]
+            env[..., n] = np.einsum(conj, [0, 1, *range(2, 2 + nv)], *others, [1 + nv - n, 0, 1])
+        # 2 Re <env| d(R_Z u)/d angle> for u = R_Y R_X|0> = (a, b): in the RX angle du = i conj(b, -a)/2, in RY's
+        # du = (-b, a)/2, and R_Z's generator -iZ/2 commutes with it, so in RZ's d(R_Z u) = R_Z (-i)(a, -b)/2
+        e0, e1 = env[0] * p, env[1] * np.conj(p)
+        grads = [np.imag(e1 * np.conj(a) - e0 * np.conj(b)), np.real(e1 * a - e0 * b), np.imag(e0 * a - e1 * b)]
+        return param_grads, np.stack(grads, -1).reshape(len(p), -1)
 
-    def _angles(self, data: np.ndarray) -> np.ndarray:
-        """Data rows as (RX/RY/RZ angle, value qubit, row, superpixel)."""
-        if not np.all(np.isfinite(data)):
-            raise ValueError("data and parameter values must be finite")
-        angles = data.reshape(data.shape[0], self.config.grid_size**2, self.config.value_qubits, 3)
-        return np.moveaxis(angles, (3, 2), (0, 1))
+    def _upper(self, stack: np.ndarray) -> np.ndarray:
+        """The upper half of a (2^n, batch) stack, one axis per qubit in ``_upper_axes`` order."""
+        return stack[len(stack) // 2 :].reshape((2,) * (len(self._upper_axes) - 1) + (-1,)).transpose(self._upper_axes)
 
 
 def _top_qubit(op) -> int:
@@ -375,16 +373,6 @@ def _top_qubit(op) -> int:
     if op.kind == "B":
         return op.low + len(op.factors) - 1
     return max((op.target, *dict(op.controls)))
-
-
-def _unit_states(angles: np.ndarray) -> tuple:
-    """R_Z(c) R_Y(b) R_X(a)|0> for angles (a, b, c) stacked on the leading
-    axis, as its two amplitudes stacked the same way, and its parts u =
-    R_Y R_X|0> and R_Z's diagonal, each of shape (2, ...)."""
-    (ca, cb, cc), (sa, sb, sc) = np.cos(0.5 * angles), np.sin(0.5 * angles)
-    phase = np.array([cc - 1j * sc, cc + 1j * sc])  # R_Z = diag(phase)
-    u = np.array([cb * ca + 1j * sb * sa, sb * ca - 1j * cb * sa])  # R_Y R_X|0>
-    return phase * u, u, phase
 
 
 @lru_cache(maxsize=8)

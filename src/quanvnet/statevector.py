@@ -312,13 +312,17 @@ def _rotation(kind: str, theta) -> tuple:
     return c + s * g00, s * g01, s * g10, c + s * g11
 
 
-def _unit_matrix(angles: np.ndarray) -> tuple:
-    """Entries (m00, m01, m10, m11) of R_Z(c) R_Y(b) R_X(a) for fused units'
-    angles (..., 3) = (a, b, c), each of shape (...)."""
+def _unit_parts(angles: np.ndarray) -> tuple:
+    """The parts (p, a, b) of R_Z R_Y R_X for fused units' RX, RY, RZ angles
+    (..., 3), each of shape (...): R_Z = diag(p, conj(p)), R_Y R_X|0> = (a, b)."""
     half = 0.5 * np.moveaxis(angles, -1, 0)
     (ca, cb, cc), (sa, sb, sc) = np.cos(half), np.sin(half)
-    p = cc - 1j * sc  # R_Z = diag(p, conj(p))
-    a, b = cb * ca + 1j * (sb * sa), sb * ca - 1j * (cb * sa)  # R_Y R_X|0>
+    return cc - 1j * sc, cb * ca + 1j * (sb * sa), sb * ca - 1j * (cb * sa)
+
+
+def _unit_matrix(angles: np.ndarray) -> tuple:
+    """Entries (m00, m01, m10, m11) of R_Z R_Y R_X, assembled from ``_unit_parts``."""
+    p, a, b = _unit_parts(angles)
     return p * a, -p * np.conj(b), np.conj(p) * b, np.conj(p * a)
 
 

@@ -291,6 +291,17 @@ class TestQuantumForward:
         with pytest.raises(ValueError):
             qc.quantum_forward(CANONICAL, np.zeros((4, 4, 9)), np.zeros(198))
 
+    @pytest.mark.parametrize("length", [23, 29])
+    def test_parameter_vector_of_another_length_rejected(self, length):
+        # CircuitConfig(1, 3, 1, 1) binds 24 parameters
+        with pytest.raises(ValueError, match=f"length {length}, program expects 24"):
+            qc.quantum_forward(qc.CircuitConfig(1, 3, 1, 1), np.zeros((2, 2, 3)), np.zeros(length))
+
+    def test_data_rows_of_another_width_rejected(self):
+        ev = qc.get_evaluator(qc.CircuitConfig(1, 3, 1, 1))
+        with pytest.raises(ValueError, match="length 11, program expects 12"):
+            ev.forward(np.zeros((2, 11)), np.zeros(ev.extraction.param_arity))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_angle_rejected(self, bad):
         processed = np.zeros((4, 4, 3))

@@ -192,52 +192,54 @@ class TestBackward:
         for seg in qm.SEGMENTS:
             assert np.allclose(single[seg], doubled[seg], rtol=1e-11, atol=1e-13)
 
-    def test_one_step_runs_the_unit_states_once_and_the_h_layer_twice(self, small_model, monkeypatch):
-        # the backward reads the unit states and the measured state from the forward's cache
+    def test_one_step_builds_the_unit_parts_in_the_forward_and_the_h_layer_twice(self, small_model, monkeypatch):
+        # the forward builds the parts twice, for the encoding and for binding the
+        # extraction ops; the backward reads them and the measured state from its cache
         rng = np.random.default_rng(8)
         images = rng.uniform(0, 1, (2, 16, 16, 2))
         store = random_store(small_model, rng)
         ev, calls = small_model.evaluator, []
-        real_unit_states, real_run = circuits._unit_states, circuits.sv.run_compiled
+        real_unit_parts, real_run = circuits.sv._unit_parts, circuits.sv.run_compiled
 
-        def unit_states(angles):
-            calls.append("unit states")
-            return real_unit_states(angles)
+        def unit_parts(angles):
+            calls.append("unit parts")
+            return real_unit_parts(angles)
 
         def run_compiled(compiled, *args, **kwargs):
             if compiled is ev._h_gates:
                 calls.append("H layer")
             return real_run(compiled, *args, **kwargs)
 
-        # and that cache holds the unit states' parts, not their angle derivatives, and the bound ops
+        # and that cache holds the unit states and parts, not their angle derivatives, and the bound ops
         real_backward, cached = ev.backward, []
 
         def backward(cache, *args):
             cached.append(sorted(cache))
             return real_backward(cache, *args)
 
-        monkeypatch.setattr(circuits, "_unit_states", unit_states)
+        monkeypatch.setattr(circuits.sv, "_unit_parts", unit_parts)
         monkeypatch.setattr(circuits.sv, "run_compiled", run_compiled)
         monkeypatch.setattr(ev, "backward", backward)
         small_model.loss_and_grads(images, np.array([0, 2]), store)
-        assert calls == ["unit states", "H layer", "H layer"]
-        assert cached == [["cols", "ops", "phase", "phi", "states", "u"]]
+        assert calls == ["unit parts", "unit parts", "H layer", "H layer"]
+        assert cached == [["cols", "ops", "parts", "phi", "states"]]
 
     def test_a_forward_only_batch_builds_no_derivative_arrays(self, small_model, monkeypatch):
-        # every array the unit states hand out holds two amplitudes, none a (3, 2, ...) stack of angle derivatives
+        # every array the unit parts hand out holds one value per unit, none a (3, ...) stack of angle derivatives
         rng = np.random.default_rng(9)
         images = rng.uniform(0, 1, (2, 16, 16, 2))
         store = random_store(small_model, rng)
-        real, returned = circuits._unit_states, []
+        real, returned = circuits.sv._unit_parts, []
 
-        def unit_states(angles):
+        def unit_parts(angles):
             returned.append(real(angles))
             return returned[-1]
 
-        monkeypatch.setattr(circuits, "_unit_states", unit_states)
+        monkeypatch.setattr(circuits.sv, "_unit_parts", unit_parts)
         small_model.forward_batch(images, store)
-        shape = (2, small_model.circuit_config.value_qubits, 2, small_model.circuit_config.grid_size**2)
-        assert len(returned) == 1 and all(a.shape == shape for a in returned[0])
+        config = small_model.circuit_config
+        shapes = [(2, config.grid_size**2, config.value_qubits), (small_model.evaluator.extraction.param_arity // 3,)]
+        assert [[a.shape for a in parts] for parts in returned] == [[shape] * 3 for shape in shapes]
 
 
 class TestAdam:

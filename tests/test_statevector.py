@@ -515,6 +515,20 @@ class TestSweepContract:
             want = oracles.central_differences(loss, data[row], eps=1e-4)
             assert oracles.relative_error(grads[row], want) <= 1e-5
 
+    def test_one_data_vector_shared_by_all_rows_gives_each_row_its_own_gradients(self):
+        # each row's data gradient from its own ket and bra, not their sum over the batch
+        rng = np.random.default_rng(503)
+        prog, _ = self._data_bound(rng)
+        compiled = sv.compile_program(prog)
+        data, params = rng.uniform(0, np.pi, prog.data_arity), rng.uniform(0, 2 * np.pi, prog.param_arity)
+        ket, bra = random_stack(rng, 3, 4), random_stack(rng, 3, 4)
+        alone = [sv.unapply_compiled(compiled, ket[r : r + 1].copy(), bra[r : r + 1].copy(), data, params,
+                                     prog.param_arity)[1] for r in range(3)]
+        got = sv.unapply_compiled(compiled, ket, bra, data, params, prog.param_arity)[1]
+        assert got.shape == (3, prog.data_arity)
+        assert np.max(np.abs(got[0] - got[1])) > 1e-3
+        assert np.max(np.abs(got - np.concatenate(alone))) <= 1e-12
+
     def test_matches_the_evaluator_backward(self):
         from quanvnet import circuits as qc
 
