@@ -235,25 +235,36 @@ class QuantumEvaluator:
     its value qubits' R_Z R_Y R_X|0> states times the all-pairs CZ sign
     (-1)^(k(k-1)/2) for Hamming weight k, at amplitude 1/2^g; its data-angle
     gradients follow from the same product and the cotangent state at the
-    encoding boundary. Only the ``extraction`` fragment runs as compiled ops:
-    each run of uncontrolled units (head, LWM pair, tail) as one dense block,
-    each block's kernel units for one value qubit, one per pattern of (x_b,
-    y_b, q_k), as one multiplexor: 67 ops become 14 on the canonical circuit,
-    bound once per ``forward``. The states are the columns of one zeroed
-    (2^n, batch) array, swept in place through its transpose; qubits above
-    the highest one the ops have touched so far are still |0>, so each
-    segment of ops, cut where that qubit rises, runs on the leading rows
-    that hold it. ``forward`` returns the states as the (batch, 2^n)
-    transpose of the columns, the features (marginals of the measured state
-    phi's upper half, read through ``_upper_axes``) and a cache: the
-    columns, phi, the bound ops, and the unit states with their
-    ``sv._unit_parts``. ``backward`` consumes it: it weights phi's upper half
-    in place through the same axes as its bra, un-applies the segments in
-    reverse on it and on the columns as its ket, so the returned states last
-    until then, and forms all data-angle derivatives at once from the parts.
-    ``program`` and ``compiled`` hold the whole program, encoding first,
-    unfused, as the per-unit gate-list reference, and ``operators`` the
-    measurement family; the three are built on first use.
+    encoding boundary. Only the ``extraction`` fragment runs as compiled ops,
+    each run of uncontrolled units (head, LWM pair, tail) as one dense block
+    and each block's kernel units for one value qubit as one multiplexor: 67
+    ops become 14 on the canonical circuit.
+
+    Convolution block b's ops act on x_b, y_b and q_f[b-1] (|0> before them)
+    under controls q_v, q_k and q_f[b-2] only, so per sector s, a pattern of
+    those controls, the block is one 8 x 4 matrix V_s, the same for every row
+    and every pattern of the other qubits. ``_build`` binds the ops and runs
+    each block's, compiled on a layout with its qubits and its sector's
+    lowest, on a (sectors * 8, 4) stack whose column j is sum_s |s>|j>, which
+    leaves V there; ``forward`` rebuilds only when the parameter values
+    change. The states are the columns of one (2^n, batch) array: the head
+    runs on the 2^q_f[0] leading rows the encoding fills, each block maps its
+    input rows to twice as many by one batched GEMM between a gather and a
+    scatter through its row table in ``_blocks``, and the tail runs on all
+    rows. ``forward`` returns the states as the (batch, 2^n) transpose of the
+    columns, the features (marginals of the measured state phi's upper half,
+    read through ``_upper_axes``) and a cache: the columns, phi, the bound
+    ops and V, and the unit states with their ``sv._unit_parts``.
+    ``backward`` consumes it, in place on the leading rows, so the returned
+    states last until then: it weights phi's upper half through the same
+    axes as its bra and un-applies the H layer and the tail; per block in
+    reverse, V^H takes ket and bra back to its input rows, and one un-apply
+    of its ops on a copy of V, with G_s = Bra_s X_s^H as the bra, gives its
+    parameter gradients; then it un-applies the head and forms all
+    data-angle derivatives at once from the parts. ``program`` and
+    ``compiled`` hold the whole program, encoding first, unfused, as the
+    per-unit gate-list reference, and ``operators`` the measurement family;
+    the three are built on first use.
 
     The measurement family of this circuit is diagonal after a Hadamard on
     every measured qubit: (I + sX)/2 = H |(1-s)/2><(1-s)/2| H. Expectations
@@ -265,17 +276,34 @@ class QuantumEvaluator:
 
     def __init__(self, config: CircuitConfig):
         self.config = config
-        self.layout = make_layout(config)
-        self.extraction = build_feature_extraction(config, self.layout)
-        self._ops = sv.fuse_multiplexors(sv.fuse_layers(sv.compile_program(self.extraction)))
-        # (stack width, first op, end op) per part of the schedule: a part starts
-        # where the highest qubit touched so far, at least q_f[0] - 1, rises.
-        n = self.layout.total_qubits
-        tops = np.maximum.accumulate([self.layout.q_f[0] - 1] + [_top_qubit(op) for op in self._ops])
-        starts = [i for i in range(len(self._ops)) if i == 0 or tops[i + 1] > tops[i]]
-        self._segments = tuple((2 << int(tops[i + 1]), i, j) for i, j in zip(starts, starts[1:] + [len(self._ops)]))
+        self.layout = layout = make_layout(config)
+        self.extraction = build_feature_extraction(config, layout)
+        n, g = layout.total_qubits, config.grid_log
+        compiled = sv.compile_program(self.extraction)
+        # block b's ops target its own qubits x_b, y_b and q_f[b-1]; the head before them and the tail after them
+        # act on q_v and q_k alone
+        own = [(layout.q_l[g - b], layout.q_l[2 * g - b], layout.q_f[b - 1]) for b in range(1, config.num_blocks + 1)]
+        labels = [next((b for b, qubits in enumerate(own) if op.target in qubits), None) for op in compiled]
+        bounds = [labels.index(b) for b in range(len(own))] + [len(labels) - labels[::-1].index(len(own) - 1)]
+        ops, blocks = _fused(compiled[: bounds[0]]), []
+        self._head = slice(len(ops))
+        for b, qubits in enumerate(own):
+            # construction qubits 0, 1, 2 are x_b, y_b, q_f[b-1], then the sector: q_v, q_k and q_f[b-2]
+            low = qubits + layout.q_v + layout.q_k + layout.q_f[max(b - 1, 0) : b]
+            order = low + tuple(q for q in range(n) if q not in low)  # the layout with ``low`` moved to 0, 1, ...
+            moved = [tuple(map(order.index, reg)) for reg in (layout.q_l, layout.q_v, layout.q_k, layout.q_f)]
+            reordered = sv.compile_program(build_feature_extraction(config, RegisterLayout(*moved)))
+            block = _fused(reordered[bounds[b] : bounds[b + 1]])
+            # data rows, as (sector, output, other qubits below q_f[b-1]); the first 4 outputs are the inputs
+            rest = tuple(q for q in range(qubits[2]) if q not in low)
+            rows = sv.basis_indices(low[::-1])[:, None] | sv.basis_indices(rest)[None, :]
+            blocks.append((slice(len(ops), len(ops) + len(block)), rows.reshape(-1, 8, 1 << len(rest))))
+            ops += block
+        self._tail = slice(len(ops), None)
+        self._ops, self._blocks = ops + _fused(compiled[bounds[-1] :]), tuple(blocks)
+        self._built = None  # (parameter values, bound ops, transfer matrices) of the last build
 
-        order = measured_qubit_order(config, self.layout)
+        order = measured_qubit_order(config, layout)
         rest = tuple(q for q in range(n) if q not in order)
         self._h_gates = sv.fuse_layers(sv.compile_program(CircuitProgram(n, [GateInstruction("H", q) for q in order])))
         # The features are the marginals of the upper half (q_f[-1], the top
@@ -286,7 +314,7 @@ class QuantumEvaluator:
         self._cot_shape = (2,) * (len(order) - 1) + (1,) * len(rest) + (-1,)
         # Row s lists superpixel s's amplitudes of the encoded state, column
         # bit j on value qubit j; the scale is each column's CZ sign / 2^g.
-        self._encoding_table = sv.basis_indices(self.layout.q_l)[:, None] | sv.basis_indices(self.layout.q_v[::-1])[None, :]
+        self._encoding_table = sv.basis_indices(layout.q_l)[:, None] | sv.basis_indices(layout.q_v[::-1])[None, :]
         self._encoding_scale = _cz_signs(config.value_qubits) / config.grid_size
 
     @cached_property
@@ -305,6 +333,17 @@ class QuantumEvaluator:
     def num_features(self) -> int:
         return self.config.num_feature_values
 
+    def _build(self, params: np.ndarray) -> tuple:
+        """The ops bound for ``params`` and each block's (sectors, 8, 4)
+        transfer matrices: its ops run on the columns sum_s |s>|j>, q_f[b-1] = 0."""
+        ops, transfers = sv.bind_params(self._ops, params), []
+        for part, rows in self._blocks:
+            v = np.zeros((len(rows), 8, 4), dtype=np.complex128)
+            v[:, :4] = np.eye(4)
+            sv.run_compiled(ops[part], v.reshape(-1, 4).T)
+            transfers.append(v)
+        return ops, transfers
+
     def forward(self, data: np.ndarray, params: np.ndarray):
         """Simulate a batch of data rows; returns (final amplitudes, features,
         cache for ``backward``)."""
@@ -317,18 +356,25 @@ class QuantumEvaluator:
         branch = states[..., 0]
         for n in range(1, nv):  # value qubit n on bit n of the leading axis
             branch = (states[:, None, ..., n] * branch[None]).reshape((-1,) + branch.shape[1:])
-        cols = np.zeros((1 << self.layout.total_qubits, len(data)), dtype=np.complex128)
-        cols[self._encoding_table] = branch.transpose(2, 0, 1) * self._encoding_scale[:, None]
-        ops = sv.bind_params(self._ops, params)
-        for width, start, stop in self._segments:  # rows past width stay zero: every qubit above is |0>
-            sv.run_compiled(ops[start:stop], cols[:width].T, None, params)
+        if self._built is None or not np.array_equal(self._built[0], params):
+            self._built = (params.copy(),) + self._build(params)  # a copy: adam_step updates the store in place
+        _, ops, transfers = self._built
+        cols = np.empty((1 << self.layout.total_qubits, len(data)), dtype=np.complex128)
+        head = cols[: 1 << self.layout.q_f[0]]  # every qubit above is |0> until block 1 writes it
+        head[...] = 0
+        head[self._encoding_table] = branch.transpose(2, 0, 1) * self._encoding_scale[:, None]
+        sv.run_compiled(ops[self._head], head.T)
+        for (_, rows), v in zip(self._blocks, transfers):  # block b: its rows with q_f[b-1] = 0 to all its rows
+            cols[rows] = (v @ cols[rows[:, :4]].reshape(len(v), 4, -1)).reshape(rows.shape + (-1,))
+        sv.run_compiled(ops[self._tail], cols.T)
         phi = cols.copy()
         sv.run_compiled(self._h_gates, phi.T)
         upper = self._upper(phi)
         probs = (upper.real**2 + upper.imag**2).reshape(self.num_features, -1, len(data))
         # 2^m for the m measured qubits: one per feature index bit plus q_f's
         features = (2.0 * self.num_features) * probs.sum(axis=1)
-        return cols.T, features.T, {"cols": cols, "phi": phi, "ops": ops, "states": states, "parts": parts}
+        cache = {"cols": cols, "phi": phi, "ops": ops, "transfers": transfers, "states": states, "parts": parts}
+        return cols.T, features.T, cache
 
     def backward(self, cache: dict, params: np.ndarray, cotangents: np.ndarray):
         """Adjoint sweep from the cache of one ``forward``, which it consumes.
@@ -341,11 +387,21 @@ class QuantumEvaluator:
         bra[: len(bra) // 2] = 0
         self._upper(bra)[...] *= (2.0 * self.num_features) * cotangents.T.reshape(self._cot_shape)
         sv.run_compiled(self._h_gates, bra.T)
-        # Rows past a segment's width are zero before it, and no earlier op reads them.
-        param_grads, ops = np.zeros(self.extraction.param_arity), cache.pop("ops")
-        for width, start, stop in reversed(self._segments):
-            ket, bra = ket[:width], bra[:width]
-            param_grads += sv.unapply_compiled(ops[start:stop], ket.T, bra.T, None, params, len(param_grads))[0]
+        ops, transfers, arity = cache.pop("ops"), cache.pop("transfers"), len(params)
+        param_grads = sv.unapply_compiled(ops[self._tail], ket.T, bra.T, None, params, arity)[0]
+        for (part, rows), v in zip(reversed(self._blocks), reversed(transfers)):
+            vh, inputs = np.conj(v).swapaxes(1, 2), rows[:, :4]  # V^H un-applies the block on its image
+            x = vh @ ket[rows].reshape(len(v), 8, -1)
+            ket[inputs] = x.reshape(inputs.shape + (-1,))
+            out = bra[rows].reshape(len(v), 8, -1)
+            g = out @ np.conj(x, out=x).swapaxes(1, 2)  # G_s = Bra_s X_s^H, the bra of V's columns
+            del x  # half a stack at the last block: free it before V^H Bra is made
+            bra[inputs] = (vh @ out).reshape(inputs.shape + (-1,))
+            del out
+            param_grads += sv.unapply_compiled(ops[part], v.copy().reshape(-1, 4).T, g.reshape(-1, 4).T, None,
+                                               params, arity)[0]
+        width = 1 << self.layout.q_f[0]
+        param_grads += sv.unapply_compiled(ops[self._head], ket[:width].T, bra[:width].T, None, params, arity)[0]
         # bra is now the cotangent state at the encoding boundary; each data
         # angle's gradient is 2 Re <bra| d(encoded state)/d angle>, and only
         # its superpixel's branch depends on it.
@@ -368,11 +424,9 @@ class QuantumEvaluator:
         return stack[len(stack) // 2 :].reshape((2,) * (len(self._upper_axes) - 1) + (-1,)).transpose(self._upper_axes)
 
 
-def _top_qubit(op) -> int:
-    """Highest qubit an op touches: its target or a control, or a block's top."""
-    if op.kind == "B":
-        return op.low + len(op.factors) - 1
-    return max((op.target, *dict(op.controls)))
+def _fused(ops) -> tuple:
+    """``ops`` with each layer of uncontrolled units as a block and each kernel group as a multiplexor."""
+    return sv.fuse_multiplexors(sv.fuse_layers(tuple(ops)))
 
 
 @lru_cache(maxsize=8)

@@ -30,11 +30,20 @@ LOG_CLIP = 1e-12
 CHECKPOINT_MAGIC = "QVNCKPT1"
 # A training step holds at most five full (2**n, batch) complex column stacks
 # plus DATA_SLOT_BYTES per data slot of each row at any batch size (tracemalloc
-# peak of one evaluator forward and backward: 4.62 stacks on the canonical 12
-# qubits at batch 1, 3.42 at batch 50, 4.81 on 18 qubits at batch 2; thin circuits,
-# E = 3, K = 1, M = 1 on 12 qubits: 57.6 bytes per slot over 5 stacks at batch 1, so 4 complex128).
+# peak of one evaluator forward and backward: 3.77 stacks on the canonical 12
+# qubits at batch 50, 3.76 on 18 qubits at batch 2; thin circuits, E = 3, K = 1,
+# M = 1 on 12 qubits: 57.6 bytes per slot over 5 stacks at batch 1, so 4 complex128),
+# and ``fixed_state_bytes``, which does not grow with the batch.
 STATE_COPIES = 5
 DATA_SLOT_BYTES = 64
+# The batch-independent part: TRANSFER_COPIES times the evaluator's transfer
+# matrices (the cached ones, the backward's copy and its bra, and the un-apply's
+# buffers on them: 5.35 copies on E = 30, g = M = K = 1 at batch 1), and
+# BLOCK_BUFFER_BYTES for a 6-qubit head block's Kronecker product, conjugate
+# transpose, overlap and product buffer, four 64 x 64 complex matrices (3.6 on
+# E = 18, g = M = K = 1).
+TRANSFER_COPIES = 6
+BLOCK_BUFFER_BYTES = 4 << 16
 STATE_BUDGET_BYTES = 2 << 30
 
 
@@ -82,10 +91,11 @@ class ModelConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         qubits = circuits.make_layout(circuit).total_qubits
         state_bytes = self.batch_size * (STATE_COPIES * (16 << qubits) + DATA_SLOT_BYTES * circuit.data_arity)
+        state_bytes += fixed_state_bytes(circuit)
         if state_bytes > STATE_BUDGET_BYTES:
             raise ConfigError(
                 f"batch_size {self.batch_size} on {qubits} qubits needs {state_bytes / 2**30:.3g} GiB of "
-                f"state stacks and unit states, over the {STATE_BUDGET_BYTES >> 30} GiB budget"
+                f"state stacks, unit states and transfer matrices, over the {STATE_BUDGET_BYTES >> 30} GiB budget"
             )
 
     @property
@@ -100,6 +110,14 @@ class ModelConfig:
             kernels_per_block=self.kernels,
             lwm_enabled=self.lwm_enabled,
         )
+
+
+def fixed_state_bytes(circuit: circuits.CircuitConfig) -> int:
+    """The bytes of a training step's state that do not grow with the batch.
+    Block b's transfer matrices hold 8 x 4 complex entries per sector, a
+    pattern of q_v, q_k and (b > 1) q_f[b-2]: 512 (2M - 1) 2^(nv + kq) bytes."""
+    transfers = 512 * (2 * circuit.num_blocks - 1) << (circuit.value_qubits + circuit.kernel_qubits)
+    return TRANSFER_COPIES * transfers + BLOCK_BUFFER_BYTES
 
 
 def checked_field(name: str, value):

@@ -559,7 +559,6 @@ def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, pa
     gradients summed over the batch, and per-row data gradients of shape
     (batch, data length), (batch, 0) when ``data`` is None, each read by
     ``_derivative_dots`` from the 2x2 overlaps of the pairs the un-apply wrote.
-    It conjugates the matrices of blocks bound by ``bind_params`` in place.
     """
     kc, bc = _columns(ket), _columns(bra)
     data, params = _bind(data, params)
@@ -567,7 +566,7 @@ def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, pa
     data_grads = np.zeros((kc.shape[1], data.shape[-1]))
     for cg in reversed(bind_params(compiled, params)):
         if cg.kind == "B":
-            inverse = (np.conj(cg.matrix, out=cg.matrix) if cg.units is not None else cg.matrix.conj()).T
+            inverse = cg.matrix.conj().T
             k, b = _apply_block(kc, cg, inverse), _apply_block(bc, cg, inverse)
             if cg.units is not None:
                 generators = _unit_generators(params[[s[0] for s in cg.slots]], cg.units)

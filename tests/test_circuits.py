@@ -318,24 +318,30 @@ class TestEvaluatorBackward:
         amps, _, cache = ev.forward(rng.uniform(0, np.pi, (3, ev.program.data_arity)), params)
         return ev, params, rng.normal(size=(3, ev.num_features)), amps, cache
 
-    def test_segments_and_unapplies_run_in_the_returned_amplitudes(self, monkeypatch):
-        # one zeroed stack per step: forward runs each segment on its leading
-        # rows, and backward un-applies that same stack in place as its ket
-        ev, stacks = qc.get_evaluator(SMALL), []
+    def test_data_sweeps_run_in_the_returned_amplitudes(self, monkeypatch):
+        # one stack per step: forward runs the head and the tail in it, and
+        # backward un-applies them in place with it as its ket; only each
+        # block's build and its un-apply run on (sectors * 8, 4) transfer columns
+        ev, stacks = qc.QuantumEvaluator(SMALL), []
         for name in ("run_compiled", "unapply_compiled"):
             real = getattr(sv, name)
 
             def spy(compiled, stack, *args, real=real, name=name):
                 if compiled is not ev._h_gates:
-                    stacks.append((name, stack))
+                    stacks.append((name, stack.shape, stack))
                 return real(compiled, stack, *args)
 
             monkeypatch.setattr(sv, name, spy)
-        ev, params, cot, amps, cache = self._forward(61)
-        ev.backward(cache, params, cot)
-        segments = len(ev._segments)
-        assert [name for name, _ in stacks] == ["run_compiled"] * segments + ["unapply_compiled"] * segments
-        assert all(np.shares_memory(stack, amps) for _, stack in stacks)
+        rng = np.random.default_rng(61)
+        params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
+        amps, _, cache = ev.forward(rng.uniform(0, np.pi, (3, SMALL.data_arity)), params)
+        ev.backward(cache, params, rng.normal(size=(3, ev.num_features)))
+        (_, rows), = ev._blocks
+        head, full, transfer = (3, 1 << ev.layout.q_f[0]), amps.shape, (4, 8 * len(rows))
+        assert [(name, shape) for name, shape, _ in stacks] == [
+            ("run_compiled", transfer), ("run_compiled", head), ("run_compiled", full),
+            ("unapply_compiled", full), ("unapply_compiled", transfer), ("unapply_compiled", head)]
+        assert [np.shares_memory(stack, amps) for _, _, stack in stacks] == [False, True, True, True, False, True]
 
     def test_second_backward_on_one_cache_raises(self):
         # the cached measured state becomes the first backward's bra
@@ -572,14 +578,16 @@ class TestFusedSchedule:
         assert len(ev._ops) == 14 and len(ev._h_gates) == 2
         assert all(op.kind == "B" for op in ev._h_gates)
         blocks = [(op.low, len(op.factors)) for op in ev._ops if op.kind == "B"]
-        # head (H on q_k, units on q_v), 2 x 3 LWM pairs from their lower qubit, tail
-        assert blocks == [(6, 4)] + [(2, 4)] * 3 + [(1, 4)] * 3 + [(6, 3)]
+        # head (H on q_k, units on q_v), 2 x 3 LWM pairs on x_b, y_b (qubits 0 and 1 of their block's
+        # construction layout), tail
+        assert blocks == [(6, 4)] + [(0, 2)] * 6 + [(6, 3)]
         # block b's 8 kernel units for value qubit v: target q_f[b-1], fixed q_v[v] = 1 (and q_f[0] = 1
-        # for b = 2), one unit per pattern of (q_k, y_b, x_b), the pattern qubits marked None
+        # for b = 2), one unit per pattern of (q_k, y_b, x_b), the pattern qubits marked None; on block b's
+        # construction layout x_b, y_b, q_f[b-1] are 0, 1, 2, and q_v, q_k, q_f[b-2] follow from 3 up
         muxes = [(op.target, op.controls) for op in ev._ops if op.kind == "M"]
         assert [op.kind for op in ev._ops] == ["B"] + ["B", "M"] * 6 + ["B"]
-        assert muxes == [(10, ((9, None), (6 + v, 1), (5, None), (2, None))) for v in range(3)] + [
-            (11, ((10, 1), (9, None), (6 + v, 1), (4, None), (1, None))) for v in range(3)
+        assert muxes == [(2, ((6, None), (3 + v, 1), (1, None), (0, None))) for v in range(3)] + [
+            (2, ((7, 1), (6, None), (3 + v, 1), (1, None), (0, None))) for v in range(3)
         ]
         triples = [tuple(t) for op in ev._ops if op.kind == "M" for t in op.slots.reshape(-1, 3)]
         assert sorted(triples) == sorted(cg.slots for cg in sv.compile_program(ev.extraction) if cg.controls)
@@ -587,7 +595,8 @@ class TestFusedSchedule:
 
     def test_a_single_image_forward_dispatches_each_op_once(self, monkeypatch):
         # a timing-free latency guard: 14 extraction ops and 2 H blocks, and
-        # one pass over the unit angles, which the backward reuses
+        # one pass over the unit angles, which the backward reuses; the 12 ops
+        # of the blocks run on their transfer columns, once per parameter set
         ev, calls = qc.QuantumEvaluator(CANONICAL), []
         for name in ("_apply_kernel", "_apply_block", "_unit_matrix", "_kron_factors"):
             real = getattr(sv, name)
@@ -599,12 +608,16 @@ class TestFusedSchedule:
             monkeypatch.setattr(sv, name, spy)
         rng = np.random.default_rng(1050)
         params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
-        _, _, cache = ev.forward(rng.uniform(0, np.pi, (1, CANONICAL.data_arity)), params)
+        data = rng.uniform(0, np.pi, (1, CANONICAL.data_arity))
+        _, _, cache = ev.forward(data, params)
         assert sorted(calls) == sorted(["_unit_matrix"] + ["_kron_factors"] * 8 + ["_apply_kernel"] * 6
                                        + ["_apply_block"] * 10)
         calls.clear()
         ev.backward(cache, params, rng.normal(size=(1, ev.num_features)))
         assert sorted(calls) == ["_apply_block"] * 18 + ["_apply_kernel"] * 12
+        calls.clear()
+        ev.forward(data, params)  # the same parameters: the head, the tail and the H layer only
+        assert calls == ["_apply_block"] * 4
 
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("g,e,m,k,lwm", [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True),
@@ -650,34 +663,61 @@ class TestFusedSchedule:
 SCHEDULE_CONFIGS = [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True), (2, 12, 2, 2, True)]
 
 
-class TestSegmentSchedule:
-    """Each feature qubit enters the simulated register at the first op that
-    touches it: ``forward`` grows the stack there, ``backward`` shrinks it."""
+def _touched(op) -> set:
+    """Every qubit an op acts on or is controlled by: a block's span, a kernel op's target and controls."""
+    if op.kind == "B":
+        return set(range(op.low, op.low + len(op.factors)))
+    return {op.target, *dict(op.controls)}
 
-    def test_canonical_cut_points(self):
+
+class TestTransferMatrices:
+    """Block b of the extraction acts on x_b, y_b and q_f[b-1] under controls
+    q_v, q_k and q_f[b-2] only, so per pattern of those controls it is one
+    matrix: the evaluator builds each block's 8 x 4 matrices once per
+    parameter set and applies them to the batch as one GEMM."""
+
+    def test_canonical_blocks(self):
         ev = qc.QuantumEvaluator(CANONICAL)
-        assert ev._segments == ((1024, 0, 2), (2048, 2, 8), (4096, 8, 14))
+        # ops 1-6 and 7-12; 16 sectors (q_v, q_k), then 32 (and q_f[0]); 4 other qubits below q_f[b-1] each
+        assert [(part, rows.shape) for part, rows in ev._blocks] == [(slice(1, 7), (16, 8, 16)),
+                                                                    (slice(7, 13), (32, 8, 16))]
 
-    @pytest.mark.parametrize("g,e,m,k,lwm", SCHEDULE_CONFIGS)
-    def test_no_op_before_a_cut_touches_a_later_feature_qubit(self, g, e, m, k, lwm):
-        ev = qc.get_evaluator(qc.CircuitConfig(g, e, m, k, lwm))
-        q_f = ev.layout.q_f
-        assert q_f == tuple(range(ev.layout.total_qubits - m, ev.layout.total_qubits))
-        assert [width for width, _, _ in ev._segments] == [1 << q for q in q_f] + [1 << ev.layout.total_qubits]
-        assert [start for _, start, _ in ev._segments] == [0] + [stop for _, _, stop in ev._segments[:-1]]
-        assert ev._segments[-1][2] == len(ev._ops)
-        for b, (_, cut, _) in enumerate(ev._segments[1:]):
-            assert qc._top_qubit(ev._ops[cut]) == q_f[b]
-            for op in ev._ops[:cut]:  # so none touches q_f[b:], the top qubits
-                assert qc._top_qubit(op) < q_f[b]
+    @pytest.mark.parametrize("lwm", [True, False])
+    @pytest.mark.parametrize("g,e,m,k", [c[:4] for c in SCHEDULE_CONFIGS])
+    def test_blocks_act_on_their_own_qubits_under_sector_controls(self, g, e, m, k, lwm):
+        config = qc.CircuitConfig(g, e, m, k, lwm)
+        ev = qc.get_evaluator(config)
+        layout = ev.layout
+        labels, own = [], {b: (layout.q_l[g - b], layout.q_l[2 * g - b], layout.q_f[b - 1]) for b in range(1, m + 1)}
+        for op in sv.compile_program(ev.extraction):  # the gate-list reference on the data layout
+            b = next((b for b, qubits in own.items() if op.target in qubits), 0)
+            labels.append(b)
+            if b:  # no op of a block targets q_v or q_k, or touches a kept location bit or another block's
+                assert _touched(op) <= {*own[b], *layout.q_v, *layout.q_k, *layout.q_f[max(b - 2, 0) : b - 1]}
+            else:
+                assert _touched(op) <= set(layout.q_v + layout.q_k)
+        head, tail = labels.index(1), len(labels) - labels[::-1].index(m)
+        assert labels[head:tail] == sorted(labels[head:tail]) and 0 not in labels[head:tail]
+        # on the construction layouts: each block's ops act on qubits 0-2 under the sector's controls
+        params = np.random.default_rng(1200 + 100 * g + e).uniform(0, 2 * np.pi, ev.extraction.param_arity)
+        _, transfers = ev._build(params)
+        for (part, rows), v in zip(ev._blocks, transfers):
+            sector_bits = len(rows).bit_length() - 1
+            for op in ev._ops[part]:  # an LWM block spans x_b, y_b; a multiplexor targets q_f[b-1]
+                assert max(_touched(op) if op.kind == "B" else {op.target}) < 3
+                assert max(_touched(op)) < 3 + sector_bits
+            # the row table lists each row of the block's output stack once
+            assert np.array_equal(np.sort(rows.ravel()), np.arange(rows.size))
+            # each V_s is an isometry
+            assert v.shape == (len(rows), 8, 4)
+            assert np.max(np.abs(np.conj(v).swapaxes(1, 2) @ v - np.eye(4))) < 1e-12
 
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("g,e,m,k,lwm", SCHEDULE_CONFIGS)
-    def test_backward_matches_one_full_register_sweep(self, g, e, m, k, lwm, rows):
+    def test_backward_matches_one_full_register_un_apply(self, g, e, m, k, lwm, rows):
         config = qc.CircuitConfig(g, e, m, k, lwm)
         rng = np.random.default_rng(1300 + 100 * g + 10 * e + rows)
         ev = qc.get_evaluator(config)
-        n_enc = len(qc.build_encoding(config, ev.layout).instructions)
         arity = ev.extraction.param_arity
         data = rng.uniform(-np.pi, np.pi, (rows, config.data_arity))
         params = rng.uniform(0, 2 * np.pi, arity)
@@ -689,40 +729,69 @@ class TestSegmentSchedule:
                 for c, op in zip(cots, ev.operators))
             for row, cots in zip(amps, cot)
         ])
-        # the fused extraction ops, then the encoding gate list for the data gradients
-        want = sv.unapply_compiled(ev.compiled[:n_enc] + ev._ops, amps.copy(), bra, data, params, arity)
+        # the whole gate list, encoding and extraction, for the data gradients too
+        want = sv.unapply_compiled(ev.compiled, amps.copy(), bra, data, params, arity)
         got = ev.backward(cache, params, cot)
         for got_grads, want_grads in zip(got, want):
             assert got_grads.shape == want_grads.shape and np.max(np.abs(want_grads)) > 1e-3
             assert np.max(np.abs(got_grads - want_grads)) <= 1e-10
 
-    def test_first_op_on_the_last_feature_qubit_runs_one_full_width_segment(self, monkeypatch):
-        real = qc.build_feature_extraction
 
-        def early_last_feature_qubit(config, layout):
-            prog = real(config, layout)
-            first = (sv.GateInstruction("X", layout.q_f[-1]),)
-            return sv.CircuitProgram(prog.num_qubits, first + prog.instructions, param_arity=prog.param_arity)
+class TestBuildCache:
+    """``forward`` keeps the bound ops and transfer matrices of the last
+    parameter values it saw, and rebuilds when the values change."""
 
-        monkeypatch.setattr(qc, "build_feature_extraction", early_last_feature_qubit)
-        config = qc.CircuitConfig(2, 3, 2, 4, False)
-        ev = qc.QuantumEvaluator(config)
-        n = ev.layout.total_qubits
-        assert ev._segments == ((1 << n, 0, len(ev._ops)),)
-        rng = np.random.default_rng(1500)
-        data = rng.uniform(-np.pi, np.pi, (3, config.data_arity))
-        params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
-        cot = rng.normal(size=(3, ev.num_features))
-        amps, _, cache = ev.forward(data, params)
-        full = np.zeros_like(amps)
-        full[:, 0] = 1.0
-        sv.run_compiled(ev.compiled, full, data, params)
-        assert np.max(np.abs(amps - full)) <= 1e-10
-        bra = np.stack([
-            sum(c * sv.apply_measurement_operator(sv.QuantumState(n, row), op) for c, op in zip(cots, ev.operators))
-            for row, cots in zip(full, cot)
-        ])
-        want = sv.adjoint_sweep(ev.compiled, full, bra, data, params, ev.extraction.param_arity)
-        for got_grads, want_grads in zip(ev.backward(cache, params, cot), want):
-            assert got_grads.shape == want_grads.shape and np.max(np.abs(want_grads)) > 1e-3
-            assert np.max(np.abs(got_grads - want_grads)) <= 1e-10
+    def _spied(self, monkeypatch):
+        ev, builds = qc.QuantumEvaluator(CANONICAL), []
+        real = ev._build
+
+        def build(params):
+            builds.append(params.copy())
+            return real(params)
+
+        monkeypatch.setattr(ev, "_build", build)
+        return ev, builds
+
+    def _inputs(self, seed, rows=2):
+        rng = np.random.default_rng(seed)
+        ev = qc.get_evaluator(CANONICAL)
+        data = rng.uniform(0, np.pi, (rows, CANONICAL.data_arity))
+        return data, rng.uniform(0, 2 * np.pi, ev.extraction.param_arity), rng.normal(size=(rows, ev.num_features))
+
+    def test_two_forwards_with_equal_parameters_build_once(self, monkeypatch):
+        ev, builds = self._spied(monkeypatch)
+        data, params, _ = self._inputs(1600)
+        first = ev.forward(data, params)[1]
+        second = ev.forward(data, params.copy())[1]
+        assert len(builds) == 1 and np.array_equal(second, first)
+
+    def test_an_in_place_parameter_update_rebuilds(self, monkeypatch):
+        ev, builds = self._spied(monkeypatch)
+        data, params, _ = self._inputs(1610)
+        ev.forward(data, params)
+        params[5] += 0.25  # as adam_step updates the store
+        got = ev.forward(data, params)[1]
+        assert len(builds) == 2 and np.array_equal(builds[1], params)
+        assert np.array_equal(got, qc.QuantumEvaluator(CANONICAL).forward(data, params)[1])
+
+    def test_repeated_steps_with_the_same_parameters_are_bit_identical(self):
+        ev = qc.QuantumEvaluator(CANONICAL)
+        data, params, cot = self._inputs(1620)
+        runs = []
+        for _ in range(2):  # the second forward reuses the build the first backward un-applied a copy of
+            _, features, cache = ev.forward(data, params)
+            runs.append((features, *ev.backward(cache, params, cot)))
+        for first, second in zip(*runs):
+            assert np.array_equal(first, second)
+
+    def test_a_cache_hit_matches_a_fresh_evaluator(self):
+        ev = qc.QuantumEvaluator(CANONICAL)
+        data, params, cot = self._inputs(1630)
+        ev.forward(data[1:], params)
+        _, hit, cache = ev.forward(data, params)
+        hit_grads = ev.backward(cache, params, cot)
+        _, fresh, cache = qc.QuantumEvaluator(CANONICAL).forward(data, params)
+        fresh_grads = qc.QuantumEvaluator(CANONICAL).backward(cache, params, cot)
+        assert np.array_equal(hit, fresh)
+        for got, want in zip(hit_grads, fresh_grads):
+            assert np.array_equal(got, want)

@@ -210,7 +210,8 @@ class TestBackward:
                 calls.append("H layer")
             return real_run(compiled, *args, **kwargs)
 
-        # and that cache holds the unit states and parts, not their angle derivatives, and the bound ops
+        # and that cache holds the unit states and parts, not their angle derivatives, and the bound ops and
+        # transfer matrices
         real_backward, cached = ev.backward, []
 
         def backward(cache, *args):
@@ -222,7 +223,7 @@ class TestBackward:
         monkeypatch.setattr(ev, "backward", backward)
         small_model.loss_and_grads(images, np.array([0, 2]), store)
         assert calls == ["unit parts", "unit parts", "H layer", "H layer"]
-        assert cached == [["cols", "ops", "parts", "phi", "states"]]
+        assert cached == [["cols", "ops", "parts", "phi", "states", "transfers"]]
 
     def test_a_forward_only_batch_builds_no_derivative_arrays(self, small_model, monkeypatch):
         # every array the unit parts hand out holds one value per unit, none a (3, ...) stack of angle derivatives
@@ -470,12 +471,13 @@ def test_state_stacks_over_the_budget_rejected_before_any_allocation():
     qm.ModelConfig(image_size=1024, batch_size=1)
 
 
-# 18 qubits at batch 2, where no LWM pair fuses into a block, so an unfused
-# un-apply's pairs scale with the stack; the canonical 12 qubits at batch 50;
-# at batch 1, where a block's batch-summed overlap does not shrink with the
-# batch, the canonical 12 qubits and 17 qubits with 6-qubit blocks; and a thin
-# circuit (E = 3, K = 1, M = 1), whose 3072 data slots per row outweigh its 12
-# qubits, within the stacks plus DATA_SLOT_BYTES per slot
+# 18 qubits at batch 2; the canonical 12 qubits at batch 50; at batch 1,
+# where the transfer matrices and a block's batch-summed overlap do not shrink
+# with the batch, the canonical 12 qubits, 17 qubits with 6-qubit blocks, 10
+# qubits with 5-qubit LWM pairs on the data layout, a 6-qubit head block on 9
+# qubits and 1024 sectors on 13; and a thin circuit (E = 3, K = 1, M = 1),
+# whose 3072 data slots per row outweigh its 12 qubits, within the stacks plus
+# DATA_SLOT_BYTES per slot, and fixed_state_bytes
 THIN = circuits.CircuitConfig(5, 3, 1, 1)
 
 
@@ -483,6 +485,9 @@ THIN = circuits.CircuitConfig(5, 3, 1, 1)
                                           (circuits.CircuitConfig(3, 9, 2, 2), 50),
                                           (circuits.CircuitConfig(3, 9, 2, 2), 1),
                                           (circuits.CircuitConfig(4, 18, 1, 4), 1),
+                                          (circuits.CircuitConfig(4, 3, 1, 1), 1),
+                                          (circuits.CircuitConfig(1, 18, 1, 1), 1),
+                                          (circuits.CircuitConfig(1, 30, 1, 1), 1),
                                           (THIN, 1), (THIN, 3), (THIN, 20)])
 def test_one_evaluator_step_holds_at_most_state_copies_stacks(config, rows):
     rng = np.random.default_rng(31)
@@ -500,4 +505,5 @@ def test_one_evaluator_step_holds_at_most_state_copies_stacks(config, rows):
         tracemalloc.stop()
     assert amps.shape == (rows, 1 << ev.layout.total_qubits) and features.shape == (rows, ev.num_features)
     data_bytes = qm.DATA_SLOT_BYTES * config.data_arity if config == THIN else 0
-    assert peak <= rows * (qm.STATE_COPIES * (16 << ev.layout.total_qubits) + data_bytes)
+    stacks = rows * (qm.STATE_COPIES * (16 << ev.layout.total_qubits) + data_bytes)
+    assert peak <= stacks + qm.fixed_state_bytes(config)

@@ -515,6 +515,23 @@ class TestSweepContract:
             want = oracles.central_differences(loss, data[row], eps=1e-4)
             assert oracles.relative_error(grads[row], want) <= 1e-5
 
+    def test_unapply_leaves_bound_ops_as_they_were(self):
+        # a bound schedule runs bit for bit the same after an un-apply of it: the
+        # evaluator reuses its bound ops across steps with the same parameters
+        from quanvnet import circuits as qc
+
+        rng = np.random.default_rng(505)
+        ev = qc.QuantumEvaluator(qc.CircuitConfig(3, 9, 2, 2))
+        params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
+        ops = sv.bind_params(ev._ops, params)
+        start = random_stack(rng, 2, ev.layout.total_qubits)
+        first, second = start.copy(), start.copy()
+        sv.run_compiled(ops, first)
+        sv.unapply_compiled(ops, first.copy(), random_stack(rng, 2, ev.layout.total_qubits), None, params,
+                            len(params))
+        sv.run_compiled(ops, second)
+        assert np.max(np.abs(first - start)) > 1e-3 and np.array_equal(first, second)
+
     def test_one_data_vector_shared_by_all_rows_gives_each_row_its_own_gradients(self):
         # each row's data gradient from its own ket and bra, not their sum over the batch
         rng = np.random.default_rng(503)
@@ -852,9 +869,10 @@ class TestColumnLayout:
         params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
         _, _, cache = ev.forward(data, params)
         ev.backward(cache, params, rng.normal(size=(3, ev.num_features)))
-        # forward: three segments and the H layer; backward: one H layer on
-        # the cached measured state, then ket and bra in each of the three segments
-        assert entries == exits == [True] * 11
+        # forward: the two blocks' builds, the head, the tail and the H layer;
+        # backward: one H layer on the cached measured state, then ket and bra
+        # in the tail, in each block's un-apply and in the head
+        assert entries == exits == [True] * 14
 
 
 # ---------------------------------------------------------------------------
