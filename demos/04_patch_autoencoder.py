@@ -5,6 +5,10 @@ angles are periodic, so the head is pi*sigmoid); the decoder mirrors it back
 to a patch in [0, 1]. Training the reconstruction alongside classification is
 what lets a handful of features stand in for the whole patch.
 
+Every array keeps the patch axis last: ``patchify`` gives (P, P, C, S, S),
+the encoder takes (P, P, C, patches) and returns (E, patches), so each layer
+runs as one wide matrix product over all patches at once.
+
 Run:  python demos/04_patch_autoencoder.py
 """
 
@@ -16,7 +20,7 @@ rng = np.random.default_rng(3)
 image = rng.uniform(0, 1, (32, 32, 4))
 
 grid = patchify(image, 4)
-print(f"32x32x4 image -> {grid.shape[0]}x{grid.shape[1]} grid of {grid.shape[2]}x{grid.shape[3]}x{grid.shape[4]} patches")
+print(f"32x32x4 image -> {grid.shape[3]}x{grid.shape[4]} grid of {grid.shape[0]}x{grid.shape[1]}x{grid.shape[2]} patches")
 print("tiling is lossless:", np.array_equal(unpatchify(grid), image))
 
 ae = PatchAutoencoder(patch=4, channels=4, num_features=9)
@@ -24,7 +28,7 @@ print(f"\nautoencoder has {ae.num_params} parameters "
       f"(encoder {ae.encoder_slice.stop}, decoder {ae.num_params - ae.encoder_slice.stop})")
 
 params = ae.init_params(rng)
-patches = grid.reshape(-1, 4, 4, 4)
+patches = grid.reshape(4, 4, 4, -1)  # one patch per column
 features, _ = ae.encode(params, patches)
 print(f"features: shape {features.shape}, range [{features.min():.3f}, {features.max():.3f}] in [0, pi]")
 
@@ -35,12 +39,12 @@ print(f"untrained reconstruction error: {reconstruction_loss(patches, recon):.4f
 # at the all-zero parameter point the heads sit exactly at their midpoints
 zero = np.zeros(ae.num_params)
 print("\nzero-parameter encoder output is pi/2 everywhere:",
-      np.allclose(ae.encode_patch(zero, patches[0]), np.pi / 2))
+      np.allclose(ae.encode_patch(zero, patches[..., 0]), np.pi / 2))
 print("zero-parameter decoder output is 0.5 everywhere:  ",
       np.allclose(ae.decode_patch(zero, np.zeros(9)), 0.5))
 
 # a few steepest-descent steps on one batch shrink the loss
-step = 2.0 / patches[0].size / len(patches)
+step = 2.0 / patches.size
 for it in range(30):
     feats, enc_cache = ae.encode(params, patches)
     recon, dec_cache = ae.decode(params, feats)

@@ -7,7 +7,8 @@ through a bounded head ``pi * sigmoid`` -- rotation angles are periodic, so
 the features must live in [0, pi]. The decoder mirrors this with stride-2
 transposed convolutions and a logistic output head in [0, 1].
 
-All forward/backward passes are plain numpy over a leading patch-batch axis.
+All passes are plain numpy with the patch axis last -- patches (P, P, C, B),
+features (E, B) -- so each layer is one wide GEMM or one pass over all B.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ HIDDEN_CHANNELS = 4
 
 
 def patchify(image: np.ndarray, patch: int) -> np.ndarray:
-    """Split (..., N, N, C) into a (..., N/P, N/P) grid of (P, P, C) patches.
+    """Split (..., N, N, C) into (P, P, C, ..., N/P, N/P): a grid of PxPxC patches, patch axes first.
 
-    Patch (x, y) holds image rows [xP, (x+1)P) and cols [yP, (y+1)P); any
-    leading axes (a batch of images) are kept. Requires an exact power-of-two
-    tiling.
+    Patch (x, y) of image i is ``[:, :, :, i, x, y]`` and holds image rows [xP, (x+1)P) and cols
+    [yP, (y+1)P); any leading axes (a batch of images) are kept in front of the grid. Requires an
+    exact power-of-two tiling.
     """
     image = np.asarray(image)
     if image.ndim < 3 or image.shape[-3] != image.shape[-2]:
@@ -35,16 +36,16 @@ def patchify(image: np.ndarray, patch: int) -> np.ndarray:
     grid = n // patch
     if grid & (grid - 1):
         raise ValueError(f"grid {grid} per side is not a power of 2")
-    lead, c = image.shape[:-3], image.shape[-1]
-    return np.swapaxes(image.reshape(*lead, grid, patch, grid, patch, c), -4, -3).copy()
+    tiles = image.reshape(*image.shape[:-3], grid, patch, grid, patch, image.shape[-1])
+    return np.ascontiguousarray(np.moveaxis(tiles, (-4, -2, -1), (0, 1, 2)))
 
 
 def unpatchify(grid: np.ndarray) -> np.ndarray:
     """Inverse of patchify, over the same leading axes; lossless."""
-    *lead, s, s2, p, p2, c = grid.shape
+    p, p2, c, *lead, s, s2 = grid.shape
     if s != s2 or p != p2:
-        raise ValueError("patch grid must be (..., S, S, P, P, C)")
-    return np.swapaxes(grid, -4, -3).reshape(*lead, s * p, s * p, c)
+        raise ValueError("patch grid must be (P, P, C, ..., S, S)")
+    return np.moveaxis(grid, (0, 1, 2), (-4, -2, -1)).reshape(*lead, s * p, s * p, c)
 
 
 def reconstruction_loss(original: np.ndarray, reconstructed: np.ndarray) -> float:
@@ -63,8 +64,8 @@ def reconstruction_loss(original: np.ndarray, reconstructed: np.ndarray) -> floa
 def _sigmoid(z):
     e = np.abs(z)  # exp(-|z|) never overflows; equals the two-sided stable form bit for bit
     np.exp(np.negative(e, out=e), out=e)
-    out = np.where(z >= 0, 1.0, e)
-    return np.divide(out, np.add(1.0, e, out=e), out=out)
+    out = np.minimum(z, 0.0)  # exp of it is the numerator: 1 where z >= 0, else exp(z) == exp(-|z|)
+    return np.divide(np.exp(out, out=out), np.add(1.0, e, out=e), out=out)
 
 
 def _shifted(d, n):
@@ -73,34 +74,34 @@ def _shifted(d, n):
 
 
 def _conv2d(x, w, b):
-    # x (B,H,W,Ci), w (3,3,Ci,Co); same padding. Kernel row di is one GEMM of every input row by a banded
-    # (W*Ci, W*Co) T[di] whose band dj reads input column j + dj - 1, added di - 1 whole rows away
-    bsz, h, wd, ci = x.shape
-    t, cols = np.zeros((3, wd, ci, wd, w.shape[3])), np.arange(wd)
+    # x (H,W,Ci,B), w (3,3,Ci,Co); same padding. Kernel row di is one GEMM of a banded (W*Co, W*Ci) T[di],
+    # whose band dj reads input column j + dj - 1, by every input row, added di - 1 whole rows away
+    h, wd, ci, bsz = x.shape
+    co = w.shape[3]
+    t, cols = np.zeros((3, wd, co, wd, ci)), np.arange(wd)
     for dj in range(3):
         oj, sj = _shifted(dj, wd)
-        t[:, cols[sj], :, cols[oj], :] = w[:, dj]
-    rows, t = x.reshape(-1, wd * ci), t.reshape(3, wd * ci, -1)
-    out = (rows @ t[1]).reshape(bsz, h, wd, -1)
-    out += b
-    flat = out.reshape(bsz, h, -1)
+        t[:, cols[oj], :, cols[sj], :] = w[:, dj].swapaxes(1, 2)
+    rows, t = x.reshape(h, wd * ci, bsz), t.reshape(3, wd * co, wd * ci)
+    out = t[1] @ rows
+    out += np.broadcast_to(b, (wd, co)).reshape(-1, 1)
     for di in (0, 2):
         oi, si = _shifted(di, h)
-        flat[:, oi] += (rows @ t[di]).reshape(flat.shape)[:, si]
-    return out
+        out[oi] += t[di] @ rows[si]
+    return out.reshape(h, wd, co, bsz)
 
 
 def _conv2d_backward(x, w, grad):
-    # (dw, db): dT[di] = (input rows di - 1 away)^T grad, and dw[di, dj] sums the diagonal at offset
-    # 1 - dj of its (W, Ci, W, Co) view. The input gradient is the same conv on _flipped(w)
-    bsz, h, wd, ci = x.shape
-    rows, g = x.reshape(bsz, h, -1), grad.reshape(bsz, h, -1)
+    # (dw, db): dT[di] = grad rows @ (input rows di - 1 away)^T, and dw[di, dj] sums the diagonal at offset
+    # dj - 1 of its (W, Co, W, Ci) view. The input gradient is the same conv on _flipped(w)
+    h, wd, ci, bsz = x.shape
+    rows, g = x.reshape(h, wd * ci, bsz), grad.reshape(h, -1, bsz)
     dw = np.empty_like(w)
     for di in range(3):
         oi, si = _shifted(di, h)
-        dt = (rows[:, si].reshape(-1, wd * ci).T @ g[:, oi].reshape(-1, g.shape[2])).reshape(wd, ci, wd, -1)
-        dw[di] = [np.diagonal(dt, 1 - dj, 0, 2).sum(axis=-1) for dj in range(3)]
-    return dw, grad.sum(axis=(0, 1, 2))
+        dt = (g[oi] @ rows[si].swapaxes(1, 2)).sum(axis=0).reshape(wd, -1, wd, ci)
+        dw[di] = [np.diagonal(dt, dj - 1, 0, 2).sum(axis=-1).T for dj in range(3)]
+    return dw, grad.sum(axis=(0, 1, 3))
 
 
 def _flipped(w):
@@ -108,8 +109,8 @@ def _flipped(w):
 
 
 def _quadrants(x):
-    """The four stride-2 views ``x[:, i::2, j::2]`` of the 2x2 pooling windows, in window order 2i + j."""
-    return [x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    """The four stride-2 views ``x[i::2, j::2]`` of the 2x2 pooling windows, in window order 2i + j."""
+    return [x[i::2, j::2] for i in (0, 1) for j in (0, 1)]
 
 
 def _maxpool(x):
@@ -130,18 +131,20 @@ def _maxpool_backward(idx, grad, in_shape):
 
 
 def _tconv2d(x, w, b):
-    # x (B,h,w,Ci), w (2,2,Ci,Co); stride 2 == kernel size, so one GEMM maps each pixel to its own 2x2 block
-    bsz, h, wd, ci = x.shape
-    y = (x.reshape(-1, ci) @ w.transpose(2, 0, 1, 3).reshape(ci, -1)).reshape(bsz, h, wd, 2, 2, -1)
-    return y.swapaxes(2, 3).reshape(bsz, 2 * h, 2 * wd, -1) + b
+    # x (h,w,Ci,B), w (2,2,Ci,Co); stride 2 == kernel size, so one GEMM maps each pixel to its own 2x2 block
+    h, wd, ci, bsz = x.shape
+    y = (w.transpose(0, 1, 3, 2).reshape(-1, ci) @ x).reshape(h, wd, 2, 2, -1, bsz)
+    out = np.empty((h, 2, wd, 2, w.shape[3], bsz))
+    np.add(y.transpose(0, 2, 1, 3, 4, 5), b[:, None], out=out)  # the bias rides on the one strided write
+    return out.reshape(2 * h, 2 * wd, -1, bsz)
 
 
 def _tconv2d_backward(x, w, grad):
-    bsz, h, wd, ci = x.shape
-    g = grad.reshape(bsz, h, 2, wd, 2, -1).swapaxes(2, 3).reshape(bsz * h * wd, -1)
-    dx = (g @ w.transpose(0, 1, 3, 2).reshape(-1, ci)).reshape(x.shape)
-    dw = (x.reshape(-1, ci).T @ g).reshape(ci, 2, 2, -1).transpose(1, 2, 0, 3)
-    return dx, dw, grad.sum(axis=(0, 1, 2))
+    h, wd, ci, bsz = x.shape
+    g = grad.reshape(h, 2, wd, 2, -1, bsz).transpose(0, 2, 1, 3, 4, 5).reshape(h, wd, -1, bsz)
+    wm = w.transpose(0, 1, 3, 2).reshape(-1, ci)
+    dw = (g @ x.swapaxes(2, 3)).sum(axis=(0, 1)).reshape(2, 2, -1, ci).transpose(0, 1, 3, 2)
+    return wm.T @ g, dw, grad.sum(axis=(0, 1, 3))
 
 
 @dataclass(frozen=True)
@@ -209,40 +212,39 @@ class PatchAutoencoder:
     # -- encoder ------------------------------------------------------------
 
     def encode(self, params: np.ndarray, patches: np.ndarray):
-        """patches (B, P, P, C) -> features (B, E) in [0, pi], plus cache."""
+        """patches (P, P, C, B) -> features (E, B) in [0, pi], plus cache."""
         v = self._views(params)
-        if patches.shape[1:] != (self.patch, self.patch, self.channels):
+        if patches.shape[:-1] != (self.patch, self.patch, self.channels):
             raise ValueError("patch shape does not match the configured geometry")
         cache = {"patches": patches, "conv": []}
         x = patches
         for i in range(self.blocks):
-            pre = _conv2d(x, v[f"enc_conv{i}_w"], v[f"enc_conv{i}_b"])
-            act = np.maximum(pre, 0.0)
+            act = _conv2d(x, v[f"enc_conv{i}_w"], v[f"enc_conv{i}_b"])
+            np.maximum(act, 0.0, out=act)  # ReLU in place: act > 0 exactly where the pre-activation was
             pooled, idx = _maxpool(act)
-            cache["conv"].append((x, pre, act.shape, idx))
+            cache["conv"].append((x, act, idx))
             x = pooled
-        flat = x.reshape(x.shape[0], -1)
-        z = flat @ v["enc_dense_w"] + v["enc_dense_b"]
-        sig = _sigmoid(z)
+        flat = x.reshape(-1, x.shape[-1])
+        sig = _sigmoid(v["enc_dense_w"].T @ flat + v["enc_dense_b"][:, None])
         cache["flat"] = flat
         cache["x_shape"] = x.shape
         cache["sig"] = sig
         return np.pi * sig, cache
 
     def encode_backward(self, params: np.ndarray, cache: dict, dfeatures: np.ndarray) -> np.ndarray:
-        """Gradient of the encoder parameters given d(loss)/d(features)."""
+        """Gradient of the encoder parameters given d(loss)/d(features), both (E, B)."""
         v = self._views(params)
         grads = np.zeros(self.num_params)
         gv = self._views(grads)
         sig = cache["sig"]
         dz = dfeatures * np.pi * sig * (1.0 - sig)
-        gv["enc_dense_w"][...] = cache["flat"].T @ dz
-        gv["enc_dense_b"][...] = dz.sum(axis=0)
-        dx = (dz @ v["enc_dense_w"].T).reshape(cache["x_shape"])
+        gv["enc_dense_w"][...] = cache["flat"] @ dz.T
+        gv["enc_dense_b"][...] = dz.sum(axis=1)
+        dx = (v["enc_dense_w"] @ dz).reshape(cache["x_shape"])
         for i in reversed(range(self.blocks)):
-            x_in, pre, act_shape, idx = cache["conv"][i]
-            dact = _maxpool_backward(idx, dx, act_shape)
-            dpre = dact * (pre > 0)
+            x_in, act, idx = cache["conv"][i]
+            dpre = _maxpool_backward(idx, dx, act.shape)
+            dpre *= act > 0
             gv[f"enc_conv{i}_w"][...], gv[f"enc_conv{i}_b"][...] = _conv2d_backward(x_in, v[f"enc_conv{i}_w"], dpre)
             if i:  # conv 0 reads the raw patches, whose gradient nobody uses
                 dx = _conv2d(dpre, _flipped(v[f"enc_conv{i}_w"]), 0.0)
@@ -251,50 +253,46 @@ class PatchAutoencoder:
     # -- decoder ------------------------------------------------------------
 
     def decode(self, params: np.ndarray, features: np.ndarray):
-        """features (B, E) -> patches (B, P, P, C) in [0, 1], plus cache."""
+        """features (E, B) -> patches (P, P, C, B) in [0, 1], plus cache."""
         v = self._views(params)
-        if features.shape[1:] != (self.num_features,):
+        if features.shape[:-1] != (self.num_features,):
             raise ValueError("feature length does not match the configured geometry")
-        cache = {"features": features, "tconv": []}
-        z = features @ v["dec_dense_w"] + v["dec_dense_b"]
-        x = z.reshape(features.shape[0], self.base, self.base, HIDDEN_CHANNELS)
+        z = v["dec_dense_w"].T @ features + v["dec_dense_b"][:, None]
+        acts = [z.reshape(self.base, self.base, HIDDEN_CHANNELS, -1)]  # each tconv's input; the last feeds the head
         for i in range(self.blocks):
-            pre = _tconv2d(x, v[f"dec_tconv{i}_w"], v[f"dec_tconv{i}_b"])
-            cache["tconv"].append((x, pre))
-            x = np.maximum(pre, 0.0)
-        pre_out = _conv2d(x, v["dec_out_w"], v["dec_out_b"])
-        sig = _sigmoid(pre_out)
-        cache["last_act"] = x
-        cache["sig"] = sig
-        return sig, cache
+            x = _tconv2d(acts[-1], v[f"dec_tconv{i}_w"], v[f"dec_tconv{i}_b"])
+            acts.append(np.maximum(x, 0.0, out=x))
+        sig = _sigmoid(_conv2d(acts[-1], v["dec_out_w"], v["dec_out_b"]))
+        return sig, {"features": features, "acts": acts, "sig": sig}
 
     def decode_backward(self, params: np.ndarray, cache: dict, dout: np.ndarray):
-        """Returns (decoder parameter gradients, d(loss)/d(features))."""
+        """Returns (decoder parameter gradients, d(loss)/d(features) as (E, B))."""
         v = self._views(params)
         grads = np.zeros(self.num_params)
         gv = self._views(grads)
         sig = cache["sig"]
-        dpre_out = dout * sig * (1.0 - sig)
-        gv["dec_out_w"][...], gv["dec_out_b"][...] = _conv2d_backward(cache["last_act"], v["dec_out_w"], dpre_out)
+        dpre_out = dout * sig
+        dpre_out *= 1.0 - sig
+        acts = cache["acts"]
+        gv["dec_out_w"][...], gv["dec_out_b"][...] = _conv2d_backward(acts[-1], v["dec_out_w"], dpre_out)
         dx = _conv2d(dpre_out, _flipped(v["dec_out_w"]), 0.0)
         for i in reversed(range(self.blocks)):
-            x_in, pre = cache["tconv"][i]
-            dpre = dx * (pre > 0)
-            dx, dw, db = _tconv2d_backward(x_in, v[f"dec_tconv{i}_w"], dpre)
+            dx *= acts[i + 1] > 0  # the ReLU's mask: its output is positive exactly where its input was
+            dx, dw, db = _tconv2d_backward(acts[i], v[f"dec_tconv{i}_w"], dx)
             gv[f"dec_tconv{i}_w"][...] = dw
             gv[f"dec_tconv{i}_b"][...] = db
-        dz = dx.reshape(dx.shape[0], -1)
-        gv["dec_dense_w"][...] = cache["features"].T @ dz
-        gv["dec_dense_b"][...] = dz.sum(axis=0)
-        dfeatures = dz @ v["dec_dense_w"].T
+        dz = dx.reshape(-1, dx.shape[-1])
+        gv["dec_dense_w"][...] = cache["features"] @ dz.T
+        gv["dec_dense_b"][...] = dz.sum(axis=1)
+        dfeatures = v["dec_dense_w"] @ dz
         return grads, dfeatures
 
     # -- single-patch conveniences -------------------------------------------
 
     def encode_patch(self, params: np.ndarray, patch: np.ndarray) -> np.ndarray:
-        features, _ = self.encode(params, np.asarray(patch)[None])
-        return features[0]
+        features, _ = self.encode(params, np.asarray(patch)[..., None])
+        return features[:, 0]
 
     def decode_patch(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-        patches, _ = self.decode(params, np.asarray(features, dtype=np.float64)[None])
-        return patches[0]
+        patches, _ = self.decode(params, np.asarray(features, dtype=np.float64)[..., None])
+        return patches[..., 0]

@@ -238,9 +238,9 @@ class HybridModel:
             raise ConfigError(f"images must have shape (*, {cfg.image_size}, {cfg.image_size}, {cfg.channels})")
         batch = images.shape[0]
         tiles = patchify(images, cfg.patch_size)
-        patches = tiles.reshape(-1, *tiles.shape[-3:])
+        patches = tiles.reshape(*tiles.shape[:3], -1)
         angles, enc_cache = self.autoencoder.encode(store.segments["autoencoder"], patches)
-        processed = angles.reshape(batch, self.grid, self.grid, cfg.features)
+        processed = angles.T.reshape(batch, self.grid, self.grid, cfg.features)
         psi, features, ev_cache = self.evaluator.forward(processed.reshape(batch, -1), store.segments["quantum"])
         if not with_caches:
             ev_cache = None  # it holds a full measured stack: free it before the decoder runs
@@ -305,7 +305,7 @@ class HybridModel:
 
         # quantum path, chaining into the encoder through the data slots
         grad_quantum, data_grads = self.evaluator.backward(out["ev_cache"], store.segments["quantum"], cotangents)
-        dangles = data_grads.reshape(-1, cfg.features)
+        dangles = data_grads.reshape(-1, cfg.features).T
 
         if cfg.reconstruction_enabled:
             l_mse = reconstruction_loss(images, out["reconstruction"])

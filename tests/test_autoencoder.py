@@ -95,14 +95,14 @@ class TestPatchify:
         rng = np.random.default_rng(0)
         img = rng.uniform(0, 1, (32, 32, 4))
         grid = patchify(img, 4)
-        assert grid.shape == (8, 8, 4, 4, 4)
-        assert np.array_equal(grid[2, 5], img[8:12, 20:24, :])
+        assert grid.shape == (4, 4, 4, 8, 8)
+        assert np.array_equal(grid[..., 2, 5], img[8:12, 20:24, :])
 
     def test_unit_patches_row_major(self):
         img = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
         grid = patchify(img, 1)
-        assert grid.shape == (2, 2, 1, 1, 1)
-        assert [grid[0, 0].item(), grid[0, 1].item(), grid[1, 0].item(), grid[1, 1].item()] == [1, 2, 3, 4]
+        assert grid.shape == (1, 1, 1, 2, 2)
+        assert grid[0, 0, 0].ravel().tolist() == [1, 2, 3, 4]
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(1)
@@ -113,11 +113,11 @@ class TestPatchify:
         rng = np.random.default_rng(2)
         imgs = rng.uniform(0, 1, (3, 32, 32, 4))
         grid = patchify(imgs, 4)
-        assert np.array_equal(grid, np.stack([patchify(img, 4) for img in imgs]))
+        assert np.array_equal(grid, np.stack([patchify(img, 4) for img in imgs], axis=3))
         # the row order the model's encoder has always seen: image, patch row, patch column
         s, p, c = 8, 4, 4
         flat = imgs.reshape(3, s, p, s, p, c).transpose(0, 1, 3, 2, 4, 5).reshape(3 * s * s, p, p, c)
-        assert np.array_equal(grid.reshape(-1, p, p, c), flat)
+        assert np.array_equal(grid.reshape(p, p, c, -1), np.moveaxis(flat, 0, -1))
         assert np.array_equal(unpatchify(grid), imgs)
 
     def test_non_divisible_rejected(self):
@@ -139,7 +139,7 @@ class TestEncoder:
         ae = PatchAutoencoder(8, 3, 9)
         rng = np.random.default_rng(3)
         params = 5.0 * ae.init_params(rng)  # exaggerate weights to push the head
-        feats, _ = ae.encode(params, rng.uniform(0, 1, (20, 8, 8, 3)))
+        feats, _ = ae.encode(params, np.moveaxis(rng.uniform(0, 1, (20, 8, 8, 3)), 0, -1))
         assert np.all(feats >= 0.0) and np.all(feats <= np.pi)
 
     def test_matches_naive_oracle(self):
@@ -157,13 +157,13 @@ class TestEncoder:
         ae = PatchAutoencoder(4, 2, 6)
         rng = np.random.default_rng(5)
         params = ae.init_params(rng)
-        batch = rng.uniform(0, 1, (6, 4, 4, 2))
+        batch = np.moveaxis(rng.uniform(0, 1, (6, 4, 4, 2)), 0, -1)
         other = batch.copy()
-        other[[0, 1, 2, 4, 5]] = rng.uniform(0, 1, (5, 4, 4, 2))
+        other[..., [0, 1, 2, 4, 5]] = np.moveaxis(rng.uniform(0, 1, (5, 4, 4, 2)), 0, -1)
         feats, _ = ae.encode(params, batch)
         feats2, _ = ae.encode(params, other)
-        assert np.array_equal(feats[3], feats2[3])
-        assert not np.array_equal(feats[0], feats2[0])
+        assert np.array_equal(feats[:, 3], feats2[:, 3])
+        assert not np.array_equal(feats[:, 0], feats2[:, 0])
 
 
 class TestDecoder:
@@ -182,7 +182,7 @@ class TestDecoder:
         ae = PatchAutoencoder(8, 3, 9)
         rng = np.random.default_rng(8)
         params = 5.0 * ae.init_params(rng)
-        out, _ = ae.decode(params, rng.uniform(0, np.pi, (10, 9)))
+        out, _ = ae.decode(params, rng.uniform(0, np.pi, (10, 9)).T)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
     def test_matches_naive_oracle(self):
@@ -218,16 +218,30 @@ class TestReconstructionLoss:
             reconstruction_loss(np.zeros((2, 4, 4, 1)), np.zeros((2, 4, 4, 2)))
 
 
-@pytest.mark.parametrize("patch,channels", [(4, 4), (8, 3), (32, 3)])
+@pytest.mark.parametrize("patch,channels", [(1, 2), (2, 3), (4, 4), (8, 3), (16, 1), (32, 3)])
 def test_larger_patch_geometries_round_trip_shapes(patch, channels):
     ae = PatchAutoencoder(patch, channels, 9)
     rng = np.random.default_rng(13)
     params = ae.init_params(rng)
-    batch = rng.uniform(0, 1, (2, patch, patch, channels))
+    batch = np.moveaxis(rng.uniform(0, 1, (2, patch, patch, channels)), 0, -1)
     feats, _ = ae.encode(params, batch)
-    assert feats.shape == (2, 9)
+    assert feats.shape == (9, 2)
     recon, _ = ae.decode(params, feats)
     assert recon.shape == batch.shape
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 4, 2), (4, 4, 3, 5), (4, 4, 2)])
+def test_encode_rejects_patches_not_in_the_patch_axis_last_geometry(shape):
+    ae = PatchAutoencoder(4, 2, 9)
+    with pytest.raises(ValueError):
+        ae.encode(np.zeros(ae.num_params), np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(5, 9), (8, 5), (9,)])
+def test_decode_rejects_features_not_in_the_feature_axis_first_geometry(shape):
+    ae = PatchAutoencoder(4, 2, 9)
+    with pytest.raises(ValueError):
+        ae.decode(np.zeros(ae.num_params), np.zeros(shape))
 
 
 def two_branch_sigmoid(z):
@@ -264,14 +278,14 @@ def test_sigmoid_of_a_decoder_pre_activation_is_bitwise_and_leaves_its_input():
 def take_along_axis_pool(x):
     """Max pool and its backward through a transposed (..., 4) window axis:
     the first maximum by argmax, read and written with take/put_along_axis."""
-    bsz, h, wd, c = x.shape
-    r = x.reshape(bsz, h // 2, 2, wd // 2, 2, c).transpose(0, 1, 3, 5, 2, 4).reshape(bsz, h // 2, wd // 2, c, 4)
+    h, wd, c, bsz = x.shape
+    r = x.reshape(h // 2, 2, wd // 2, 2, c, bsz).transpose(0, 2, 4, 5, 1, 3).reshape(h // 2, wd // 2, c, bsz, 4)
     idx = r.argmax(axis=4)
 
     def backward(grad):
         d = np.zeros(r.shape)
         np.put_along_axis(d, idx[..., None], grad[..., None], axis=4)
-        return d.reshape(bsz, h // 2, wd // 2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(x.shape)
+        return d.reshape(h // 2, wd // 2, c, bsz, 2, 2).transpose(0, 4, 1, 5, 2, 3).reshape(x.shape)
 
     return np.take_along_axis(r, idx[..., None], axis=4)[..., 0], backward
 
@@ -286,6 +300,7 @@ def test_maxpool_matches_the_take_along_axis_form_bit_for_bit(kind):
         "equal": np.full(shape, 0.25),
         "signed zeros": rng.choice([0.0, -0.0, -1.0], size=shape),
     }[kind]
+    x = np.ascontiguousarray(np.moveaxis(x, 0, -1))
     out, idx = ae_mod._maxpool(x)
     want, backward = take_along_axis_pool(x)
     assert out.tobytes() == want.tobytes()  # signs of zeros included
@@ -303,10 +318,11 @@ def test_conv_primitives_match_the_naive_oracles(size):
     x = rng.normal(size=(2, size, size, CI))
     w3, b = rng.normal(size=(3, 3, CI, CO)), rng.normal(size=CO)
     w2 = rng.normal(size=(2, 2, CI, CO))
-    conv, tconv = ae_mod._conv2d(x, w3, b), ae_mod._tconv2d(x, w2, b)
+    xt = np.moveaxis(x, 0, -1)
+    conv, tconv = ae_mod._conv2d(xt, w3, b), ae_mod._tconv2d(xt, w2, b)
     for i in range(x.shape[0]):
-        assert np.max(np.abs(conv[i] - naive_conv(x[i], w3, b))) <= 1e-12
-        assert np.max(np.abs(tconv[i] - naive_tconv(x[i], w2, b))) <= 1e-12
+        assert np.max(np.abs(conv[..., i] - naive_conv(x[i], w3, b))) <= 1e-12
+        assert np.max(np.abs(tconv[..., i] - naive_tconv(x[i], w2, b))) <= 1e-12
 
 
 def conv2d_backward(x, w, grad):
@@ -319,7 +335,7 @@ def conv2d_backward(x, w, grad):
                                                      (ae_mod._tconv2d, ae_mod._tconv2d_backward, 2)])
 def test_conv_backwards_match_central_differences(size, forward, backward, taps):
     rng = np.random.default_rng(16)
-    x = rng.normal(size=(2, size, size, CI))
+    x = np.moveaxis(rng.normal(size=(2, size, size, CI)), 0, -1)
     w, b = rng.normal(size=(taps, taps, CI, CO)), rng.normal(size=CO)
     out = forward(x, w, b)
     cot = rng.normal(size=out.shape)  # d(loss)/d(out) for loss = sum(cot * out)
@@ -347,7 +363,8 @@ def test_conv_weight_gradient_fold_matches_the_per_tap_products(size):
     for di, dj in np.ndindex(3, 3):
         (oi, si), (oj, sj) = shifted(di), shifted(dj)
         want[di, dj] = x[:, si, sj].reshape(-1, CI).T @ grad[:, oi, oj].reshape(-1, CO)
-    dw, db = ae_mod._conv2d_backward(x, rng.normal(size=(3, 3, CI, CO)), grad)
+    dw, db = ae_mod._conv2d_backward(np.moveaxis(x, 0, -1), rng.normal(size=(3, 3, CI, CO)),
+                                     np.moveaxis(grad, 0, -1))
     assert dw.shape == want.shape
     assert oracles.relative_error(dw.ravel(), want.ravel()) <= 1e-12
     assert oracles.relative_error(db, grad.sum(axis=(0, 1, 2))) <= 1e-12
@@ -360,8 +377,8 @@ def test_analytic_gradients_match_central_differences(patch, channels):
     # draw every parameter (biases included) from a continuous distribution so
     # no ReLU pre-activation sits exactly on its kink
     params = rng.uniform(-0.5, 0.5, ae.num_params)
-    batch = rng.uniform(0, 1, (3, patch, patch, channels))
-    scale = 2.0 / (3 * batch[0].size)  # d(mean sq)/d(recon)
+    batch = np.moveaxis(rng.uniform(0, 1, (3, patch, patch, channels)), 0, -1)
+    scale = 2.0 / (3 * batch[..., 0].size)  # d(mean sq)/d(recon)
 
     def loss(p):
         feats, _ = ae.encode(p, batch)

@@ -538,7 +538,7 @@ def test_evaluate_and_analyze_decode_nothing_while_validation_and_forward_still_
     real, calls = PatchAutoencoder.decode, []
 
     def decode(self, *args):
-        calls.append(args[1].shape[0])
+        calls.append(args[1].shape[-1])
         return real(self, *args)
 
     monkeypatch.setattr(PatchAutoencoder, "decode", decode)

@@ -84,6 +84,20 @@ class TestForward:
         direct = circuits.quantum_forward(cc, np.full((4, 4, 3), np.pi / 2), np.zeros(36))
         assert np.allclose(features, direct, atol=1e-12)
 
+    def test_each_superpixel_and_reconstruction_tile_is_its_own_patch_through_the_autoencoder(self, small_model):
+        # the autoencoder's (E, patches) output reshapes without error in any axis order, so pin
+        # every image's tile (x, y) to the single-patch encoder and decoder
+        rng = np.random.default_rng(5)
+        store = random_store(small_model, rng)
+        images = rng.uniform(0, 1, (3, 16, 16, 2))
+        out = small_model.forward_batch(images, store)
+        ae, params, p = small_model.autoencoder, store.segments["autoencoder"], SMALL.patch_size
+        for i, x, y in np.ndindex(3, 4, 4):
+            tile = np.s_[i, x * p:(x + 1) * p, y * p:(y + 1) * p]
+            angles = out["processed"][i, x, y]
+            assert np.max(np.abs(angles - ae.encode_patch(params, images[tile]))) <= 1e-12
+            assert np.max(np.abs(out["reconstruction"][tile] - ae.decode_patch(params, angles))) <= 1e-12
+
     def test_forward_returns_all_intermediates(self, small_model):
         rng = np.random.default_rng(4)
         store = random_store(small_model, rng)
