@@ -252,26 +252,30 @@ class QuantumEvaluator:
     input rows to twice as many by one batched GEMM between a gather and a
     scatter through its row table in ``_blocks``, and the tail runs on all
     rows. ``forward`` returns the states as the (batch, 2^n) transpose of the
-    columns, the features (marginals of the measured state phi's upper half,
-    read through ``_upper_axes``) and a cache: the columns, phi, the bound
-    ops and V, and the unit states with their ``sv._unit_parts``.
-    ``backward`` consumes it, in place on the leading rows, so the returned
-    states last until then: it weights phi's upper half through the same
-    axes as its bra and un-applies the H layer and the tail; per block in
-    reverse, V^H takes ket and bra back to its input rows, and one un-apply
-    of its ops on a copy of V, with G_s = Bra_s X_s^H as the bra, gives its
-    parameter gradients; then it un-applies the head and forms all
-    data-angle derivatives at once from the parts. ``program`` and
-    ``compiled`` hold the whole program, encoding first, unfused, as the
-    per-unit gate-list reference, and ``operators`` the measurement family;
-    the three are built on first use.
+    columns, the features (marginals of the measured state, the upper half
+    after the Hadamards) and a cache: the columns, phi (the measured state
+    in its upper half), the bound ops and V, and the unit states with their
+    parts. ``backward`` consumes it, in place on the leading rows, so the
+    returned states last until then: it weights the measured state, takes
+    it back through the Hadamards into phi as its bra and un-applies the
+    tail; per block in reverse, V^H takes ket and bra back to its input
+    rows, and one un-apply of its ops on a copy of V, with G_s = Bra_s X_s^H
+    as the bra, gives its parameter gradients; then it un-applies the head
+    and forms all data-angle derivatives at once from the parts.
+    ``program`` and ``compiled`` hold the whole program, encoding first,
+    unfused, as the per-unit gate-list reference, and ``operators`` the
+    measurement family; the three are built on first use.
 
     The measurement family of this circuit is diagonal after a Hadamard on
-    every measured qubit: (I + sX)/2 = H |(1-s)/2><(1-s)/2| H. Expectations
-    are therefore 2^m times marginal probabilities of bit patterns, and the
-    cotangent state sum_i c_i M_i |psi> is H-conjugated diagonal scaling --
-    both O(2^n) regardless of the number of operators. The Hadamard layer
-    runs as dense blocks too (2 on the canonical circuit, for 7 Hadamards).
+    every measured qubit: (I + sX)/2 = H |(1-s)/2><(1-s)/2| H, so features
+    are 2^m times marginals of the measured state: the upper half after H on
+    q_f[-1], the top qubit, (lower - upper) / sqrt 2, then H on the other
+    m - 1 measured bits, which ``_hadamard`` applies to the float64 view of
+    lower - upper, measured bits first, as one real GEMM per dense factor
+    of at most 6 bits (one 64 x 64 factor on the canonical circuit). The bra
+    sum_i c_i M_i |psi> is the same Hadamards on the weighted measured state
+    in the lower half and its negative in the upper half, written over phi,
+    so that no step allocates a stack for it.
     """
 
     def __init__(self, config: CircuitConfig):
@@ -305,13 +309,14 @@ class QuantumEvaluator:
 
         order = measured_qubit_order(config, layout)
         rest = tuple(q for q in range(n) if q not in order)
-        self._h_gates = sv.fuse_layers(sv.compile_program(CircuitProgram(n, [GateInstruction("H", q) for q in order])))
-        # The features are the marginals of the upper half (q_f[-1], the top
-        # qubit, is 1): ``_upper_axes`` puts its axes, highest qubit first, in
-        # the order the features and ``_cot_shape`` run in, the measured bits
-        # (order[0] first), then the unmeasured ones (rest[0] first), then the batch.
-        self._upper_axes = tuple(n - 2 - q for q in order[:-1] + rest) + (n - 1,)
-        self._cot_shape = (2,) * (len(order) - 1) + (1,) * len(rest) + (-1,)
+        # a stack's axes, one per qubit and then the batch, in the features' order: q_f[-1], order[:-1], rest
+        self._axes = tuple(n - 1 - q for q in order[-1:] + order[:-1] + rest) + (n,)
+        # H on each measured bit but q_f[-1], as (low, matrix) factors on at most MAX_BLOCK_QUBITS bits of the
+        # feature index each, from bit low up: H on k bits is (-1)^popcount(i & j) / sqrt(2^k)
+        w, self._hadamards = len(order) - 1, []
+        for low in range(0, w, sv.MAX_BLOCK_QUBITS):
+            i = np.arange(1 << min(w - low, sv.MAX_BLOCK_QUBITS))
+            self._hadamards.append((low, (-1.0) ** np.bitwise_count(i[:, None] & i) / np.sqrt(len(i))))
         # Row s lists superpixel s's amplitudes of the encoded state, column
         # bit j on value qubit j; the scale is each column's CZ sign / 2^g.
         self._encoding_table = sv.basis_indices(layout.q_l)[:, None] | sv.basis_indices(layout.q_v[::-1])[None, :]
@@ -367,12 +372,16 @@ class QuantumEvaluator:
         for (_, rows), v in zip(self._blocks, transfers):  # block b: its rows with q_f[b-1] = 0 to all its rows
             cols[rows] = (v @ cols[rows[:, :4]].reshape(len(v), 4, -1)).reshape(rows.shape + (-1,))
         sv.run_compiled(ops[self._tail], cols.T)
-        phi = cols.copy()
-        sv.run_compiled(self._h_gates, phi.T)
-        upper = self._upper(phi)
-        probs = (upper.real**2 + upper.imag**2).reshape(self.num_features, -1, len(data))
-        # 2^m for the m measured qubits: one per feature index bit plus q_f's
-        features = (2.0 * self.num_features) * probs.sum(axis=1)
+        # H on q_f[-1] makes the upper half (lower - upper) / sqrt 2: phi's lower half holds lower - upper,
+        # measured bits first, and its upper half the Hadamards on the other measured bits times it, later the bra
+        (lower, upper), phi = self._halves(cols), np.empty_like(cols)
+        diff, measured = phi.view(np.float64).reshape(2, self.num_features, -1)
+        np.subtract(lower, upper, out=diff.view(np.complex128).reshape(lower.shape))
+        self._hadamard(diff, measured)
+        measured = measured.view(np.complex128)
+        probs = (measured.real**2 + measured.imag**2).reshape(self.num_features, -1, len(data))
+        # 2^m for the m measured qubits, over the 2 of (1 / sqrt 2)^2 the difference leaves out: 2^(m-1)
+        features = self.num_features * probs.sum(axis=1)
         cache = {"cols": cols, "phi": phi, "ops": ops, "transfers": transfers, "states": states, "parts": parts}
         return cols.T, features.T, cache
 
@@ -383,10 +392,12 @@ class QuantumEvaluator:
         per-row gradient with respect to every data slot.
         """
         cotangents = np.atleast_2d(np.asarray(cotangents, dtype=np.float64))
-        ket, bra = cache.pop("cols"), cache.pop("phi")
-        bra[: len(bra) // 2] = 0
-        self._upper(bra)[...] *= (2.0 * self.num_features) * cotangents.T.reshape(self._cot_shape)
-        sv.run_compiled(self._h_gates, bra.T)
+        ket, bra, f = cache.pop("cols"), cache.pop("phi"), self.num_features
+        bra[len(bra) // 2 :].reshape(f, -1, len(cotangents))[...] *= f * cotangents.T[:, None]  # 2^(m-1) c_i
+        (lower, upper), measured = self._halves(bra), bra.view(np.float64).reshape(2, f, -1)[1]
+        self._hadamard(measured, measured)
+        lower[...] = measured.view(np.complex128).reshape(lower.shape)
+        np.negative(lower, out=upper)
         ops, transfers, arity = cache.pop("ops"), cache.pop("transfers"), len(params)
         param_grads = sv.unapply_compiled(ops[self._tail], ket.T, bra.T, None, params, arity)[0]
         for (part, rows), v in zip(reversed(self._blocks), reversed(transfers)):
@@ -419,9 +430,17 @@ class QuantumEvaluator:
         grads = [np.imag(e1 * np.conj(a) - e0 * np.conj(b)), np.real(e1 * a - e0 * b), np.imag(e0 * a - e1 * b)]
         return param_grads, np.stack(grads, -1).reshape(len(p), -1)
 
-    def _upper(self, stack: np.ndarray) -> np.ndarray:
-        """The upper half of a (2^n, batch) stack, one axis per qubit in ``_upper_axes`` order."""
-        return stack[len(stack) // 2 :].reshape((2,) * (len(self._upper_axes) - 1) + (-1,)).transpose(self._upper_axes)
+    def _hadamard(self, x: np.ndarray, out: np.ndarray) -> None:
+        """``out`` = the Hadamards on the measured bits but q_f[-1] times ``x``, each (features, columns)
+        float64 and ``out`` C-contiguous: one batched GEMM per factor, the first from ``x``, the rest in place."""
+        for low, h in self._hadamards:
+            shape = (-1, len(h), x.shape[1] << low)
+            np.matmul(h, x.reshape(shape), out=out.reshape(shape))
+            x = out
+
+    def _halves(self, stack: np.ndarray) -> np.ndarray:
+        """A (2^n, batch) stack, one axis per qubit in ``_axes`` order: its q_f[-1] = 0 and 1 halves."""
+        return stack.reshape((2,) * (len(self._axes) - 1) + (-1,)).transpose(self._axes)
 
 
 def _fused(ops) -> tuple:

@@ -188,12 +188,13 @@ def cmd_train(args) -> int:
 
 def _checkpoint_and_split(args, merged: dict):
     """(model, store, images, labels) for ``--checkpoint`` on the ``--split``
-    of ``--data``; a dataset the checkpoint cannot read, by image shape or
-    class count, is a config error."""
+    of ``--data``; a dataset it cannot read, by image shape or class count, is
+    a config error, and parameters that do not fit its own config a data error."""
     store, config = qm.load_checkpoint(args.checkpoint)
     images, labels = _load_data(merged, (args.split,), config, "the checkpoint")[args.split]
     model = qm.HybridModel(config)
-    model.check_store(store)
+    if store.lengths() != model.segment_lengths:
+        raise DataError(f"checkpoint {args.checkpoint}: its {store.lengths()} parameters do not fit its config")
     return model, store, images, labels
 
 

@@ -53,6 +53,9 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.train_samples < 1:
             raise ValueError("train_samples must be >= 1: the normalization constants come from the training split")
+        grids = self.train_samples + self.validation_samples + self.test_samples + self.num_classes  # with the gratings
+        if 8 * grids * self.image_size**2 * self.channels > 2 << 30:  # the same budget as the training state
+            raise ValueError(f"{grids} images and class gratings of {self.image_size}^2 x {self.channels} exceed 2 GiB")
 
 
 def channel_range(images: np.ndarray) -> np.ndarray:

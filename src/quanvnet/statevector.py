@@ -397,8 +397,7 @@ MAX_BLOCK_QUBITS = 6
 class _Block:
     """Uncontrolled H ops and fused units on distinct qubits, run as one dense
     ``2^w x 2^w`` matrix over qubits ``low .. low + w - 1``, ``low`` the
-    lowest of them: ``M @ view`` over the columns reshaped to
-    (-1, 2^w, 2^low * batch), or for a real ``M`` over their float64 view."""
+    lowest of them: ``M @ view`` over the columns as (-1, 2^w, 2^low * batch)."""
 
     low: int
     factors: tuple  # per qubit, lowest first: None (identity), "H", or a unit's RX, RY, RZ param slots
@@ -422,11 +421,7 @@ def _kron_factors(factors: tuple, units) -> np.ndarray:
 
 
 def _apply_block(cols: np.ndarray, blk: _Block, m: np.ndarray) -> np.ndarray:
-    """Apply the block matrix ``m`` in place to the columns; returns the
-    block-shaped view. A real ``m`` (a parameter-free block) acts on the real
-    and imaginary parts at once through the float64 view, one real GEMM."""
-    if np.isrealobj(m):
-        cols = cols.view(np.float64)
+    """Apply the block matrix ``m`` in place to the columns; returns the block-shaped view."""
     t = cols.reshape(-1, 1 << len(blk.factors), cols.shape[1] << blk.low)
     t[...] = m @ t
     return t

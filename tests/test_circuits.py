@@ -327,8 +327,7 @@ class TestEvaluatorBackward:
             real = getattr(sv, name)
 
             def spy(compiled, stack, *args, real=real, name=name):
-                if compiled is not ev._h_gates:
-                    stacks.append((name, stack.shape, stack))
+                stacks.append((name, stack.shape, stack))
                 return real(compiled, stack, *args)
 
             monkeypatch.setattr(sv, name, spy)
@@ -566,17 +565,15 @@ class TestLazyReference:
 
 
 class TestFusedSchedule:
-    """The evaluator runs each run of uncontrolled units, and the measurement
-    Hadamards, as dense blocks (``sv.fuse_layers``), and each block's kernel
-    units for one value qubit as one multiplexor (``sv.fuse_multiplexors``);
-    ``compiled`` stays the per-unit gate-list reference it is checked
-    against."""
+    """The evaluator runs each run of uncontrolled units as a dense block
+    (``sv.fuse_layers``), and each block's kernel units for one value qubit
+    as one multiplexor (``sv.fuse_multiplexors``); ``compiled`` stays the
+    per-unit gate-list reference it is checked against."""
 
     def test_canonical_schedule(self):
         ev = qc.QuantumEvaluator(CANONICAL)
         assert len(sv.compile_program(ev.extraction)) == 67
-        assert len(ev._ops) == 14 and len(ev._h_gates) == 2
-        assert all(op.kind == "B" for op in ev._h_gates)
+        assert len(ev._ops) == 14
         blocks = [(op.low, len(op.factors)) for op in ev._ops if op.kind == "B"]
         # head (H on q_k, units on q_v), 2 x 3 LWM pairs on x_b, y_b (qubits 0 and 1 of their block's
         # construction layout), tail
@@ -594,7 +591,7 @@ class TestFusedSchedule:
         assert len(triples) == 48
 
     def test_a_single_image_forward_dispatches_each_op_once(self, monkeypatch):
-        # a timing-free latency guard: 14 extraction ops and 2 H blocks, and
+        # a timing-free latency guard: 14 extraction ops, and
         # one pass over the unit angles, which the backward reuses; the 12 ops
         # of the blocks run on their transfer columns, once per parameter set
         ev, calls = qc.QuantumEvaluator(CANONICAL), []
@@ -611,17 +608,18 @@ class TestFusedSchedule:
         data = rng.uniform(0, np.pi, (1, CANONICAL.data_arity))
         _, _, cache = ev.forward(data, params)
         assert sorted(calls) == sorted(["_unit_matrix"] + ["_kron_factors"] * 8 + ["_apply_kernel"] * 6
-                                       + ["_apply_block"] * 10)
+                                       + ["_apply_block"] * 8)
         calls.clear()
         ev.backward(cache, params, rng.normal(size=(1, ev.num_features)))
-        assert sorted(calls) == ["_apply_block"] * 18 + ["_apply_kernel"] * 12
+        assert sorted(calls) == ["_apply_block"] * 16 + ["_apply_kernel"] * 12
         calls.clear()
-        ev.forward(data, params)  # the same parameters: the head, the tail and the H layer only
-        assert calls == ["_apply_block"] * 4
+        ev.forward(data, params)  # the same parameters: the head and the tail only
+        assert calls == ["_apply_block"] * 2
 
+    # (3, 9, 1, 2): 8 measured bits besides q_f[-1], so the Hadamards run as two factors, of 6 bits and 2
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("g,e,m,k,lwm", [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True),
-                                             (2, 12, 2, 2, True)])
+                                             (2, 12, 2, 2, True), (3, 9, 1, 2, True)])
     def test_matches_the_per_unit_reference(self, g, e, m, k, lwm, rows):
         config = qc.CircuitConfig(g, e, m, k, lwm)
         rng = np.random.default_rng(1100 + 100 * g + 10 * e + rows)

@@ -445,6 +445,24 @@ def test_checkpoint_with_a_mistyped_config_field_exits_3(trained, dataset_dir, t
     assert err.startswith("data error:") and "batch_size must be an int" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_a_checkpoint_whose_parameters_do_not_fit_its_config_exits_3_without_output(trained, dataset_dir, tmp_path,
+                                                                                    capsys, command):
+    # a quantum segment one entry short, in a manifest that agrees with its arrays: the file is at fault
+    store, config = qm.load_checkpoint(trained / "run0.ckpt")
+    for arrays in (store.segments, store.adam_m, store.adam_v):
+        arrays["quantum"] = arrays["quantum"][:-1]
+    short = tmp_path / "short.ckpt"
+    qm.save_checkpoint(short, store, config)
+    out = tmp_path / "out"
+    code = main([command, "--checkpoint", str(short), "--data", str(dataset_dir), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"data error: checkpoint {short}: its ") and "do not fit its config" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def empty_test_split(tmp_path_factory):
     """The dataset of ``dataset_dir``'s shape with an empty test split."""
@@ -625,6 +643,21 @@ def test_synth_with_an_out_of_range_value_exits_2_without_output(tmp_path, capsy
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"config error: {field} must be >= 0") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# float64 images over all splits, and the class gratings, past 2 GiB; checked before any allocation
+@pytest.mark.parametrize("flags, message", [
+    (["--train-samples", "1000000000000"], "1000000000006 images and class gratings of 8^2 x 1 exceed 2 GiB"),
+    (["--image-size", "1000000", "--train-samples", "1", "--validation-samples", "0", "--test-samples", "0"],
+     "3 images and class gratings of 1000000^2 x 1 exceed 2 GiB"),
+    (["--classes", "100000000", "--image-size", "64"], "100000008 images and class gratings of 64^2 x 1 exceed 2 GiB"),
+])
+def test_synth_of_a_dataset_over_2_gib_exits_2_without_output(tmp_path, capsys, flags, message):
+    out = tmp_path / "data"
+    code = main(SYNTH_ARGS + ["--out", str(out)] + flags)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

@@ -206,9 +206,10 @@ class TestBackward:
         for seg in qm.SEGMENTS:
             assert np.allclose(single[seg], doubled[seg], rtol=1e-11, atol=1e-13)
 
-    def test_one_step_builds_the_unit_parts_in_the_forward_and_the_h_layer_twice(self, small_model, monkeypatch):
+    def test_one_step_builds_the_unit_parts_in_the_forward_and_sweeps_no_h_layer(self, small_model, monkeypatch):
         # the forward builds the parts twice, for the encoding and for binding the
-        # extraction ops; the backward reads them and the measured state from its cache
+        # extraction ops; the backward reads them and the measured state from its cache;
+        # the only sweeps are each block's build, the head and the tail: the measurement runs none
         rng = np.random.default_rng(8)
         images = rng.uniform(0, 1, (2, 16, 16, 2))
         store = random_store(small_model, rng)
@@ -220,8 +221,7 @@ class TestBackward:
             return real_unit_parts(angles)
 
         def run_compiled(compiled, *args, **kwargs):
-            if compiled is ev._h_gates:
-                calls.append("H layer")
+            calls.append("sweep")
             return real_run(compiled, *args, **kwargs)
 
         # and that cache holds the unit states and parts, not their angle derivatives, and the bound ops and
@@ -236,7 +236,7 @@ class TestBackward:
         monkeypatch.setattr(circuits.sv, "run_compiled", run_compiled)
         monkeypatch.setattr(ev, "backward", backward)
         small_model.loss_and_grads(images, np.array([0, 2]), store)
-        assert calls == ["unit parts", "unit parts", "H layer", "H layer"]
+        assert calls == ["unit parts", "unit parts"] + ["sweep"] * (len(ev._blocks) + 2)
         assert cached == [["cols", "ops", "parts", "phi", "states", "transfers"]]
 
     def test_a_forward_only_batch_builds_no_derivative_arrays(self, small_model, monkeypatch):
@@ -485,6 +485,24 @@ def test_state_stacks_over_the_budget_rejected_before_any_allocation():
     qm.ModelConfig(image_size=1024, batch_size=1)
 
 
+def _evaluator_step_peak(config, rows):
+    """(evaluator, amplitudes, features, tracemalloc peak) of one forward and
+    backward on a fresh evaluator at ``rows`` random rows."""
+    rng = np.random.default_rng(31)
+    ev = circuits.QuantumEvaluator(config)
+    data = rng.uniform(0, np.pi, (rows, config.data_arity))
+    params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
+    cot = rng.normal(size=(rows, ev.num_features))
+    tracemalloc.start()
+    try:
+        # held through the backward, as loss_and_grads holds forward_batch's psi
+        amps, features, cache = ev.forward(data, params)
+        ev.backward(cache, params, cot)
+        return ev, amps, features, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # 18 qubits at batch 2; the canonical 12 qubits at batch 50; at batch 1,
 # where the transfer matrices and a block's batch-summed overlap do not shrink
 # with the batch, the canonical 12 qubits, 17 qubits with 6-qubit blocks, 10
@@ -504,20 +522,15 @@ THIN = circuits.CircuitConfig(5, 3, 1, 1)
                                           (circuits.CircuitConfig(1, 30, 1, 1), 1),
                                           (THIN, 1), (THIN, 3), (THIN, 20)])
 def test_one_evaluator_step_holds_at_most_state_copies_stacks(config, rows):
-    rng = np.random.default_rng(31)
-    ev = circuits.QuantumEvaluator(config)
-    data = rng.uniform(0, np.pi, (rows, config.data_arity))
-    params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
-    cot = rng.normal(size=(rows, ev.num_features))
-    tracemalloc.start()
-    try:
-        # held through the backward, as loss_and_grads holds forward_batch's psi
-        amps, features, cache = ev.forward(data, params)
-        ev.backward(cache, params, cot)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ev, amps, features, peak = _evaluator_step_peak(config, rows)
     assert amps.shape == (rows, 1 << ev.layout.total_qubits) and features.shape == (rows, ev.num_features)
     data_bytes = qm.DATA_SLOT_BYTES * config.data_arity if config == THIN else 0
     stacks = rows * (qm.STATE_COPIES * (16 << ev.layout.total_qubits) + data_bytes)
     assert peak <= stacks + qm.fixed_state_bytes(config)
+
+
+def test_the_canonical_batch_50_step_peaks_within_3_8_stacks():
+    # 3.78 stacks: the bra is written over phi, which holds the measured state;
+    # a measured state kept beside the bra through the un-applies adds half a stack
+    ev, _, _, peak = _evaluator_step_peak(circuits.CircuitConfig(3, 9, 2, 2), 50)
+    assert peak <= 3.8 * 50 * (16 << ev.layout.total_qubits)

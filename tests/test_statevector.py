@@ -869,10 +869,9 @@ class TestColumnLayout:
         params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
         _, _, cache = ev.forward(data, params)
         ev.backward(cache, params, rng.normal(size=(3, ev.num_features)))
-        # forward: the two blocks' builds, the head, the tail and the H layer;
-        # backward: one H layer on the cached measured state, then ket and bra
-        # in the tail, in each block's un-apply and in the head
-        assert entries == exits == [True] * 14
+        # forward: the two blocks' builds, the head and the tail; backward:
+        # ket and bra in the tail, in each block's un-apply and in the head
+        assert entries == exits == [True] * 12
 
 
 # ---------------------------------------------------------------------------
