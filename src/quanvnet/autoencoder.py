@@ -114,19 +114,24 @@ def _quadrants(x):
 
 
 def _maxpool(x):
-    # a later quadrant wins only when strictly greater, so ties (signed zeros
-    # included) go to the first maximum, which keeps backward deterministic
+    """(pooled, window): each 2x2 window's first maximum, and what ``_maxpool_backward`` reads to find it."""
     q = _quadrants(x)
-    a, b = q[1] > q[0], q[3] > q[2]
-    left, right = np.where(a, q[1], q[0]), np.where(b, q[3], q[2])
-    c = right > left
-    return np.where(c, right, left), np.where(c, b + 2, a)
+    pooled = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+    # np.maximum may return either zero of a tie between signed zeros: a zero maximum takes the first zero
+    zero = pooled == 0
+    for view in q[::-1]:
+        np.copyto(pooled, view, where=zero & (view == 0))
+    return pooled, (x, pooled)
 
 
-def _maxpool_backward(idx, grad, in_shape):
-    dx = np.empty(in_shape)
-    for k, view in enumerate(_quadrants(dx)):  # the quadrants cover dx once
-        view[...] = np.where(idx == k, grad, 0.0)
+def _maxpool_backward(window, grad, in_shape):
+    # each window's gradient goes to its first quadrant equal to the maximum, which keeps backward deterministic
+    x, pooled = window
+    dx, free = np.empty(in_shape), np.ones(pooled.shape, dtype=bool)
+    for view, quadrant in zip(_quadrants(dx), _quadrants(x)):  # the quadrants cover dx once
+        first = free & (quadrant == pooled)
+        view[...] = np.where(first, grad, 0.0)
+        free &= ~first
     return dx
 
 
@@ -221,8 +226,8 @@ class PatchAutoencoder:
         for i in range(self.blocks):
             act = _conv2d(x, v[f"enc_conv{i}_w"], v[f"enc_conv{i}_b"])
             np.maximum(act, 0.0, out=act)  # ReLU in place: act > 0 exactly where the pre-activation was
-            pooled, idx = _maxpool(act)
-            cache["conv"].append((x, act, idx))
+            pooled, window = _maxpool(act)
+            cache["conv"].append((x, act, window))
             x = pooled
         flat = x.reshape(-1, x.shape[-1])
         sig = _sigmoid(v["enc_dense_w"].T @ flat + v["enc_dense_b"][:, None])
@@ -242,8 +247,8 @@ class PatchAutoencoder:
         gv["enc_dense_b"][...] = dz.sum(axis=1)
         dx = (v["enc_dense_w"] @ dz).reshape(cache["x_shape"])
         for i in reversed(range(self.blocks)):
-            x_in, act, idx = cache["conv"][i]
-            dpre = _maxpool_backward(idx, dx, act.shape)
+            x_in, act, window = cache["conv"][i]
+            dpre = _maxpool_backward(window, dx, act.shape)
             dpre *= act > 0
             gv[f"enc_conv{i}_w"][...], gv[f"enc_conv{i}_b"][...] = _conv2d_backward(x_in, v[f"enc_conv{i}_w"], dpre)
             if i:  # conv 0 reads the raw patches, whose gradient nobody uses

@@ -230,15 +230,18 @@ def full_program(config: CircuitConfig, layout: RegisterLayout) -> CircuitProgra
 class QuantumEvaluator:
     """Compiled end-to-end evaluator for a fixed config.
 
-    The encoding fragment is built in closed form. After the location
-    Hadamards, the branch of superpixel s = (x << g) | y holds the product of
-    its value qubits' R_Z R_Y R_X|0> states times the all-pairs CZ sign
-    (-1)^(k(k-1)/2) for Hamming weight k, at amplitude 1/2^g; its data-angle
-    gradients follow from the same product and the cotangent state at the
-    encoding boundary. Only the ``extraction`` fragment runs as compiled ops,
-    each run of uncontrolled units (head, LWM pair, tail) as one dense block
-    and each block's kernel units for one value qubit as one multiplexor: 67
-    ops become 14 on the canonical circuit.
+    Each row's state is one array with an axis per qubit, slowest first, and
+    the rows last: the sector controls q_v and q_k, then each block's output
+    q_f[b-1], y_b, x_b in block order, then the location pairs no block
+    consumes. After the location Hadamards, superpixel s = (x << g) | y
+    holds the product of its value qubits' R_Z R_Y R_X|0> states times the
+    all-pairs CZ sign (-1)^(k(k-1)/2) for Hamming weight k, at amplitude
+    1/2^g, and q_k starts in |+>. So the head, the units on q_v before block
+    1, is one map on the value axis of the (value, location pairs, row)
+    branches scaled by the signs and 1/(2^g sqrt K), shared by every kernel,
+    and the tail, the units on q_v after block M, one map on the value axis
+    of the final state; each runs as Kronecker factors of at most
+    MAX_BLOCK_QUBITS qubits (``_times_factors``).
 
     Convolution block b's ops act on x_b, y_b and q_f[b-1] (|0> before them)
     under controls q_v, q_k and q_f[b-2] only, so per sector s, a pattern of
@@ -247,50 +250,55 @@ class QuantumEvaluator:
     each block's, compiled on a layout with its qubits and its sector's
     lowest, on a (sectors * 8, 4) stack whose column j is sum_s |s>|j>, which
     leaves V there; ``forward`` rebuilds only when the parameter values
-    change. The states are the columns of one (2^n, batch) array: the head
-    runs on the 2^q_f[0] leading rows the encoding fills, each block maps its
-    input rows to twice as many by one batched GEMM between a gather and a
-    scatter through its row table in ``_blocks``, and the tail runs on all
-    rows. ``forward`` returns the states as the (batch, 2^n) transpose of the
-    columns, the features (marginals of the measured state, the upper half
-    after the Hadamards) and a cache: the columns, phi (the measured state
-    in its upper half), the bound ops and V, and the unit states with their
-    parts. ``backward`` consumes it, in place on the leading rows, so the
-    returned states last until then: it weights the measured state, takes
-    it back through the Hadamards into phi as its bra and un-applies the
-    tail; per block in reverse, V^H takes ket and bra back to its input
-    rows, and one un-apply of its ops on a copy of V, with G_s = Bra_s X_s^H
-    as the bra, gives its parameter gradients; then it un-applies the head
-    and forms all data-angle derivatives at once from the parts.
-    ``program`` and ``compiled`` hold the whole program, encoding first,
-    unfused, as the per-unit gate-list reference, and ``operators`` the
-    measurement family; the three are built on first use.
+    change. Block b's input has the axes (value, kernel, consumed bits,
+    q_f[b-2], pair b-1, pair b, rest), the kernel axis of length 1 before
+    block 1; V, arranged on the same axes, contracts pair b in one broadcast
+    matmul, and the output's (q_f[b-1], pair b) axis in its place is the next
+    block's input. ``forward`` copies the last block's output once into
+    (2^n, batch) columns of the qubit order and runs the tail there into the
+    last block's buffer: the returned (batch, 2^n) amplitudes, a copy that
+    the backward does not read.
 
-    The measurement family of this circuit is diagonal after a Hadamard on
-    every measured qubit: (I + sX)/2 = H |(1-s)/2><(1-s)/2| H, so features
-    are 2^m times marginals of the measured state: the upper half after H on
-    q_f[-1], the top qubit, (lower - upper) / sqrt 2, then H on the other
-    m - 1 measured bits, which ``_hadamard`` applies to the float64 view of
-    lower - upper, measured bits first, as one real GEMM per dense factor
-    of at most 6 bits (one 64 x 64 factor on the canonical circuit). The bra
-    sum_i c_i M_i |psi> is the same Hadamards on the weighted measured state
-    in the lower half and its negative in the upper half, written over phi,
-    so that no step allocates a stack for it.
+    The measurement family is diagonal after a Hadamard on every measured
+    qubit: (I + sX)/2 = H |(1-s)/2><(1-s)/2| H. H on q_f[-1], the top qubit,
+    makes the upper half (lower - upper) / sqrt 2, written to the lower half
+    of phi, the columns' buffer, with the measured bits (value, kernel, kept
+    pairs) first; the Hadamards on them, one real GEMM per factor of at most
+    6 bits on its float64 view, write the measured state to phi's upper
+    half, and the features are 2^(m-1) times its marginals, in the
+    operators' order. The cache holds each block's input, phi, the bound
+    ops, V, the value maps and their units, and the encoding's unit states
+    and parts.
+
+    ``backward`` consumes the cache and carries the conjugate of the bra, so
+    that every overlap is a plain GEMM with a cached ket. The weighted
+    measured state, back through the Hadamards, is beta: the bra is
+    (beta, -beta) over q_f[-1]. The tail's unit gradients come from the
+    value-axis overlap of beta and the difference, and its transpose takes
+    beta back into the state's layout. The last block's G_s = Bra_s X_s^H is
+    then (beta X^H, -beta X^H) and its input bra (V_0 - V_1)^H beta; each
+    earlier block's G_s and input bra V^H Bra come from its cached input,
+    summed over the kernels at block 1, and one un-apply of a block's ops on
+    a copy of V with G_s as the bra gives its parameter gradients. The
+    head's come like the tail's, and at the encoding each data angle's
+    gradient follows from the unit states and parts. ``program`` and
+    ``compiled`` hold the whole program, encoding first, unfused, as the
+    per-unit gate-list reference, and ``operators`` the measurement family;
+    the three are built on first use.
     """
 
     def __init__(self, config: CircuitConfig):
         self.config = config
         self.layout = layout = make_layout(config)
         self.extraction = build_feature_extraction(config, layout)
-        n, g = layout.total_qubits, config.grid_log
+        n, g, m, nv = layout.total_qubits, config.grid_log, config.num_blocks, config.value_qubits
         compiled = sv.compile_program(self.extraction)
         # block b's ops target its own qubits x_b, y_b and q_f[b-1]; the head before them and the tail after them
         # act on q_v and q_k alone
-        own = [(layout.q_l[g - b], layout.q_l[2 * g - b], layout.q_f[b - 1]) for b in range(1, config.num_blocks + 1)]
+        own = [(layout.q_l[g - b], layout.q_l[2 * g - b], layout.q_f[b - 1]) for b in range(1, m + 1)]
         labels = [next((b for b, qubits in enumerate(own) if op.target in qubits), None) for op in compiled]
-        bounds = [labels.index(b) for b in range(len(own))] + [len(labels) - labels[::-1].index(len(own) - 1)]
-        ops, blocks = _fused(compiled[: bounds[0]]), []
-        self._head = slice(len(ops))
+        bounds = [labels.index(b) for b in range(m)] + [len(labels) - labels[::-1].index(m - 1)]
+        ops, blocks = [], []
         for b, qubits in enumerate(own):
             # construction qubits 0, 1, 2 are x_b, y_b, q_f[b-1], then the sector: q_v, q_k and q_f[b-2]
             low = qubits + layout.q_v + layout.q_k + layout.q_f[max(b - 1, 0) : b]
@@ -298,29 +306,36 @@ class QuantumEvaluator:
             moved = [tuple(map(order.index, reg)) for reg in (layout.q_l, layout.q_v, layout.q_k, layout.q_f)]
             reordered = sv.compile_program(build_feature_extraction(config, RegisterLayout(*moved)))
             block = _fused(reordered[bounds[b] : bounds[b + 1]])
-            # data rows, as (sector, output, other qubits below q_f[b-1]); the first 4 outputs are the inputs
-            rest = tuple(q for q in range(qubits[2]) if q not in low)
-            rows = sv.basis_indices(low[::-1])[:, None] | sv.basis_indices(rest)[None, :]
-            blocks.append((slice(len(ops), len(ops) + len(block)), rows.reshape(-1, 8, 1 << len(rest))))
+            blocks.append(slice(len(ops), len(ops) + len(block)))
             ops += block
-        self._tail = slice(len(ops), None)
-        self._ops, self._blocks = ops + _fused(compiled[bounds[-1] :]), tuple(blocks)
-        self._built = None  # (parameter values, bound ops, transfer matrices) of the last build
+        self._ops, self._blocks = tuple(ops), tuple(blocks)
+        self._built = None  # (parameter values, bound ops, transfer matrices, value units and maps) of the last build
+        # the head's and the tail's unit on q_v[j] take the j-th slot triple of the first and the last 3 nv
+        arity = self.extraction.param_arity
+        self._value_slots = np.array([np.arange(3 * nv), np.arange(arity - 3 * nv, arity)]).reshape(2, nv, 3)
 
-        order = measured_qubit_order(config, layout)
-        rest = tuple(q for q in range(n) if q not in order)
-        # a stack's axes, one per qubit and then the batch, in the features' order: q_f[-1], order[:-1], rest
-        self._axes = tuple(n - 1 - q for q in order[-1:] + order[:-1] + rest) + (n,)
+        pairs = [(layout.q_l[2 * g - b], layout.q_l[g - b]) for b in range(1, g + 1)]  # (y_b, x_b)
+        sectors, kept = layout.q_v[::-1] + layout.q_k[::-1], sum(pairs[m:], ())
+        consumed = sum(((layout.q_f[b],) + pairs[b] for b in range(m)), ())
+        # the columns' axes, one per qubit (qubit q on axis n - 1 - q) and then the batch, in the state's order,
+        # and the halves' over q_f[-1] = n - 1 in phi's: measured bits, then the unmeasured ones
+        self._state_axes = tuple(n - 1 - q for q in sectors + consumed + kept) + (n,)
+        measured, unmeasured = sectors + kept, tuple(q for q in consumed if q != layout.q_f[-1])
+        self._phi_axes = tuple(n - 2 - q for q in measured + unmeasured) + (n - 1,)
+        # the operators index their sign bits in measured_qubit_order: feature i is phi's measured row _feature_order[i]
+        signs = measured_qubit_order(config, layout)[:-1]
+        rows = np.arange(1 << len(signs)).reshape((2,) * len(signs))
+        self._feature_order = rows.transpose([measured.index(q) for q in signs]).ravel()
+        # superpixel s = (x << g) | y has bit 2g - 1 - j on q_l[j]: the branches' location axes as those bits
+        self._pair_axes = tuple(layout.q_l.index(q) for q in sum(pairs, ()))
         # H on each measured bit but q_f[-1], as (low, matrix) factors on at most MAX_BLOCK_QUBITS bits of the
         # feature index each, from bit low up: H on k bits is (-1)^popcount(i & j) / sqrt(2^k)
-        w, self._hadamards = len(order) - 1, []
+        w, self._hadamards = len(signs), []
         for low in range(0, w, sv.MAX_BLOCK_QUBITS):
             i = np.arange(1 << min(w - low, sv.MAX_BLOCK_QUBITS))
             self._hadamards.append((low, (-1.0) ** np.bitwise_count(i[:, None] & i) / np.sqrt(len(i))))
-        # Row s lists superpixel s's amplitudes of the encoded state, column
-        # bit j on value qubit j; the scale is each column's CZ sign / 2^g.
-        self._encoding_table = sv.basis_indices(layout.q_l)[:, None] | sv.basis_indices(layout.q_v[::-1])[None, :]
-        self._encoding_scale = _cz_signs(config.value_qubits) / config.grid_size
+        # each value pattern's CZ sign over 2^g, the location Hadamards, and sqrt K, q_k's |+>
+        self._encoding_scale = _cz_signs(nv) / (config.grid_size * np.sqrt(config.kernels_per_block))
 
     @cached_property
     def program(self) -> CircuitProgram:
@@ -339,15 +354,22 @@ class QuantumEvaluator:
         return self.config.num_feature_values
 
     def _build(self, params: np.ndarray) -> tuple:
-        """The ops bound for ``params`` and each block's (sectors, 8, 4)
-        transfer matrices: its ops run on the columns sum_s |s>|j>, q_f[b-1] = 0."""
+        """The block ops bound for ``params``; each block's (sectors, 8, 4)
+        transfer matrices, its ops run on the columns sum_s |s>|j>, q_f[b-1] = 0;
+        and the head's and the tail's (2, nv, 2, 2) units with each one's
+        value map factors, q_v[0] on the lowest bit."""
         ops, transfers = sv.bind_params(self._ops, params), []
-        for part, rows in self._blocks:
-            v = np.zeros((len(rows), 8, 4), dtype=np.complex128)
+        sectors = 1 << (self.config.value_qubits + self.config.kernel_qubits)
+        for b, part in enumerate(self._blocks):
+            v = np.zeros((sectors << min(b, 1), 8, 4), dtype=np.complex128)
             v[:, :4] = np.eye(4)
             sv.run_compiled(ops[part], v.reshape(-1, 4).T)
             transfers.append(v)
-        return ops, transfers
+        units = np.reshape(sv._unit_matrix(params[self._value_slots]), (2, 2, 2, -1)).transpose(2, 3, 0, 1)
+        maps = [[(low, sv._kron_factors(tuple(map(tuple, slots[low : low + sv.MAX_BLOCK_QUBITS])),
+                                        iter(u[low : low + sv.MAX_BLOCK_QUBITS])))
+                 for low in range(0, len(u), sv.MAX_BLOCK_QUBITS)] for slots, u in zip(self._value_slots, units)]
+        return ops, transfers, units, maps
 
     def forward(self, data: np.ndarray, params: np.ndarray):
         """Simulate a batch of data rows; returns (final amplitudes, features,
@@ -355,35 +377,49 @@ class QuantumEvaluator:
         data, params = sv._bind(np.atleast_2d(data), params)
         sv._check_binding(data, self.config.data_arity, "data")
         sv._check_binding(params, self.extraction.param_arity, "params")
-        nv = self.config.value_qubits
-        p, a, b = parts = sv._unit_parts(data.reshape(len(data), -1, nv, 3))  # (row, superpixel, value qubit)
+        n, nv, rows = self.layout.total_qubits, self.config.value_qubits, len(data)
+        p, a, b = parts = sv._unit_parts(data.reshape(rows, -1, nv, 3))  # (row, superpixel, value qubit)
         states = np.array([p * a, np.conj(p) * b])  # R_Z R_Y R_X|0>, each unit matrix's first column
-        branch = states[..., 0]
-        for n in range(1, nv):  # value qubit n on bit n of the leading axis
-            branch = (states[:, None, ..., n] * branch[None]).reshape((-1,) + branch.shape[1:])
+        # the superpixels as the location pairs, block 1's first, ahead of the rows
+        bits = states.reshape((2, rows) + (2,) * len(self._pair_axes) + (nv,))
+        states_by_pair = bits.transpose((0,) + tuple(2 + j for j in self._pair_axes) + (1, bits.ndim - 1))
+        branch = states_by_pair[..., 0]
+        for k in range(1, nv):  # value qubit k on bit k of the leading axis
+            branch = (states_by_pair[:, None, ..., k] * branch[None]).reshape((-1,) + branch.shape[1:])
         if self._built is None or not np.array_equal(self._built[0], params):
             self._built = (params.copy(),) + self._build(params)  # a copy: adam_step updates the store in place
-        _, ops, transfers = self._built
-        cols = np.empty((1 << self.layout.total_qubits, len(data)), dtype=np.complex128)
-        head = cols[: 1 << self.layout.q_f[0]]  # every qubit above is |0> until block 1 writes it
-        head[...] = 0
-        head[self._encoding_table] = branch.transpose(2, 0, 1) * self._encoding_scale[:, None]
-        sv.run_compiled(ops[self._head], head.T)
-        for (_, rows), v in zip(self._blocks, transfers):  # block b: its rows with q_f[b-1] = 0 to all its rows
-            cols[rows] = (v @ cols[rows[:, :4]].reshape(len(v), 4, -1)).reshape(rows.shape + (-1,))
-        sv.run_compiled(ops[self._tail], cols.T)
+        _, ops, transfers, units, (head, tail) = self._built
+        size, kernels = 1 << nv, self.config.kernels_per_block
+        encoded = branch.reshape(1, size, -1) * self._encoding_scale[:, None]
+        x = _times_factors(head, encoded, np.empty_like(encoded))
+        del encoded, branch
+        inputs, shape = [], (size, 1, 1, 1, 1, 4, -1)
+        for v in transfers:  # block b's input: (value, kernel, consumed, q_f[b-2], pair b-1, pair b, rest)
+            inputs.append(x.reshape(shape))
+            x = np.empty((size, kernels) + inputs[-1].shape[2:-2] + (8, inputs[-1].shape[-1]), dtype=np.complex128)
+            np.matmul(_arranged(v, kernels, size), inputs[-1], out=x)  # out: C order, which numpy would not pick
+            shape = (size, kernels, -1, 2, 4, 4, x.shape[-1] // 4)
+        cols = np.empty((1 << n, rows), dtype=np.complex128)
+        cols.reshape((2,) * n + (rows,)).transpose(self._state_axes)[...] = x.reshape((2,) * n + (rows,))
+        # the tail on the columns' value axis, into the last block's buffer as the returned amplitudes; phi takes
+        # over the columns' buffer
+        columns = cols.reshape(-1, size, (1 << 2 * self.config.grid_log) * rows)
+        psi = _times_factors(tail, columns, x.reshape(columns.shape)).reshape(cols.shape)
+        del x
         # H on q_f[-1] makes the upper half (lower - upper) / sqrt 2: phi's lower half holds lower - upper,
         # measured bits first, and its upper half the Hadamards on the other measured bits times it, later the bra
-        (lower, upper), phi = self._halves(cols), np.empty_like(cols)
-        diff, measured = phi.view(np.float64).reshape(2, self.num_features, -1)
+        phi, f, half = cols, self.num_features, len(psi) // 2
+        diff, measured = phi.view(np.float64).reshape(2, f, -1)
+        lower, upper = (h.reshape((2,) * (n - 1) + (rows,)).transpose(self._phi_axes) for h in (psi[:half], psi[half:]))
         np.subtract(lower, upper, out=diff.view(np.complex128).reshape(lower.shape))
-        self._hadamard(diff, measured)
-        measured = measured.view(np.complex128)
-        probs = (measured.real**2 + measured.imag**2).reshape(self.num_features, -1, len(data))
+        _times_factors(self._hadamards, diff, measured)
+        # the marginals: each row's real and imaginary squares summed over the unmeasured bits, then added;
         # 2^m for the m measured qubits, over the 2 of (1 / sqrt 2)^2 the difference leaves out: 2^(m-1)
-        features = self.num_features * probs.sum(axis=1)
-        cache = {"cols": cols, "phi": phi, "ops": ops, "transfers": transfers, "states": states, "parts": parts}
-        return cols.T, features.T, cache
+        measured = measured.reshape(f, -1, 2 * rows)
+        features = f * np.einsum("fuc,fuc->fc", measured, measured).reshape(f, rows, 2).sum(axis=2)
+        cache = {"inputs": inputs, "phi": phi, "ops": ops, "transfers": transfers, "units": units,
+                 "maps": (head, tail), "states": states, "parts": parts}
+        return psi.T, features[self._feature_order].T, cache
 
     def backward(self, cache: dict, params: np.ndarray, cotangents: np.ndarray):
         """Adjoint sweep from the cache of one ``forward``, which it consumes.
@@ -392,34 +428,57 @@ class QuantumEvaluator:
         per-row gradient with respect to every data slot.
         """
         cotangents = np.atleast_2d(np.asarray(cotangents, dtype=np.float64))
-        ket, bra, f = cache.pop("cols"), cache.pop("phi"), self.num_features
-        bra[len(bra) // 2 :].reshape(f, -1, len(cotangents))[...] *= f * cotangents.T[:, None]  # 2^(m-1) c_i
-        (lower, upper), measured = self._halves(bra), bra.view(np.float64).reshape(2, f, -1)[1]
-        self._hadamard(measured, measured)
-        lower[...] = measured.view(np.complex128).reshape(lower.shape)
-        np.negative(lower, out=upper)
-        ops, transfers, arity = cache.pop("ops"), cache.pop("transfers"), len(params)
-        param_grads = sv.unapply_compiled(ops[self._tail], ket.T, bra.T, None, params, arity)[0]
-        for (part, rows), v in zip(reversed(self._blocks), reversed(transfers)):
-            vh, inputs = np.conj(v).swapaxes(1, 2), rows[:, :4]  # V^H un-applies the block on its image
-            x = vh @ ket[rows].reshape(len(v), 8, -1)
-            ket[inputs] = x.reshape(inputs.shape + (-1,))
-            out = bra[rows].reshape(len(v), 8, -1)
-            g = out @ np.conj(x, out=x).swapaxes(1, 2)  # G_s = Bra_s X_s^H, the bra of V's columns
-            del x  # half a stack at the last block: free it before V^H Bra is made
-            bra[inputs] = (vh @ out).reshape(inputs.shape + (-1,))
-            del out
-            param_grads += sv.unapply_compiled(ops[part], v.copy().reshape(-1, 4).T, g.reshape(-1, 4).T, None,
-                                               params, arity)[0]
-        width = 1 << self.layout.q_f[0]
-        param_grads += sv.unapply_compiled(ops[self._head], ket[:width].T, bra[:width].T, None, params, arity)[0]
-        # bra is now the cotangent state at the encoding boundary; each data
-        # angle's gradient is 2 Re <bra| d(encoded state)/d angle>, and only
-        # its superpixel's branch depends on it.
-        nv = self.config.value_qubits
+        cfg, phi, f, rows = self.config, cache.pop("phi"), self.num_features, len(cotangents)
+        size, kernels = 1 << cfg.value_qubits, cfg.kernels_per_block
+        weights = np.empty((f, rows))
+        weights[self._feature_order] = f * cotangents.T  # 2^(m-1) c_i, on phi's measured rows
+        diff, measured = phi.view(np.float64).reshape(2, f, -1)
+        measured.view(np.complex128).reshape(f, -1, rows)[...] *= weights[:, None]
+        _times_factors(self._hadamards, measured, measured)
+        inputs, transfers, units, (head, tail) = (cache.pop(k) for k in ("inputs", "transfers", "units", "maps"))
+        ops, param_grads = cache.pop("ops"), np.zeros(len(params))
+        ket, bra = (h.view(np.complex128).reshape(1, size, -1) for h in (diff, measured))
+        np.conj(bra, out=bra)  # the bra over q_f[-1] = 0 is beta, and over 1 its negative
+        self._unit_grads(param_grads, 1, params, units, tail, bra, ket)
+        # conj(T^H beta) = T^T conj(beta), over the difference, then into the state's layout
+        bra = _times_factors([(low, u.T) for low, u in tail], bra, ket)
+        kept = 1 << 2 * (cfg.grid_log - cfg.num_blocks)
+        out = measured.view(np.complex128).reshape(size * kernels, -1, kept, rows)
+        out[...] = bra.reshape(size * kernels, kept, -1, rows).swapaxes(1, 2)
+        bra = out
+        del phi, diff, measured, ket, out
+        for b in reversed(range(len(transfers))):
+            x, v = inputs[b], transfers[b]
+            w = _arranged(v, kernels, size)
+            if b == len(transfers) - 1:  # the bra (beta, -beta) over q_f[b]: V_0 - V_1 on beta
+                w = w[..., :4, :] - w[..., 4:, :]
+            bra = bra.reshape((size, kernels) + x.shape[2:-2] + (-1, x.shape[-1]))
+            # G_s = Bra_s X_s^H, summed over the consumed bits and pair b-1, which V does not read
+            g = np.conj(np.matmul(bra, x.swapaxes(-1, -2)).sum(axis=(2, 4)))
+            if b == len(transfers) - 1:
+                g = np.concatenate([g, -g], axis=-2)
+            if b:  # conj(V^H Bra) = V^T conj(Bra), over the block's input
+                bra = np.matmul(w.swapaxes(-1, -2), bra, out=inputs.pop())
+            else:  # summed over the kernels, which share block 1's input
+                wt = w.reshape(size, kernels, -1, 4).transpose(0, 3, 1, 2).reshape(size, 4, -1)
+                bra = np.matmul(wt, bra.reshape(size, -1, x.shape[-1]))
+            g = g.transpose(2, 1, 0, 3, 4).reshape(-1, 4)  # as the sectors of V, q_f[b-2] highest
+            param_grads += sv.unapply_compiled(ops[self._blocks[b]], v.copy().reshape(-1, 4).T, g.T, None,
+                                               params, len(params))[0]
+        x = inputs.pop().reshape(1, size, -1)  # block 1's input, the head's output
+        bra = bra.reshape(x.shape)
+        self._unit_grads(param_grads, 0, params, units, head, bra, x)
+        bra = _times_factors([(low, u.T) for low, u in head], bra, x)
+        # bra is now the conjugate cotangent state before the head; with the encoding's scale and in (row,
+        # superpixel, value) form, each data angle's gradient is 2 Re <bra| d(encoded state)/d angle>, and only
+        # its superpixel's branch depends on it
+        nv, bits = cfg.value_qubits, (2,) * len(self._pair_axes)
         states, (p, a, b) = cache["states"], cache["parts"]
-        conj = np.conj(bra[self._encoding_table].transpose(2, 0, 1)) * self._encoding_scale
-        conj = conj.reshape(conj.shape[:2] + (2,) * nv)  # axis 1 + nv - n holds value qubit n
+        conj = np.empty((rows,) + bits + (size,), dtype=np.complex128)
+        superpixel_axes = tuple(1 + np.argsort(self._pair_axes))
+        np.multiply(bra.reshape((size,) + bits + (rows,)).transpose((-1,) + superpixel_axes + (0,)),
+                    self._encoding_scale, out=conj)
+        conj = conj.reshape((rows, -1) + (2,) * nv)  # axis 1 + nv - n holds value qubit n
         env = np.empty(states.shape, dtype=np.complex128)
         for n in range(nv):  # contract every other value qubit's state out of the branch
             others = [op for m in range(nv) if m != n for op in (states[..., m], [1 + nv - m, 0, 1])]
@@ -430,17 +489,36 @@ class QuantumEvaluator:
         grads = [np.imag(e1 * np.conj(a) - e0 * np.conj(b)), np.real(e1 * a - e0 * b), np.imag(e0 * a - e1 * b)]
         return param_grads, np.stack(grads, -1).reshape(len(p), -1)
 
-    def _hadamard(self, x: np.ndarray, out: np.ndarray) -> None:
-        """``out`` = the Hadamards on the measured bits but q_f[-1] times ``x``, each (features, columns)
-        float64 and ``out`` C-contiguous: one batched GEMM per factor, the first from ``x``, the rest in place."""
-        for low, h in self._hadamards:
-            shape = (-1, len(h), x.shape[1] << low)
-            np.matmul(h, x.reshape(shape), out=out.reshape(shape))
-            x = out
+    def _unit_grads(self, grads, which: int, params, units, maps, bra: np.ndarray, ket: np.ndarray) -> None:
+        """Add the head's (``which`` 0) or the tail's (1) unit gradients to ``grads``, from the bra's conjugate
+        ``bra`` and the ket after their value map, both (1, 2^nv, inner): per factor U the overlap of its qubits
+        S = sum conj(the bra) ket^T, U^T S conj(U) before it, and its partial trace on each unit's qubit."""
+        overlaps = []
+        for low, u in maps:
+            shape = (-1, len(u), bra.shape[-1] << low)
+            s = u.T @ np.matmul(bra.reshape(shape), ket.reshape(shape).swapaxes(1, 2)).sum(axis=0) @ np.conj(u)
+            k = len(u).bit_length() - 1
+            overlaps += [np.einsum("xiyxjy->ij", s.reshape(2 * (1 << (k - 1 - j), 2, 1 << j))) for j in range(k)]
+        slots = self._value_slots[which]
+        generators = sv._unit_generators(params[slots[:, 0]], units[which])
+        grads[slots] += sv._derivative_dots(generators, np.array(overlaps))
 
-    def _halves(self, stack: np.ndarray) -> np.ndarray:
-        """A (2^n, batch) stack, one axis per qubit in ``_axes`` order: its q_f[-1] = 0 and 1 halves."""
-        return stack.reshape((2,) * (len(self._axes) - 1) + (-1,)).transpose(self._axes)
+
+def _arranged(v: np.ndarray, kernels: int, size: int) -> np.ndarray:
+    """A block's (sectors, 8, 4) transfer matrices, sector (q_f[b-2], q_k, q_v) from the highest bit, on the
+    axes of its input: (value, kernel, 1, q_f[b-2], 1, 8, 4)."""
+    return v.reshape(-1, kernels, size, 8, 4).transpose(2, 1, 0, 3, 4)[:, :, None, :, None]
+
+
+def _times_factors(factors, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = the Kronecker product of ``factors``, (low, matrix) pairs on the bits of the middle index from bit
+    low up, times ``x``, both (outer, index, inner) or (index, inner) and C-contiguous: one batched GEMM per factor,
+    the first from ``x``, the rest in place; returns ``out``."""
+    for low, m in factors:
+        shape = (-1, len(m), x.shape[-1] << low)
+        np.matmul(m, x.reshape(shape), out=out.reshape(shape))
+        x = out
+    return out
 
 
 def _fused(ops) -> tuple:

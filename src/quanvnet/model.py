@@ -30,17 +30,18 @@ LOG_CLIP = 1e-12
 CHECKPOINT_MAGIC = "QVNCKPT1"
 # A training step holds at most five full (2**n, batch) complex column stacks
 # plus DATA_SLOT_BYTES per data slot of each row at any batch size (tracemalloc
-# peak of one evaluator forward and backward: 3.77 stacks on the canonical 12
-# qubits at batch 50, 3.76 on 18 qubits at batch 2; thin circuits, E = 3, K = 1,
-# M = 1 on 12 qubits: 57.6 bytes per slot over 5 stacks at batch 1, so 4 complex128),
-# and ``fixed_state_bytes``, which does not grow with the batch.
+# peak of one evaluator forward and backward with its returned amplitudes held:
+# 3.39 stacks on the canonical 12 qubits at batch 50, 3.38 on 18 qubits at batch 2;
+# thin circuits, E = 3, K = 1, M = 1 on 12 qubits: 17.6 bytes per slot over 5
+# stacks at batch 1, so 4 complex128), and ``fixed_state_bytes``, which does not
+# grow with the batch.
 STATE_COPIES = 5
 DATA_SLOT_BYTES = 64
 # The batch-independent part: TRANSFER_COPIES times the evaluator's transfer
 # matrices (the cached ones, the backward's copy and its bra, and the un-apply's
-# buffers on them: 5.35 copies on E = 30, g = M = K = 1 at batch 1), and
-# BLOCK_BUFFER_BYTES for a 6-qubit head block's Kronecker product, conjugate
-# transpose, overlap and product buffer, four 64 x 64 complex matrices (3.6 on
+# buffers on them: 4.9 copies on E = 30, g = M = K = 1 at batch 1), and
+# BLOCK_BUFFER_BYTES for a 6-qubit value map factor of the head and of the tail,
+# an overlap and the product around it, four 64 x 64 complex matrices (3.4 on
 # E = 18, g = M = K = 1).
 TRANSFER_COPIES = 6
 BLOCK_BUFFER_BYTES = 4 << 16
@@ -258,7 +259,7 @@ class HybridModel:
         else:
             out["reconstruction"] = None
         if with_caches:
-            out.update(psi=psi, enc_cache=enc_cache, ev_cache=ev_cache)  # psi holds until ev_cache's backward
+            out.update(psi=psi, enc_cache=enc_cache, ev_cache=ev_cache)  # psi is a copy: the backward reads ev_cache
         return out
 
     def forward_chunks(self, images: np.ndarray, store: ParameterStore, reconstruct: bool = True):
@@ -284,6 +285,7 @@ class HybridModel:
         cfg = self.config
         labels = np.asarray(labels)
         out = self.forward_batch(images, store, with_caches=True)
+        del out["psi"]  # a copy the backward does not read: free it before the decoder and the backward run
         batch = images.shape[0]
         probs = out["probs"]
         l_ce = cross_entropy(probs, labels)

@@ -20,8 +20,8 @@ the qubits live there; a per-row entry broadcasts on the batch axis.
 reverse sweep un-applies each op once from ket and bra in place, by its
 conjugate transpose, reads every angle derivative from the 2x2 overlap of
 the pairs it wrote by one formula, and leaves both stacks at the fragment's
-start, where a closed-form fragment (the evaluator's encoding) can take its
-gradients from the bra. ``adjoint_sweep`` runs it on copies.
+start, where a closed-form fragment can take its gradients from the bra.
+``adjoint_sweep`` runs it on copies.
 
 ``fuse_layers`` runs each layer of uncontrolled H ops and units on distinct
 qubits as one dense block, its Kronecker matrix as one GEMM, with one

@@ -89,8 +89,10 @@ def test_compiled_entries_expose_the_counted_fields():
 
 
 def test_evaluator_sweeps_run_no_data_bound_op(monkeypatch):
-    # the encoding is built in closed form: no gate-list encoding on the hot path
-    ev, _, data, params, rng = _setup()
+    # the encoding is built in closed form: no gate-list encoding on the hot path; a fresh evaluator, so
+    # that the forward builds the blocks
+    _, _, data, params, rng = _setup()
+    ev = qc.QuantumEvaluator(CANONICAL)
     swept = []
     for name in ("run_compiled", "unapply_compiled"):
         real = getattr(sv, name)

@@ -318,29 +318,28 @@ class TestEvaluatorBackward:
         amps, _, cache = ev.forward(rng.uniform(0, np.pi, (3, ev.program.data_arity)), params)
         return ev, params, rng.normal(size=(3, ev.num_features)), amps, cache
 
-    def test_data_sweeps_run_in_the_returned_amplitudes(self, monkeypatch):
-        # one stack per step: forward runs the head and the tail in it, and
-        # backward un-applies them in place with it as its ket; only each
-        # block's build and its un-apply run on (sectors * 8, 4) transfer columns
-        ev, stacks = qc.QuantumEvaluator(SMALL), []
-        for name in ("run_compiled", "unapply_compiled"):
+    def test_no_compiled_op_runs_on_an_array_that_grows_with_the_batch(self, monkeypatch):
+        # the compiled ops run only in each block's build and its un-apply, on the (sectors * 8, 4) transfer
+        # columns; the batch passes through value maps and batched GEMMs alone
+        config = qc.CircuitConfig(2, 6, 2, 2)
+        ev, shapes = qc.QuantumEvaluator(config), []
+        for name in ("_apply_kernel", "_apply_block"):
             real = getattr(sv, name)
 
-            def spy(compiled, stack, *args, real=real, name=name):
-                stacks.append((name, stack.shape, stack))
-                return real(compiled, stack, *args)
+            def spy(cols, *args, real=real):
+                shapes.append(cols.shape)
+                return real(cols, *args)
 
             monkeypatch.setattr(sv, name, spy)
         rng = np.random.default_rng(61)
         params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
-        amps, _, cache = ev.forward(rng.uniform(0, np.pi, (3, SMALL.data_arity)), params)
-        ev.backward(cache, params, rng.normal(size=(3, ev.num_features)))
-        (_, rows), = ev._blocks
-        head, full, transfer = (3, 1 << ev.layout.q_f[0]), amps.shape, (4, 8 * len(rows))
-        assert [(name, shape) for name, shape, _ in stacks] == [
-            ("run_compiled", transfer), ("run_compiled", head), ("run_compiled", full),
-            ("unapply_compiled", full), ("unapply_compiled", transfer), ("unapply_compiled", head)]
-        assert [np.shares_memory(stack, amps) for _, _, stack in stacks] == [False, True, True, True, False, True]
+        amps, _, cache = ev.forward(rng.uniform(0, np.pi, (7, config.data_arity)), params)
+        # the returned amplitudes are a copy of their own: the backward reads no part of them
+        cached = [a for value in cache.values() for a in (value if isinstance(value, list) else [value])]
+        assert not any(np.shares_memory(amps, a) for a in cached if isinstance(a, np.ndarray))
+        ev.backward(cache, params, rng.normal(size=(7, ev.num_features)))
+        transfers = ev._build(params)[1]
+        assert set(shapes) == {(8 * len(v), 4) for v in transfers} and len(transfers) == 2
 
     def test_second_backward_on_one_cache_raises(self):
         # the cached measured state becomes the first backward's bra
@@ -573,16 +572,16 @@ class TestFusedSchedule:
     def test_canonical_schedule(self):
         ev = qc.QuantumEvaluator(CANONICAL)
         assert len(sv.compile_program(ev.extraction)) == 67
-        assert len(ev._ops) == 14
+        assert len(ev._ops) == 12
         blocks = [(op.low, len(op.factors)) for op in ev._ops if op.kind == "B"]
-        # head (H on q_k, units on q_v), 2 x 3 LWM pairs on x_b, y_b (qubits 0 and 1 of their block's
-        # construction layout), tail
-        assert blocks == [(6, 4)] + [(0, 2)] * 6 + [(6, 3)]
+        # 2 x 3 LWM pairs on x_b, y_b (qubits 0 and 1 of their block's construction layout); the head and
+        # the tail run as value maps of their units, and q_k's Hadamards as its |+> start
+        assert blocks == [(0, 2)] * 6
         # block b's 8 kernel units for value qubit v: target q_f[b-1], fixed q_v[v] = 1 (and q_f[0] = 1
         # for b = 2), one unit per pattern of (q_k, y_b, x_b), the pattern qubits marked None; on block b's
         # construction layout x_b, y_b, q_f[b-1] are 0, 1, 2, and q_v, q_k, q_f[b-2] follow from 3 up
         muxes = [(op.target, op.controls) for op in ev._ops if op.kind == "M"]
-        assert [op.kind for op in ev._ops] == ["B"] + ["B", "M"] * 6 + ["B"]
+        assert [op.kind for op in ev._ops] == ["B", "M"] * 6
         assert muxes == [(2, ((6, None), (3 + v, 1), (1, None), (0, None))) for v in range(3)] + [
             (2, ((7, 1), (6, None), (3 + v, 1), (1, None), (0, None))) for v in range(3)
         ]
@@ -591,9 +590,9 @@ class TestFusedSchedule:
         assert len(triples) == 48
 
     def test_a_single_image_forward_dispatches_each_op_once(self, monkeypatch):
-        # a timing-free latency guard: 14 extraction ops, and
-        # one pass over the unit angles, which the backward reuses; the 12 ops
-        # of the blocks run on their transfer columns, once per parameter set
+        # a timing-free latency guard: the 12 ops of the blocks run on their transfer columns, once per
+        # parameter set, after one pass over the blocks' unit angles and one over the head's and the tail's,
+        # whose value maps are one Kronecker product each
         ev, calls = qc.QuantumEvaluator(CANONICAL), []
         for name in ("_apply_kernel", "_apply_block", "_unit_matrix", "_kron_factors"):
             real = getattr(sv, name)
@@ -607,14 +606,22 @@ class TestFusedSchedule:
         params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
         data = rng.uniform(0, np.pi, (1, CANONICAL.data_arity))
         _, _, cache = ev.forward(data, params)
-        assert sorted(calls) == sorted(["_unit_matrix"] + ["_kron_factors"] * 8 + ["_apply_kernel"] * 6
-                                       + ["_apply_block"] * 8)
+        assert sorted(calls) == sorted(["_unit_matrix"] * 2 + ["_kron_factors"] * 8 + ["_apply_kernel"] * 6
+                                       + ["_apply_block"] * 6)
         calls.clear()
         ev.backward(cache, params, rng.normal(size=(1, ev.num_features)))
-        assert sorted(calls) == ["_apply_block"] * 16 + ["_apply_kernel"] * 12
+        assert sorted(calls) == ["_apply_block"] * 12 + ["_apply_kernel"] * 12
         calls.clear()
-        ev.forward(data, params)  # the same parameters: the head and the tail only
-        assert calls == ["_apply_block"] * 2
+        ev.forward(data, params)  # the same parameters: no op runs
+        assert calls == []
+
+    @pytest.mark.parametrize("config", [qc.CircuitConfig(4, 18, 1, 4), qc.CircuitConfig(1, 18, 1, 4)])
+    def test_every_block_of_the_schedule_has_parameters(self, config):
+        # q_k starts in |+>, so its Hadamards make no parameter-free block, even where K = 4 puts them
+        # beyond a 6-qubit value register
+        ev = qc.QuantumEvaluator(config)
+        assert [op for op in ev._ops if op.kind == "B" and not op.slots] == []
+        assert {op.kind for op in ev._ops} == {"B", "M"}
 
     # (3, 9, 1, 2): 8 measured bits besides q_f[-1], so the Hadamards run as two factors, of 6 bits and 2
     @pytest.mark.parametrize("rows", [1, 7])
@@ -676,9 +683,10 @@ class TestTransferMatrices:
 
     def test_canonical_blocks(self):
         ev = qc.QuantumEvaluator(CANONICAL)
-        # ops 1-6 and 7-12; 16 sectors (q_v, q_k), then 32 (and q_f[0]); 4 other qubits below q_f[b-1] each
-        assert [(part, rows.shape) for part, rows in ev._blocks] == [(slice(1, 7), (16, 8, 16)),
-                                                                    (slice(7, 13), (32, 8, 16))]
+        # ops 0-5 and 6-11; 16 sectors (q_v, q_k), then 32 (and q_f[0])
+        assert ev._blocks == (slice(0, 6), slice(6, 12))
+        params = np.random.default_rng(1150).uniform(0, 2 * np.pi, ev.extraction.param_arity)
+        assert [v.shape for v in ev._build(params)[1]] == [(16, 8, 4), (32, 8, 4)]
 
     @pytest.mark.parametrize("lwm", [True, False])
     @pytest.mark.parametrize("g,e,m,k", [c[:4] for c in SCHEDULE_CONFIGS])
@@ -698,16 +706,14 @@ class TestTransferMatrices:
         assert labels[head:tail] == sorted(labels[head:tail]) and 0 not in labels[head:tail]
         # on the construction layouts: each block's ops act on qubits 0-2 under the sector's controls
         params = np.random.default_rng(1200 + 100 * g + e).uniform(0, 2 * np.pi, ev.extraction.param_arity)
-        _, transfers = ev._build(params)
-        for (part, rows), v in zip(ev._blocks, transfers):
-            sector_bits = len(rows).bit_length() - 1
+        transfers = ev._build(params)[1]
+        for b, (part, v) in enumerate(zip(ev._blocks, transfers)):
+            sector_bits = config.value_qubits + config.kernel_qubits + min(b, 1)  # and q_f[b-2] after block 1
             for op in ev._ops[part]:  # an LWM block spans x_b, y_b; a multiplexor targets q_f[b-1]
                 assert max(_touched(op) if op.kind == "B" else {op.target}) < 3
                 assert max(_touched(op)) < 3 + sector_bits
-            # the row table lists each row of the block's output stack once
-            assert np.array_equal(np.sort(rows.ravel()), np.arange(rows.size))
             # each V_s is an isometry
-            assert v.shape == (len(rows), 8, 4)
+            assert v.shape == (1 << sector_bits, 8, 4)
             assert np.max(np.abs(np.conj(v).swapaxes(1, 2) @ v - np.eye(4))) < 1e-12
 
     @pytest.mark.parametrize("rows", [1, 7])
@@ -733,6 +739,49 @@ class TestTransferMatrices:
         for got_grads, want_grads in zip(got, want):
             assert got_grads.shape == want_grads.shape and np.max(np.abs(want_grads)) > 1e-3
             assert np.max(np.abs(got_grads - want_grads)) <= 1e-10
+
+
+class TestThreeBlocks:
+    """Blocks 2 and 3 read the consumed axes and q_f[b-2] of the block
+    before them; on (4, 9, 3, 2), 15 qubits, the amplitudes are checked
+    against the per-unit gate list (the dense oracle would need a
+    2^15 x 2^15 matrix per gate; ``test_statevector.py`` pins the gate list
+    to it) and the gradients against the shift rule."""
+
+    CONFIG = qc.CircuitConfig(4, 9, 3, 2)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_amplitudes_features_and_gradients(self, rows):
+        config = self.CONFIG
+        rng = np.random.default_rng(1400 + rows)
+        ev = qc.get_evaluator(config)
+        data = rng.uniform(-np.pi, np.pi, (rows, config.data_arity))
+        params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
+        cot = rng.normal(size=(rows, ev.num_features))
+        amps, features, cache = ev.forward(data, params)
+        full = np.zeros_like(amps)
+        full[:, 0] = 1.0
+        sv.run_compiled(ev.compiled, full, data, params)
+        assert np.max(np.abs(amps - full)) <= 1e-10
+        n = ev.layout.total_qubits
+        for row in (0, rows - 1):
+            direct = [sv.expectation(sv.QuantumState(n, full[row]), op) for op in ev.operators]
+            assert np.max(np.abs(features[row] - direct)) <= 1e-10
+        got_params, got_data = ev.backward(cache, params, cot)
+
+        def loss(d, p):
+            return float(np.sum(ev.forward(d, p)[1] * cot))
+
+        # a head unit, each block's first LWM and last kernel unit, a tail unit, and data angles of both rows
+        nv, per_block = config.value_qubits, (ev.extraction.param_arity - 6 * config.value_qubits) // 3
+        blocks = [3 * nv + b * per_block + i for b in range(3) for i in (0, 4, per_block - 1)]
+        param_slots = [1, *blocks, ev.extraction.param_arity - 2]
+        data_slots = rng.choice(data.size, 6, replace=False)
+        want_params = oracles.shift_gradient(lambda p: loss(data, p), params, param_slots)
+        want_data = oracles.shift_gradient(lambda d: loss(d, params), data, data_slots)
+        assert np.max(np.abs(want_params)) > 1e-3
+        assert oracles.relative_error(got_params[param_slots], want_params) <= 1e-10
+        assert oracles.relative_error(got_data.flat[data_slots], want_data) <= 1e-10
 
 
 class TestBuildCache:

@@ -723,7 +723,7 @@ class TestFuseLayers:
         got, _ = sv.adjoint_sweep((block,), psi, bra[None, :], None, params, 9)
         assert oracles.relative_error(got, oracles.central_differences(loss, params)) <= 1e-5
 
-    @pytest.mark.parametrize("slot", [0, -1])  # a head unit and a tail unit, both in blocks
+    @pytest.mark.parametrize("slot", [6, -7])  # the first block's LWM unit and the last block's last kernel unit
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameters_rejected_before_any_block(self, bad, slot):
         from quanvnet import circuits as qc
@@ -734,7 +734,7 @@ class TestFuseLayers:
         rng = np.random.default_rng(1003)
         ket, bra = random_stack(rng, 2, ev.layout.total_qubits), random_stack(rng, 2, ev.layout.total_qubits)
         before = ket.copy(), bra.copy()
-        assert ev._ops[0].kind == ev._ops[-1].kind == "B"
+        assert ev._ops[0].kind == "B" and ev._ops[-1].kind == "M"
         with pytest.raises(ValueError, match="finite"):
             sv.run_compiled(ev._ops, ket, None, params)
         with pytest.raises(ValueError, match="finite"):
@@ -869,9 +869,8 @@ class TestColumnLayout:
         params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
         _, _, cache = ev.forward(data, params)
         ev.backward(cache, params, rng.normal(size=(3, ev.num_features)))
-        # forward: the two blocks' builds, the head and the tail; backward:
-        # ket and bra in the tail, in each block's un-apply and in the head
-        assert entries == exits == [True] * 12
+        # forward: the two blocks' builds; backward: ket and bra in each block's un-apply
+        assert entries == exits == [True] * 6
 
 
 # ---------------------------------------------------------------------------
