@@ -28,6 +28,11 @@ from .statevector import CircuitProgram, GateInstruction, MeasurementOperator
 
 GATE_UNIT = ("RX", "RY", "RZ")  # the atomic trainable/encoding trio, 3 angles
 
+# The widest Kronecker factor of the value maps (the head's and the tail's units on q_v) and of the
+# measurement's Hadamards: a factor on w qubits is one batched GEMM over the state with 2^w multiply-adds per
+# amplitude, so a wider register runs as several factors, and a 6-qubit complex factor is a 64 x 64 matrix.
+MAX_BLOCK_QUBITS = 6
+
 
 @dataclass(frozen=True)
 class CircuitConfig:
@@ -228,7 +233,7 @@ def full_program(config: CircuitConfig, layout: RegisterLayout) -> CircuitProgra
 
 
 class QuantumEvaluator:
-    """Compiled end-to-end evaluator for a fixed config.
+    """End-to-end evaluator for a fixed config; it runs no compiled op.
 
     Each row's state is one array with an axis per qubit, slowest first, and
     the rows last: the sector controls q_v and q_k, then each block's output
@@ -243,13 +248,14 @@ class QuantumEvaluator:
     of the final state; each runs as Kronecker factors of at most
     MAX_BLOCK_QUBITS qubits (``_times_factors``).
 
-    Convolution block b's ops act on x_b, y_b and q_f[b-1] (|0> before them)
-    under controls q_v, q_k and q_f[b-2] only, so per sector s, a pattern of
-    those controls, the block is one 8 x 4 matrix V_s, the same for every row
-    and every pattern of the other qubits. ``_build`` binds the ops and runs
-    each block's, compiled on a layout with its qubits and its sector's
-    lowest, on a (sectors * 8, 4) stack whose column j is sum_s |s>|j>, which
-    leaves V there; ``forward`` rebuilds only when the parameter values
+    Convolution block b's units act on x_b, y_b and q_f[b-1] (|0> before
+    them) under controls q_v, q_k and q_f[b-2] only, so per sector s, a
+    pattern of those controls, the block is one 8 x 4 matrix V_s, the same
+    for every row and every pattern of the other qubits: a uniformly
+    controlled unitary. ``_build`` makes every unit's matrix in one pass and
+    multiplies each V_s out of them in closed form, per value qubit its LWM
+    pair U_x (x) U_y and then its kernel units on q_f[b-1] in the sectors
+    where they act; ``forward`` rebuilds only when the parameter values
     change. Block b's input has the axes (value, kernel, consumed bits,
     q_f[b-2], pair b-1, pair b, rest), the kernel axis of length 1 before
     block 1; V, arranged on the same axes, contracts pair b in one broadcast
@@ -266,9 +272,9 @@ class QuantumEvaluator:
     pairs) first; the Hadamards on them, one real GEMM per factor of at most
     6 bits on its float64 view, write the measured state to phi's upper
     half, and the features are 2^(m-1) times its marginals, in the
-    operators' order. The cache holds each block's input, phi, the bound
-    ops, V, the value maps and their units, and the encoding's unit states
-    and parts.
+    operators' order. The cache holds each block's input, phi, the unit
+    matrices, the value maps, the LWM pairs, V, and the encoding's unit
+    states and parts.
 
     ``backward`` consumes the cache and carries the conjugate of the bra, so
     that every overlap is a plain GEMM with a cached ket. The weighted
@@ -278,10 +284,12 @@ class QuantumEvaluator:
     beta back into the state's layout. The last block's G_s = Bra_s X_s^H is
     then (beta X^H, -beta X^H) and its input bra (V_0 - V_1)^H beta; each
     earlier block's G_s and input bra V^H Bra come from its cached input,
-    summed over the kernels at block 1, and one un-apply of a block's ops on
-    a copy of V with G_s as the bra gives its parameter gradients. The
-    head's come like the tail's, and at the encoding each data angle's
-    gradient follows from the unit states and parts. ``program`` and
+    summed over the kernels at block 1. Reverse mode through ``_build``'s
+    factors, from a copy of V and from G_s, gives each block unit's overlap
+    (``_transfer_overlaps``); the head's come like the tail's, and one
+    ``_derivative_dots`` reads every parameter gradient from the overlaps.
+    At the encoding each data angle's gradient follows from the unit states
+    and parts. ``program`` and
     ``compiled`` hold the whole program, encoding first, unfused, as the
     per-unit gate-list reference, and ``operators`` the measurement family;
     the three are built on first use.
@@ -292,27 +300,7 @@ class QuantumEvaluator:
         self.layout = layout = make_layout(config)
         self.extraction = build_feature_extraction(config, layout)
         n, g, m, nv = layout.total_qubits, config.grid_log, config.num_blocks, config.value_qubits
-        compiled = sv.compile_program(self.extraction)
-        # block b's ops target its own qubits x_b, y_b and q_f[b-1]; the head before them and the tail after them
-        # act on q_v and q_k alone
-        own = [(layout.q_l[g - b], layout.q_l[2 * g - b], layout.q_f[b - 1]) for b in range(1, m + 1)]
-        labels = [next((b for b, qubits in enumerate(own) if op.target in qubits), None) for op in compiled]
-        bounds = [labels.index(b) for b in range(m)] + [len(labels) - labels[::-1].index(m - 1)]
-        ops, blocks = [], []
-        for b, qubits in enumerate(own):
-            # construction qubits 0, 1, 2 are x_b, y_b, q_f[b-1], then the sector: q_v, q_k and q_f[b-2]
-            low = qubits + layout.q_v + layout.q_k + layout.q_f[max(b - 1, 0) : b]
-            order = low + tuple(q for q in range(n) if q not in low)  # the layout with ``low`` moved to 0, 1, ...
-            moved = [tuple(map(order.index, reg)) for reg in (layout.q_l, layout.q_v, layout.q_k, layout.q_f)]
-            reordered = sv.compile_program(build_feature_extraction(config, RegisterLayout(*moved)))
-            block = _fused(reordered[bounds[b] : bounds[b + 1]])
-            blocks.append(slice(len(ops), len(ops) + len(block)))
-            ops += block
-        self._ops, self._blocks = tuple(ops), tuple(blocks)
-        self._built = None  # (parameter values, bound ops, transfer matrices, value units and maps) of the last build
-        # the head's and the tail's unit on q_v[j] take the j-th slot triple of the first and the last 3 nv
-        arity = self.extraction.param_arity
-        self._value_slots = np.array([np.arange(3 * nv), np.arange(arity - 3 * nv, arity)]).reshape(2, nv, 3)
+        self._built = None  # (parameter values, units, value maps, LWM pairs, transfer matrices) of the last build
 
         pairs = [(layout.q_l[2 * g - b], layout.q_l[g - b]) for b in range(1, g + 1)]  # (y_b, x_b)
         sectors, kept = layout.q_v[::-1] + layout.q_k[::-1], sum(pairs[m:], ())
@@ -331,8 +319,8 @@ class QuantumEvaluator:
         # H on each measured bit but q_f[-1], as (low, matrix) factors on at most MAX_BLOCK_QUBITS bits of the
         # feature index each, from bit low up: H on k bits is (-1)^popcount(i & j) / sqrt(2^k)
         w, self._hadamards = len(signs), []
-        for low in range(0, w, sv.MAX_BLOCK_QUBITS):
-            i = np.arange(1 << min(w - low, sv.MAX_BLOCK_QUBITS))
+        for low in range(0, w, MAX_BLOCK_QUBITS):
+            i = np.arange(1 << min(w - low, MAX_BLOCK_QUBITS))
             self._hadamards.append((low, (-1.0) ** np.bitwise_count(i[:, None] & i) / np.sqrt(len(i))))
         # each value pattern's CZ sign over 2^g, the location Hadamards, and sqrt K, q_k's |+>
         self._encoding_scale = _cz_signs(nv) / (config.grid_size * np.sqrt(config.kernels_per_block))
@@ -354,22 +342,38 @@ class QuantumEvaluator:
         return self.config.num_feature_values
 
     def _build(self, params: np.ndarray) -> tuple:
-        """The block ops bound for ``params``; each block's (sectors, 8, 4)
-        transfer matrices, its ops run on the columns sum_s |s>|j>, q_f[b-1] = 0;
-        and the head's and the tail's (2, nv, 2, 2) units with each one's
-        value map factors, q_v[0] on the lowest bit."""
-        ops, transfers = sv.bind_params(self._ops, params), []
-        sectors = 1 << (self.config.value_qubits + self.config.kernel_qubits)
-        for b, part in enumerate(self._blocks):
-            v = np.zeros((sectors << min(b, 1), 8, 4), dtype=np.complex128)
-            v[:, :4] = np.eye(4)
-            sv.run_compiled(ops[part], v.reshape(-1, 4).T)
-            transfers.append(v)
-        units = np.reshape(sv._unit_matrix(params[self._value_slots]), (2, 2, 2, -1)).transpose(2, 3, 0, 1)
-        maps = [[(low, sv._kron_factors(tuple(map(tuple, slots[low : low + sv.MAX_BLOCK_QUBITS])),
-                                        iter(u[low : low + sv.MAX_BLOCK_QUBITS])))
-                 for low in range(0, len(u), sv.MAX_BLOCK_QUBITS)] for slots, u in zip(self._value_slots, units)]
-        return ops, transfers, units, maps
+        """Every extraction unit's matrix from one pass over the angles, (units, 2, 2) in program order; the
+        head's and the tail's value map factors, q_v[0] on the lowest bit; each block's (M, nv, 4, 4) LWM pairs
+        U_x (x) U_y, x_b on the lowest bit (None without the LWM); and each block's (sectors, 8, 4) transfer
+        matrices: on the columns sum_s |s>|j>, q_f[b-1] = 0, per value qubit w its LWM pair on (x_b, y_b),
+        then on q_f[b-1] its kernel units (kappa, x_b, y_b) in the sectors where they act (``_kernel_sectors``)."""
+        nv, kernels = self.config.value_qubits, self.config.kernels_per_block
+        units = np.stack(sv._unit_matrix(params.reshape(-1, 3)), axis=-1).reshape(-1, 2, 2)
+        maps = [[(low, _kron_factors(u[low : low + MAX_BLOCK_QUBITS])) for low in range(0, nv, MAX_BLOCK_QUBITS)]
+                for u in (units[:nv], units[-nv:])]  # the head's and the tail's unit on q_v[j] are their j-th
+        blocks = self._block_units(units)
+        pairs = _kron_factors([blocks[:, :, 0], blocks[:, :, 1]]) if self.config.lwm_enabled else None
+        transfers, sectors = [], 1 << (nv + self.config.kernel_qubits)
+        for b, block in enumerate(self._kernel_units(units)):
+            v = np.zeros((sectors << min(b, 1), 2, 4, 4), dtype=np.complex128)  # (sector, q_f[b-1], y_b x_b, j)
+            v[:, 0] = np.eye(4)
+            for w, kernel in enumerate(block):
+                if pairs is not None:
+                    v = pairs[b, w] @ v
+                x = _kernel_sectors(v, w, nv, kernels)
+                x[...] = np.einsum("kxyab,khlbyxc->khlayxc", kernel, x)
+            transfers.append(v.reshape(-1, 8, 4))
+        return units, maps, pairs, transfers
+
+    def _block_units(self, a: np.ndarray) -> np.ndarray:
+        """The blocks' part of a (units, ...) array in program order, as (M, nv, units per value qubit, ...)."""
+        nv = self.config.value_qubits
+        return a[nv:-nv].reshape((self.config.num_blocks, nv, -1) + a.shape[1:])
+
+    def _kernel_units(self, units: np.ndarray) -> np.ndarray:
+        """The blocks' kernel units as (M, nv, kernel, x_b, y_b, 2, 2)."""
+        blocks = self._block_units(units)[:, :, 2 * self.config.lwm_enabled :]
+        return blocks.reshape(blocks.shape[:2] + (self.config.kernels_per_block, 2, 2, 2, 2))
 
     def forward(self, data: np.ndarray, params: np.ndarray):
         """Simulate a batch of data rows; returns (final amplitudes, features,
@@ -388,7 +392,7 @@ class QuantumEvaluator:
             branch = (states_by_pair[:, None, ..., k] * branch[None]).reshape((-1,) + branch.shape[1:])
         if self._built is None or not np.array_equal(self._built[0], params):
             self._built = (params.copy(),) + self._build(params)  # a copy: adam_step updates the store in place
-        _, ops, transfers, units, (head, tail) = self._built
+        _, units, (head, tail), pairs, transfers = self._built
         size, kernels = 1 << nv, self.config.kernels_per_block
         encoded = branch.reshape(1, size, -1) * self._encoding_scale[:, None]
         x = _times_factors(head, encoded, np.empty_like(encoded))
@@ -417,8 +421,8 @@ class QuantumEvaluator:
         # 2^m for the m measured qubits, over the 2 of (1 / sqrt 2)^2 the difference leaves out: 2^(m-1)
         measured = measured.reshape(f, -1, 2 * rows)
         features = f * np.einsum("fuc,fuc->fc", measured, measured).reshape(f, rows, 2).sum(axis=2)
-        cache = {"inputs": inputs, "phi": phi, "ops": ops, "transfers": transfers, "units": units,
-                 "maps": (head, tail), "states": states, "parts": parts}
+        cache = {"inputs": inputs, "phi": phi, "units": units, "maps": (head, tail), "pairs": pairs,
+                 "transfers": transfers, "states": states, "parts": parts}
         return psi.T, features[self._feature_order].T, cache
 
     def backward(self, cache: dict, params: np.ndarray, cotangents: np.ndarray):
@@ -435,11 +439,12 @@ class QuantumEvaluator:
         diff, measured = phi.view(np.float64).reshape(2, f, -1)
         measured.view(np.complex128).reshape(f, -1, rows)[...] *= weights[:, None]
         _times_factors(self._hadamards, measured, measured)
-        inputs, transfers, units, (head, tail) = (cache.pop(k) for k in ("inputs", "transfers", "units", "maps"))
-        ops, param_grads = cache.pop("ops"), np.zeros(len(params))
+        inputs, transfers, units, pairs = (cache.pop(k) for k in ("inputs", "transfers", "units", "pairs"))
+        head, tail = cache.pop("maps")
+        overlaps = np.empty(units.shape, dtype=np.complex128)  # each unit's S before it, in program order
         ket, bra = (h.view(np.complex128).reshape(1, size, -1) for h in (diff, measured))
         np.conj(bra, out=bra)  # the bra over q_f[-1] = 0 is beta, and over 1 its negative
-        self._unit_grads(param_grads, 1, params, units, tail, bra, ket)
+        overlaps[-cfg.value_qubits :] = _value_overlaps(tail, bra, ket)
         # conj(T^H beta) = T^T conj(beta), over the difference, then into the state's layout
         bra = _times_factors([(low, u.T) for low, u in tail], bra, ket)
         kept = 1 << 2 * (cfg.grid_log - cfg.num_blocks)
@@ -447,27 +452,32 @@ class QuantumEvaluator:
         out[...] = bra.reshape(size * kernels, kept, -1, rows).swapaxes(1, 2)
         bra = out
         del phi, diff, measured, ket, out
+        block_overlaps, kernel_units = self._block_units(overlaps), self._kernel_units(units)
         for b in reversed(range(len(transfers))):
-            x, v = inputs[b], transfers[b]
-            w = _arranged(v, kernels, size)
-            if b == len(transfers) - 1:  # the bra (beta, -beta) over q_f[b]: V_0 - V_1 on beta
-                w = w[..., :4, :] - w[..., 4:, :]
+            x, v, last = inputs[b], transfers[b], b == len(transfers) - 1
             bra = bra.reshape((size, kernels) + x.shape[2:-2] + (-1, x.shape[-1]))
-            # G_s = Bra_s X_s^H, summed over the consumed bits and pair b-1, which V does not read
-            g = np.conj(np.matmul(bra, x.swapaxes(-1, -2)).sum(axis=(2, 4)))
-            if b == len(transfers) - 1:
-                g = np.concatenate([g, -g], axis=-2)
+            # conj(G_s) = conj(Bra_s) X_s^T, summed over the consumed bits and pair b-1, which V does not read,
+            # written in V's sector order; the last block's bra is (beta, -beta) over q_f[b]
+            g = np.empty_like(v)
+            half = _arranged(g, kernels, size)[..., : 4 if last else 8, :]
+            np.matmul(bra, x.swapaxes(-1, -2)).sum(axis=(2, 4), keepdims=True, out=half)
+            if last:
+                np.negative(half, out=_arranged(g, kernels, size)[..., 4:, :])
+            _transfer_overlaps(v, g, None if pairs is None else pairs[b], kernel_units[b], block_overlaps[b])
+            del g
+            w = _arranged(v, kernels, size)
+            if last:  # V_0 - V_1 on beta
+                w = w[..., :4, :] - w[..., 4:, :]
             if b:  # conj(V^H Bra) = V^T conj(Bra), over the block's input
                 bra = np.matmul(w.swapaxes(-1, -2), bra, out=inputs.pop())
             else:  # summed over the kernels, which share block 1's input
                 wt = w.reshape(size, kernels, -1, 4).transpose(0, 3, 1, 2).reshape(size, 4, -1)
                 bra = np.matmul(wt, bra.reshape(size, -1, x.shape[-1]))
-            g = g.transpose(2, 1, 0, 3, 4).reshape(-1, 4)  # as the sectors of V, q_f[b-2] highest
-            param_grads += sv.unapply_compiled(ops[self._blocks[b]], v.copy().reshape(-1, 4).T, g.T, None,
-                                               params, len(params))[0]
         x = inputs.pop().reshape(1, size, -1)  # block 1's input, the head's output
         bra = bra.reshape(x.shape)
-        self._unit_grads(param_grads, 0, params, units, head, bra, x)
+        overlaps[: cfg.value_qubits] = _value_overlaps(head, bra, x)
+        generators = sv._unit_generators(params[::3], units)
+        param_grads = sv._derivative_dots(generators, overlaps).ravel()
         bra = _times_factors([(low, u.T) for low, u in head], bra, x)
         # bra is now the conjugate cotangent state before the head; with the encoding's scale and in (row,
         # superpixel, value) form, each data angle's gradient is 2 Re <bra| d(encoded state)/d angle>, and only
@@ -489,25 +499,60 @@ class QuantumEvaluator:
         grads = [np.imag(e1 * np.conj(a) - e0 * np.conj(b)), np.real(e1 * a - e0 * b), np.imag(e0 * a - e1 * b)]
         return param_grads, np.stack(grads, -1).reshape(len(p), -1)
 
-    def _unit_grads(self, grads, which: int, params, units, maps, bra: np.ndarray, ket: np.ndarray) -> None:
-        """Add the head's (``which`` 0) or the tail's (1) unit gradients to ``grads``, from the bra's conjugate
-        ``bra`` and the ket after their value map, both (1, 2^nv, inner): per factor U the overlap of its qubits
-        S = sum conj(the bra) ket^T, U^T S conj(U) before it, and its partial trace on each unit's qubit."""
-        overlaps = []
-        for low, u in maps:
-            shape = (-1, len(u), bra.shape[-1] << low)
-            s = u.T @ np.matmul(bra.reshape(shape), ket.reshape(shape).swapaxes(1, 2)).sum(axis=0) @ np.conj(u)
-            k = len(u).bit_length() - 1
-            overlaps += [np.einsum("xiyxjy->ij", s.reshape(2 * (1 << (k - 1 - j), 2, 1 << j))) for j in range(k)]
-        slots = self._value_slots[which]
-        generators = sv._unit_generators(params[slots[:, 0]], units[which])
-        grads[slots] += sv._derivative_dots(generators, np.array(overlaps))
+
+def _value_overlaps(maps, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """The (nv, 2, 2) overlaps before the head's or the tail's units on q_v[0], q_v[1], ..., from the bra's
+    conjugate ``bra`` and the ket after their value map, both (1, 2^nv, inner): per factor U the overlap of its
+    qubits S = sum conj(the bra) ket^T, U^T S conj(U) before it, and its partial trace on each unit's qubit."""
+    overlaps = []
+    for low, u in maps:
+        shape = (-1, len(u), bra.shape[-1] << low)
+        s = u.T @ np.matmul(bra.reshape(shape), ket.reshape(shape).swapaxes(1, 2)).sum(axis=0) @ np.conj(u)
+        k = len(u).bit_length() - 1
+        overlaps += [np.einsum("xiyxjy->ij", s.reshape(2 * (1 << (k - 1 - j), 2, 1 << j))) for j in range(k)]
+    return np.array(overlaps)
+
+
+def _kernel_sectors(v: np.ndarray, w: int, nv: int, kernels: int) -> np.ndarray:
+    """The view of a block's transfer matrices, (sectors, 8, 4) in any shape, on the sectors where value qubit
+    w's kernel units act, q_v[w] = 1 and (after block 1) q_f[b-2] = 1: (kernel, value bits above w, value bits
+    below w, q_f[b-1], y_b, x_b, column)."""
+    return v.reshape(-1, kernels, 1 << (nv - 1 - w), 2, 1 << w, 2, 2, 2, 4)[-1, :, :, 1]
+
+
+def _transfer_overlaps(v: np.ndarray, bra: np.ndarray, pairs, kernels: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out``, (nv, units per value qubit, 2, 2), the overlap S = sum conj(Bra) ket^T before each of
+    a block's units, from its (sectors, 8, 4) transfer matrices ``v`` and the conjugate ``bra`` of G_s, in V's
+    shape, which it overwrites: reverse mode through ``_build``'s factors, each un-applied by its conjugate
+    transpose from a copy of V and, conjugated, from the bra, each kernel unit's overlap summed over the sectors
+    that share it."""
+    ket, nv, lwm = v.reshape(-1, 2, 4, 4).copy(), len(kernels), 2 * (pairs is not None)
+    bra = bra.reshape(ket.shape)
+    for w in reversed(range(nv)):
+        k, b = (_kernel_sectors(a, w, nv, len(kernels[w])) for a in (ket, bra))
+        k[...] = np.einsum("kxyba,khlbyxc->khlayxc", np.conj(kernels[w]), k)
+        b[...] = np.einsum("kxyba,khlbyxc->khlayxc", kernels[w], b)  # conj(U^H Bra) = U^T conj(Bra)
+        out[w, lwm:] = np.einsum("khliyxc,khljyxc->kxyij", b, k).reshape(-1, 2, 2)
+        if lwm:
+            ket[...] = np.conj(pairs[w]).T @ ket
+            bra[...] = pairs[w].T @ bra
+            s = np.einsum("sfic,sfjc->ij", bra, ket).reshape(2, 2, 2, 2)  # (y_b, x_b) of the bra's, then the ket's
+            out[w, 0], out[w, 1] = np.einsum("yiyj->ij", s), np.einsum("ixjx->ij", s)
 
 
 def _arranged(v: np.ndarray, kernels: int, size: int) -> np.ndarray:
     """A block's (sectors, 8, 4) transfer matrices, sector (q_f[b-2], q_k, q_v) from the highest bit, on the
     axes of its input: (value, kernel, 1, q_f[b-2], 1, 8, 4)."""
     return v.reshape(-1, kernels, size, 8, 4).transpose(2, 1, 0, 3, 4)[:, :, None, :, None]
+
+
+def _kron_factors(factors) -> np.ndarray:
+    """Kronecker product of (..., 2, 2) matrices, the first on the least significant index bit, by broadcast
+    outer products over the leading axes."""
+    m = np.ones((1, 1))
+    for u in factors:
+        m = (u[..., :, None, :, None] * m[..., None, :, None, :]).reshape(u.shape[:-2] + (2 * m.shape[-1],) * 2)
+    return m
 
 
 def _times_factors(factors, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -519,11 +564,6 @@ def _times_factors(factors, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.matmul(m, x.reshape(shape), out=out.reshape(shape))
         x = out
     return out
-
-
-def _fused(ops) -> tuple:
-    """``ops`` with each layer of uncontrolled units as a block and each kernel group as a multiplexor."""
-    return sv.fuse_multiplexors(sv.fuse_layers(tuple(ops)))
 
 
 @lru_cache(maxsize=8)

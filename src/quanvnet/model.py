@@ -38,11 +38,11 @@ CHECKPOINT_MAGIC = "QVNCKPT1"
 STATE_COPIES = 5
 DATA_SLOT_BYTES = 64
 # The batch-independent part: TRANSFER_COPIES times the evaluator's transfer
-# matrices (the cached ones, the backward's copy and its bra, and the un-apply's
-# buffers on them: 4.9 copies on E = 30, g = M = K = 1 at batch 1), and
-# BLOCK_BUFFER_BYTES for a 6-qubit value map factor of the head and of the tail,
-# an overlap and the product around it, four 64 x 64 complex matrices (3.4 on
-# E = 18, g = M = K = 1).
+# matrices (the cached ones, and in the backward G_s, the reverse mode's copy of
+# V and one product temporary: 4.2 copies on E = 30, g = M = K = 1 at batch 1),
+# and BLOCK_BUFFER_BYTES for a 6-qubit value map factor of the head and of the
+# tail, an overlap and the product around it, four 64 x 64 complex matrices (3.1
+# on E = 18, g = M = K = 1).
 TRANSFER_COPIES = 6
 BLOCK_BUFFER_BYTES = 4 << 16
 STATE_BUDGET_BYTES = 2 << 30

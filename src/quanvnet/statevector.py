@@ -11,33 +11,24 @@ Conventions, fixed once so amplitude dumps are reproducible bit-for-bit:
 ``compile_program`` turns a program into ops, each param-bound RX, RY, RZ
 run on one target and control pattern into one fused unit ``R_Z R_Y R_X``.
 Every op is one controlled 2x2 matrix (constant entries for H, X, Z and
-constant angles, per-row arrays for data angles, ``bind_params``' for units),
-applied by one kernel to the control-matching pairs as strided views of the
-states' columns, a C-contiguous ``(2**k, batch)`` array for any register
-that holds the op's qubits, so a caller can run each part of a program on
-the qubits live there; a per-row entry broadcasts on the batch axis.
-``run_compiled`` and ``unapply_compiled`` take ``(batch, dim)`` stacks. The
-reverse sweep un-applies each op once from ket and bra in place, by its
-conjugate transpose, reads every angle derivative from the 2x2 overlap of
-the pairs it wrote by one formula, and leaves both stacks at the fragment's
-start, where a closed-form fragment can take its gradients from the bra.
-``adjoint_sweep`` runs it on copies.
-
-``fuse_layers`` runs each layer of uncontrolled H ops and units on distinct
-qubits as one dense block, its Kronecker matrix as one GEMM, with one
-batch-summed overlap for the gradients. ``fuse_multiplexors`` runs each set
-of controlled units, one per pattern of their varying controls, as one
-multiplexor: one kernel call with an axis per pattern qubit, and one 2x2
-overlap per pattern. ``bind_params`` builds all unit matrices of a schedule
-in one vectorized pass. ``compile_program``'s unfused ops stay the gate-list
-reference.
+constant angles, per-row arrays for data angles, ``_unit_matrix``'s for
+units), applied by one kernel to the control-matching pairs as strided views
+of the states' columns, a C-contiguous ``(2**k, batch)`` array for any
+register that holds the op's qubits; a per-row entry broadcasts on the batch
+axis. ``run_compiled`` and ``unapply_compiled`` take ``(batch, dim)``
+stacks. The reverse sweep un-applies each op once from ket and bra in place,
+by its conjugate transpose, reads every angle derivative from the 2x2
+overlap of the pairs it wrote by one formula, and leaves both stacks at the
+fragment's start. ``adjoint_sweep`` runs it on copies. These ops are the
+gate-list reference that the tests replay; ``_unit_parts``,
+``_unit_matrix``, ``_unit_generators`` and ``_derivative_dots`` also serve
+the closed-form evaluator in ``circuits``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
@@ -202,13 +193,13 @@ _MATRICES = {
 
 @dataclass
 class _CompiledGate:
-    kind: str  # a GATE_KINDS entry, "U" for a fused RX, RY, RZ unit or "M" for a multiplexor of them
+    kind: str  # a GATE_KINDS entry, or "U" for a fused RX, RY, RZ unit
     num_qubits: int
     target: int
-    controls: tuple  # (qubit, required value) pairs; value None marks a multiplexor's pattern qubit
-    angle: tuple | None  # angle source; a fused unit or multiplexor carries its first RX slot
-    slots: tuple | np.ndarray  # a unit's RX, RY, RZ param slots; a multiplexor's, one triple per pattern
-    entries: tuple | None  # (m00, m01, m10, m11) when fixed at compile time or bound, else None
+    controls: tuple  # (qubit, required value) pairs
+    angle: tuple | None  # angle source; a fused unit carries its RX slot
+    slots: tuple  # a unit's RX, RY, RZ param slots
+    entries: tuple | None  # (m00, m01, m10, m11) when fixed at compile time, else None
     # The kernel: ``sel0``/``sel1`` pick the control-matching pairs with target
     # bit 0/1 as strided views of the columns reshaped to ``shape + (batch,)``.
     shape: tuple
@@ -247,9 +238,8 @@ def _compile_gate(num_qubits: int, kind: str, target: int, controls: tuple, angl
     per fixed qubit and one per run of free qubits between them, ahead of
     the batch axis, the basic index tuples that pick the control-matching
     pairs with target bit 0 and 1 as strided views, and the matrix entries
-    of H, X, Z and constant-bound rotations. A multiplexor's pattern qubits
-    keep their axes, and its slot triples are shaped to broadcast along them."""
-    fixed = {q: slice(0, 2) if v is None else v for q, v in controls}  # slice(0, 2): a kept pattern axis
+    of H, X, Z and constant-bound rotations."""
+    fixed = dict(controls)
     fixed[target] = None
     shape, sel, top = [-1], [slice(None)], max(fixed) + 1
     for q in sorted(fixed, reverse=True):
@@ -264,8 +254,6 @@ def _compile_gate(num_qubits: int, kind: str, target: int, controls: tuple, angl
         sel.append(slice(None))
     axis = sel.index(None)
     sel0, sel1 = (tuple(sel[:axis] + [bit] + sel[axis + 1 :]) for bit in (0, 1))
-    if kind == "M":  # one triple per pattern, the highest pattern qubit's bit first; the last 1 is the batch axis
-        slots = np.reshape(slots, [2 if a == slice(0, 2) else 1 for a in sel0 if isinstance(a, slice)] + [1, 3])
     const = angle is not None and angle[0] == "const"
     entries = tuple(_MATRICES[kind].ravel().tolist()) if angle is None else _rotation(kind, angle[1]) if const else None
     return _CompiledGate(kind, num_qubits, target, controls, angle, slots, entries, tuple(shape), sel0, sel1)
@@ -327,10 +315,13 @@ def _unit_matrix(angles: np.ndarray) -> tuple:
 
 
 def _entries(cg: _CompiledGate, data: np.ndarray, params: np.ndarray) -> tuple:
-    """Matrix entries of one op: fixed at compile time or bound, else a
-    rotation's for its parameter or data angle (per row for data rows)."""
+    """Matrix entries of one op: fixed at compile time, a fused unit's for
+    its slots, else a rotation's for its parameter or data angle (per row for
+    data rows)."""
     if cg.entries is not None:
         return cg.entries
+    if cg.kind == "U":
+        return _unit_matrix(params[list(cg.slots)])
     tag, slot = cg.angle
     return _rotation(cg.kind, data[..., slot] if tag == "data" else params[slot])
 
@@ -339,7 +330,7 @@ def _apply_kernel(cols: np.ndarray, cg: _CompiledGate, m: tuple) -> tuple:
     """Apply one compiled op in place to the columns ``cols`` of shape
     (2**k, batch), for any k that holds the op's qubits, as the controlled
     2x2 matrix with entries ``m`` = (m00, m01, m10, m11), each a scalar or an
-    array that broadcasts over the pairs (per row, or per multiplexor pattern).
+    array that broadcasts over the pairs (per row).
     Reads the control-matching pairs as strided views of ``cols``, writes the
     new values back and returns them, target bit 0 first, as arrays of their own.
     """
@@ -360,158 +351,26 @@ def _unit_generators(rx_angles: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.stack([np.broadcast_to(_MATRICES["RX"], u.shape)] + moved, axis=1)
 
 
-def _pair_overlaps(b: tuple, k: tuple, keep: tuple) -> np.ndarray:
-    """S_ij = sum conj(b_i) k_j over the pairs' axes but those ``keep`` flags, as (kept
-    axes..., 2, 2); ``np.vecdot`` sums the contiguous run past the last kept axis."""
-    last = max((i + 1 for i, kept in enumerate(keep) if kept), default=0)
-    lead, axes = k[0].shape[:last] + (-1,), tuple(i for i in range(last) if not keep[i])
-    s = [[np.vecdot(bi.reshape(lead), kj.reshape(lead)).sum(axis=axes) for kj in k] for bi in b]
+def _pair_overlaps(b: tuple, k: tuple, per_row: bool) -> np.ndarray:
+    """S_ij = sum conj(b_i) k_j over the pairs' axes, and over the rows, the
+    last axis, unless ``per_row``: (rows, 2, 2) or (2, 2)."""
+    shape = (-1, k[0].shape[-1]) if per_row else (-1,)
+    s = [[np.vecdot(bi.reshape(shape), kj.reshape(shape), axis=0) for kj in k] for bi in b]
     return np.moveaxis(np.array(s), (0, 1), (-2, -1))
 
 
 def _derivative_dots(generators: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     """2*Re(<bra| dU/d(angle) |ket>) = 2*Re sum_ij G'_ij S_ij, (..., g), for
     (..., g, 2, 2) ``generators`` and the (..., 2, 2) overlaps S of bra and
-    ket *before* the op U, as its un-apply leaves them: one per unit, pattern
-    or row on the leading axes.
+    ket *before* the op U, as its un-apply leaves them: one per unit or row
+    on the leading axes.
 
     dU/d(angle) is U G' on the control-matching pairs and zero elsewhere:
     G' = G_A for a lone R_A, which commutes with it, or a fused unit's moved
-    generator. The other factors of a block, and the other patterns of a
-    multiplexor, commute with G' and cancel against their un-apply.
+    generator. Units acting on disjoint pairs, or on other qubits, commute
+    with G' and cancel against their un-apply.
     """
     return 2.0 * np.real(np.einsum("...gij,...ij->...g", generators, overlaps))
-
-
-# ---------------------------------------------------------------------------
-# dense blocks: a layer of uncontrolled units as one matrix
-# ---------------------------------------------------------------------------
-
-# On 4096-amplitude columns at batch 50 (one BLAS thread, 2-core Xeon) one
-# 6-qubit block pass takes about 1.5 times as long as one strided 2x2 unit,
-# a 5-qubit one about as long: a block beats the two or more ops it replaces.
-MAX_BLOCK_QUBITS = 6
-
-
-@dataclass(frozen=True)
-class _Block:
-    """Uncontrolled H ops and fused units on distinct qubits, run as one dense
-    ``2^w x 2^w`` matrix over qubits ``low .. low + w - 1``, ``low`` the
-    lowest of them: ``M @ view`` over the columns as (-1, 2^w, 2^low * batch)."""
-
-    low: int
-    factors: tuple  # per qubit, lowest first: None (identity), "H", or a unit's RX, RY, RZ param slots
-    matrix: np.ndarray | None  # built at compile time when no factor has parameters, else by bind_params
-    slots: tuple  # the parameter factors' slot triples
-    units: np.ndarray | None = None  # bound: the (units, 2, 2) matrices of the parameter factors
-
-    kind = "B"
-    angle = None  # like every op of the sweeps: a block binds no data or constant angle
-
-
-def _kron_factors(factors: tuple, units) -> np.ndarray:
-    """Kronecker product of the factors, ``units`` yielding those with
-    parameters, the lowest qubit on the least significant index bit, by
-    broadcast outer products (``np.kron`` costs more at batch 1)."""
-    m = np.ones((1, 1))
-    for f in factors:
-        u = np.eye(2) if f is None else _MATRICES["H"] if f == "H" else next(units)
-        m = (u[:, None, :, None] * m[None, :, None, :]).reshape(2 * len(m), 2 * len(m))
-    return m
-
-
-def _apply_block(cols: np.ndarray, blk: _Block, m: np.ndarray) -> np.ndarray:
-    """Apply the block matrix ``m`` in place to the columns; returns the block-shaped view."""
-    t = cols.reshape(-1, 1 << len(blk.factors), cols.shape[1] << blk.low)
-    t[...] = m @ t
-    return t
-
-
-def _block_unit_overlaps(blk: _Block, b: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The (units, 2, 2) overlaps of the block's units, in factor order: partial
-    traces of the batch-summed ``2^w x 2^w`` overlap ``S = sum conj(b) k^T``
-    of the block-shaped views. It sums chunks of the outer axis, each within a
-    quarter of a view, into ``S`` through one product buffer, so that no
-    temporary grows with the qubits above the block."""
-    step = max(1, b.size // (4 * b.shape[1] * max(b.shape[1:])))
-    s = np.zeros(b.shape[1:2] * 2, dtype=np.complex128)
-    prod = np.empty((min(step, len(b)),) + s.shape, dtype=np.complex128)
-    for i in range(0, len(b), step):
-        chunk = np.matmul(np.conj(b[i : i + step]), k[i : i + step].swapaxes(1, 2), out=prod[: len(b) - i])
-        s += chunk[0] if len(chunk) == 1 else chunk.sum(axis=0)
-    shapes = [(1 << (len(blk.factors) - 1 - p), 2, 1 << p) for p, f in enumerate(blk.factors) if isinstance(f, tuple)]
-    return np.array([np.einsum("xiyxjy->ij", s.reshape(shape + shape)) for shape in shapes])
-
-
-def _fused_block(run: list) -> _Block:
-    by_qubit = {op.target: op for op in run}
-    low = min(by_qubit)
-    factors = tuple((by_qubit[q].slots or "H") if q in by_qubit else None for q in range(low, max(by_qubit) + 1))
-    slots = tuple(f for f in factors if isinstance(f, tuple))
-    return _Block(low, factors, None if slots else _kron_factors(factors, None), slots)
-
-
-def fuse_layers(ops: tuple) -> tuple:
-    """Merge each run of two or more consecutive uncontrolled H and fused-unit
-    ops on distinct qubits, which commute, into one ``_Block`` of at most
-    ``MAX_BLOCK_QUBITS`` qubits from the lowest to the highest. Every other
-    op is kept as is."""
-    out, run = [], []
-
-    def flush():
-        out.extend(run if len(run) < 2 else [_fused_block(run)])
-        run.clear()
-
-    for op in ops:
-        if op.kind not in ("H", "U") or op.controls:
-            flush()
-            out.append(op)
-            continue
-        qubits = [g.target for g in run] + [op.target]
-        if op.target in qubits[:-1] or max(qubits) + 1 - min(qubits) > MAX_BLOCK_QUBITS:
-            flush()
-        run.append(op)
-    flush()
-    return tuple(out)
-
-
-def fuse_multiplexors(ops: tuple) -> tuple:
-    """Merge each run of consecutive controlled fused units on one target and
-    set of control qubits whose varying controls, the pattern qubits, take
-    every pattern once into one multiplexor op (kind "M"): its units act on
-    disjoint pairs, so they commute. Every other op is kept as is."""
-    out = []
-    for key, run in groupby(ops, lambda op: (op.target, frozenset(dict(op.controls))) if op.kind == "U" else None):
-        run, qubits = list(run), sorted(key[1] if key else (), reverse=True)
-        values = np.array([[dict(op.controls)[q] for q in qubits] for op in run])
-        varies = (values != values[0]).any(axis=0)
-        patterns = values[:, varies]
-        if not varies.any() or sorted(map(tuple, patterns)) != sorted(np.ndindex((2,) * varies.sum())):
-            out.extend(run)
-            continue
-        slots = np.empty((2,) * varies.sum() + (3,), dtype=np.intp)
-        slots[tuple(patterns.T)] = [op.slots for op in run]
-        controls = tuple((q, None if vary else int(v)) for q, v, vary in zip(qubits, values[0], varies))
-        out.append(_compile_gate(run[0].num_qubits, "M", run[0].target, controls, run[0].angle, slots))
-    return tuple(out)
-
-
-def bind_params(ops: tuple, params) -> tuple:
-    """The ops with every fused unit's matrix built for ``params`` in one
-    vectorized pass over their angles: a unit's or multiplexor's entries, a
-    block's units and Kronecker matrix. Bound or parameter-free ops are kept."""
-    todo = [i for i, g in enumerate(ops) if np.size(g.slots) and (g.matrix if g.kind == "B" else g.entries) is None]
-    if not todo:
-        return tuple(ops)
-    slots = [np.reshape(ops[i].slots, (-1, 3)) for i in todo]
-    units = np.reshape(_unit_matrix(_bind(None, params)[1][np.concatenate(slots)]), (2, 2, -1)).transpose(2, 0, 1)
-    out = list(ops)
-    for i, u in zip(todo, np.split(units, np.cumsum([len(s) for s in slots])[:-1])):
-        if ops[i].kind == "B":
-            out[i] = replace(ops[i], matrix=_kron_factors(ops[i].factors, iter(u)), units=u)
-        else:  # a multiplexor's entries broadcast like its slots, a unit's are scalars
-            out[i] = replace(ops[i], entries=tuple(u.reshape(-1, 4).T.reshape((4,) + np.shape(ops[i].slots)[:-1])))
-    return tuple(out)
 
 
 def _columns(amps: np.ndarray) -> np.ndarray:
@@ -525,20 +384,16 @@ def _columns(amps: np.ndarray) -> np.ndarray:
 
 
 def run_compiled(compiled: tuple, amps: np.ndarray, data=None, params=None) -> None:
-    """Run compiled ops (fused or not, bound or not) in place on a (batch,
-    dim) stack: the transpose of C-contiguous columns in place, a
-    C-contiguous one through one copy.
+    """Run compiled ops in place on a (batch, dim) stack: the transpose of
+    C-contiguous columns in place, a C-contiguous one through one copy.
 
     ``data`` holds one row of data angles per state (or one vector for all)
     and ``params`` one vector for all rows; both must be finite.
     """
     cols = _columns(amps)
     data, params = _bind(data, params)
-    for cg in bind_params(compiled, params):
-        if cg.kind == "B":
-            _apply_block(cols, cg, cg.matrix)
-        else:
-            _apply_kernel(cols, cg, _entries(cg, data, params))
+    for cg in compiled:
+        _apply_kernel(cols, cg, _entries(cg, data, params))
     if not np.shares_memory(cols, amps):
         amps[...] = cols.T
 
@@ -559,14 +414,7 @@ def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, pa
     data, params = _bind(data, params)
     param_grads = np.zeros(param_arity)
     data_grads = np.zeros((kc.shape[1], data.shape[-1]))
-    for cg in reversed(bind_params(compiled, params)):
-        if cg.kind == "B":
-            inverse = cg.matrix.conj().T
-            k, b = _apply_block(kc, cg, inverse), _apply_block(bc, cg, inverse)
-            if cg.units is not None:
-                generators = _unit_generators(params[[s[0] for s in cg.slots]], cg.units)
-                param_grads[np.array(cg.slots)] += _derivative_dots(generators, _block_unit_overlaps(cg, b, k))
-            continue
+    for cg in reversed(compiled):
         m00, m01, m10, m11 = m = _entries(cg, data, params)
         inverse = np.conj(m00), np.conj(m10), np.conj(m01), np.conj(m11)  # the conjugate transpose
         if cg.angle is None or cg.angle[0] == "const":  # no gradient, so no pairs to keep
@@ -577,16 +425,13 @@ def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, pa
         tag, slot = cg.angle
         k, b = _apply_kernel(kc, cg, inverse), _apply_kernel(bc, cg, inverse)
         if tag == "data":
-            overlaps = _pair_overlaps(b, k, (False,) * (k[0].ndim - 1) + (True,))
-            data_grads[:, slot] += _derivative_dots(_MATRICES[cg.kind][None], overlaps)[:, 0]
-        else:  # over the batch, and one overlap per pattern of a multiplexor (the axes its entries vary on)
-            overlaps = _pair_overlaps(b, k, tuple(n > 1 for n in np.shape(m00))).reshape(-1, 2, 2)
-            if np.size(cg.slots):  # fused units: R_Z R_Y R_X per pattern
-                slots = np.reshape(cg.slots, (-1, 3))
-                generators = _unit_generators(params[slots[:, 0]], np.reshape(m, (4, -1)).T.reshape(-1, 2, 2))
+            data_grads[:, slot] += _derivative_dots(_MATRICES[cg.kind][None], _pair_overlaps(b, k, True))[:, 0]
+        else:  # over the batch: a fused unit R_Z R_Y R_X has three angles, a lone rotation one
+            if cg.slots:
+                slots, generators = list(cg.slots), _unit_generators(params[slot], np.reshape(m, (1, 2, 2)))
             else:
-                slots, generators = np.array([[slot]]), _MATRICES[cg.kind][None]
-            param_grads[slots] += _derivative_dots(generators, overlaps)
+                slots, generators = [slot], _MATRICES[cg.kind][None]
+            param_grads[slots] += _derivative_dots(generators, _pair_overlaps(b, k, False)).ravel()
         del k, b  # up to two stacks of pairs: free them before the next op's un-apply
     for rows, cols in ((ket, kc), (bra, bc)):
         if not np.shares_memory(cols, rows):

@@ -89,8 +89,8 @@ def test_compiled_entries_expose_the_counted_fields():
 
 
 def test_evaluator_sweeps_run_no_data_bound_op(monkeypatch):
-    # the encoding is built in closed form: no gate-list encoding on the hot path; a fresh evaluator, so
-    # that the forward builds the blocks
+    # the encoding and the transfer matrices are built in closed form: a fresh evaluator, whose forward builds
+    # the blocks, and its backward run neither sweep
     _, _, data, params, rng = _setup()
     ev = qc.QuantumEvaluator(CANONICAL)
     swept = []
@@ -104,8 +104,7 @@ def test_evaluator_sweeps_run_no_data_bound_op(monkeypatch):
         monkeypatch.setattr(sv, name, spy)
     _, _, cache = ev.forward(data, params)
     ev.backward(cache, params, rng.normal(size=(ROWS, ev.num_features)))
-    assert {name for name, _ in swept} == {"run_compiled", "unapply_compiled"}
-    assert all(cg.angle is None or cg.angle[0] != "data" for _, compiled in swept for cg in compiled)
+    assert swept == []
 
 
 def test_compile_cache_can_be_cleared():

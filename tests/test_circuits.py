@@ -319,18 +319,17 @@ class TestEvaluatorBackward:
         return ev, params, rng.normal(size=(3, ev.num_features)), amps, cache
 
     def test_no_compiled_op_runs_on_an_array_that_grows_with_the_batch(self, monkeypatch):
-        # the compiled ops run only in each block's build and its un-apply, on the (sectors * 8, 4) transfer
-        # columns; the batch passes through value maps and batched GEMMs alone
+        # no compiled op runs at all: the transfer matrices are built in closed form, and the batch passes
+        # through value maps and batched GEMMs alone
         config = qc.CircuitConfig(2, 6, 2, 2)
         ev, shapes = qc.QuantumEvaluator(config), []
-        for name in ("_apply_kernel", "_apply_block"):
-            real = getattr(sv, name)
+        real = sv._apply_kernel
 
-            def spy(cols, *args, real=real):
-                shapes.append(cols.shape)
-                return real(cols, *args)
+        def spy(cols, *args):
+            shapes.append(cols.shape)
+            return real(cols, *args)
 
-            monkeypatch.setattr(sv, name, spy)
+        monkeypatch.setattr(sv, "_apply_kernel", spy)
         rng = np.random.default_rng(61)
         params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
         amps, _, cache = ev.forward(rng.uniform(0, np.pi, (7, config.data_arity)), params)
@@ -338,8 +337,7 @@ class TestEvaluatorBackward:
         cached = [a for value in cache.values() for a in (value if isinstance(value, list) else [value])]
         assert not any(np.shares_memory(amps, a) for a in cached if isinstance(a, np.ndarray))
         ev.backward(cache, params, rng.normal(size=(7, ev.num_features)))
-        transfers = ev._build(params)[1]
-        assert set(shapes) == {(8 * len(v), 4) for v in transfers} and len(transfers) == 2
+        assert shapes == []
 
     def test_second_backward_on_one_cache_raises(self):
         # the cached measured state becomes the first backward's bra
@@ -517,9 +515,9 @@ class TestClosedFormEncoding:
 
 
 class TestLazyReference:
-    """The evaluator compiles only the extraction fragment; the whole gate
-    list, encoding first, is built when ``program`` or ``compiled`` is read,
-    and the measurement family when ``operators`` is."""
+    """The evaluator compiles no fragment; the whole gate list, encoding
+    first, is built when ``program`` or ``compiled`` is read, and the
+    measurement family when ``operators`` is."""
 
     def test_model_construction_builds_no_encoding_gate_list(self, monkeypatch):
         from quanvnet import model as qm
@@ -532,7 +530,7 @@ class TestLazyReference:
         qc.get_evaluator.cache_clear()
         model = qm.HybridModel(qm.ModelConfig())
         assert built == []
-        assert compiled and all(p.data_arity == 0 for p in compiled)
+        assert compiled == []
         assert model.segment_lengths["quantum"] == 198
         assert not {"program", "compiled", "operators"} & set(vars(model.evaluator))
         assert len(model.evaluator.operators) == 64 and model.evaluator.operators is model.evaluator.operators
@@ -564,64 +562,34 @@ class TestLazyReference:
 
 
 class TestFusedSchedule:
-    """The evaluator runs each run of uncontrolled units as a dense block
-    (``sv.fuse_layers``), and each block's kernel units for one value qubit
-    as one multiplexor (``sv.fuse_multiplexors``); ``compiled`` stays the
-    per-unit gate-list reference it is checked against."""
-
-    def test_canonical_schedule(self):
-        ev = qc.QuantumEvaluator(CANONICAL)
-        assert len(sv.compile_program(ev.extraction)) == 67
-        assert len(ev._ops) == 12
-        blocks = [(op.low, len(op.factors)) for op in ev._ops if op.kind == "B"]
-        # 2 x 3 LWM pairs on x_b, y_b (qubits 0 and 1 of their block's construction layout); the head and
-        # the tail run as value maps of their units, and q_k's Hadamards as its |+> start
-        assert blocks == [(0, 2)] * 6
-        # block b's 8 kernel units for value qubit v: target q_f[b-1], fixed q_v[v] = 1 (and q_f[0] = 1
-        # for b = 2), one unit per pattern of (q_k, y_b, x_b), the pattern qubits marked None; on block b's
-        # construction layout x_b, y_b, q_f[b-1] are 0, 1, 2, and q_v, q_k, q_f[b-2] follow from 3 up
-        muxes = [(op.target, op.controls) for op in ev._ops if op.kind == "M"]
-        assert [op.kind for op in ev._ops] == ["B", "M"] * 6
-        assert muxes == [(2, ((6, None), (3 + v, 1), (1, None), (0, None))) for v in range(3)] + [
-            (2, ((7, 1), (6, None), (3 + v, 1), (1, None), (0, None))) for v in range(3)
-        ]
-        triples = [tuple(t) for op in ev._ops if op.kind == "M" for t in op.slots.reshape(-1, 3)]
-        assert sorted(triples) == sorted(cg.slots for cg in sv.compile_program(ev.extraction) if cg.controls)
-        assert len(triples) == 48
+    """The evaluator runs no compiled op: it builds every extraction unit's
+    matrix in one pass, and from them the value maps and each block's
+    transfer matrices in closed form; ``compiled`` stays the per-unit
+    gate-list reference it is checked against."""
 
     def test_a_single_image_forward_dispatches_each_op_once(self, monkeypatch):
-        # a timing-free latency guard: the 12 ops of the blocks run on their transfer columns, once per
-        # parameter set, after one pass over the blocks' unit angles and one over the head's and the tail's,
-        # whose value maps are one Kronecker product each
+        # a timing-free latency guard: one pass over every unit's angles and one Kronecker product for the
+        # head's value map, one for the tail's and one for all LWM pairs, once per parameter set; the
+        # backward builds nothing
         ev, calls = qc.QuantumEvaluator(CANONICAL), []
-        for name in ("_apply_kernel", "_apply_block", "_unit_matrix", "_kron_factors"):
-            real = getattr(sv, name)
+        for owner, name in ((sv, "_apply_kernel"), (sv, "_unit_matrix"), (qc, "_kron_factors")):
+            real = getattr(owner, name)
 
             def spy(*args, real=real, name=name):
                 calls.append(name)
                 return real(*args)
 
-            monkeypatch.setattr(sv, name, spy)
+            monkeypatch.setattr(owner, name, spy)
         rng = np.random.default_rng(1050)
         params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
         data = rng.uniform(0, np.pi, (1, CANONICAL.data_arity))
         _, _, cache = ev.forward(data, params)
-        assert sorted(calls) == sorted(["_unit_matrix"] * 2 + ["_kron_factors"] * 8 + ["_apply_kernel"] * 6
-                                       + ["_apply_block"] * 6)
+        assert sorted(calls) == ["_kron_factors"] * 3 + ["_unit_matrix"]
         calls.clear()
         ev.backward(cache, params, rng.normal(size=(1, ev.num_features)))
-        assert sorted(calls) == ["_apply_block"] * 12 + ["_apply_kernel"] * 12
-        calls.clear()
-        ev.forward(data, params)  # the same parameters: no op runs
         assert calls == []
-
-    @pytest.mark.parametrize("config", [qc.CircuitConfig(4, 18, 1, 4), qc.CircuitConfig(1, 18, 1, 4)])
-    def test_every_block_of_the_schedule_has_parameters(self, config):
-        # q_k starts in |+>, so its Hadamards make no parameter-free block, even where K = 4 puts them
-        # beyond a 6-qubit value register
-        ev = qc.QuantumEvaluator(config)
-        assert [op for op in ev._ops if op.kind == "B" and not op.slots] == []
-        assert {op.kind for op in ev._ops} == {"B", "M"}
+        ev.forward(data, params)  # the same parameters: nothing is built
+        assert calls == []
 
     # (3, 9, 1, 2): 8 measured bits besides q_f[-1], so the Hadamards run as two factors, of 6 bits and 2
     @pytest.mark.parametrize("rows", [1, 7])
@@ -666,12 +634,11 @@ class TestFusedSchedule:
 
 
 SCHEDULE_CONFIGS = [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True), (2, 12, 2, 2, True)]
+BLOCK_CONFIGS = [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True), (1, 12, 1, 2, True), (4, 9, 3, 2, True)]
 
 
 def _touched(op) -> set:
-    """Every qubit an op acts on or is controlled by: a block's span, a kernel op's target and controls."""
-    if op.kind == "B":
-        return set(range(op.low, op.low + len(op.factors)))
+    """Every qubit an op acts on or is controlled by."""
     return {op.target, *dict(op.controls)}
 
 
@@ -683,10 +650,9 @@ class TestTransferMatrices:
 
     def test_canonical_blocks(self):
         ev = qc.QuantumEvaluator(CANONICAL)
-        # ops 0-5 and 6-11; 16 sectors (q_v, q_k), then 32 (and q_f[0])
-        assert ev._blocks == (slice(0, 6), slice(6, 12))
+        # 16 sectors (q_v, q_k), then 32 (and q_f[0])
         params = np.random.default_rng(1150).uniform(0, 2 * np.pi, ev.extraction.param_arity)
-        assert [v.shape for v in ev._build(params)[1]] == [(16, 8, 4), (32, 8, 4)]
+        assert [v.shape for v in ev._build(params)[-1]] == [(16, 8, 4), (32, 8, 4)]
 
     @pytest.mark.parametrize("lwm", [True, False])
     @pytest.mark.parametrize("g,e,m,k", [c[:4] for c in SCHEDULE_CONFIGS])
@@ -704,17 +670,99 @@ class TestTransferMatrices:
                 assert _touched(op) <= set(layout.q_v + layout.q_k)
         head, tail = labels.index(1), len(labels) - labels[::-1].index(m)
         assert labels[head:tail] == sorted(labels[head:tail]) and 0 not in labels[head:tail]
-        # on the construction layouts: each block's ops act on qubits 0-2 under the sector's controls
         params = np.random.default_rng(1200 + 100 * g + e).uniform(0, 2 * np.pi, ev.extraction.param_arity)
-        transfers = ev._build(params)[1]
-        for b, (part, v) in enumerate(zip(ev._blocks, transfers)):
+        for b, v in enumerate(ev._build(params)[-1]):
             sector_bits = config.value_qubits + config.kernel_qubits + min(b, 1)  # and q_f[b-2] after block 1
-            for op in ev._ops[part]:  # an LWM block spans x_b, y_b; a multiplexor targets q_f[b-1]
-                assert max(_touched(op) if op.kind == "B" else {op.target}) < 3
-                assert max(_touched(op)) < 3 + sector_bits
             # each V_s is an isometry
             assert v.shape == (1 << sector_bits, 8, 4)
             assert np.max(np.abs(np.conj(v).swapaxes(1, 2) @ v - np.eye(4))) < 1e-12
+
+    @pytest.mark.parametrize("g,e,m,k,lwm", BLOCK_CONFIGS)
+    def test_each_block_matches_its_dense_gate_product(self, g, e, m, k, lwm):
+        # block b's gates on a compact register, x_b, y_b, q_f[b-1] on qubits 0-2 and the sector's q_v, q_k and
+        # q_f[b-2] above them, multiplied out as dense matrices on the 4 * sectors columns |s>|j>, q_f[b-1] = 0
+        config = qc.CircuitConfig(g, e, m, k, lwm)
+        ev = qc.get_evaluator(config)
+        layout = ev.layout
+        params = np.random.default_rng(1250 + 100 * g + e).uniform(0, 2 * np.pi, ev.extraction.param_arity)
+        for b, v in enumerate(ev._build(params)[-1], start=1):
+            compact = (layout.q_l[g - b], layout.q_l[2 * g - b], layout.q_f[b - 1]) + layout.q_v + layout.q_k
+            compact += layout.q_f[b - 2 : b - 1] if b > 1 else ()
+            where, n = {q: i for i, q in enumerate(compact)}, len(compact)
+            assert n <= 9
+            sectors = 1 << (n - 3)
+            cols = np.zeros((1 << n, 4 * sectors), dtype=np.complex128)
+            cols[(np.arange(sectors)[:, None] << 3 | np.arange(4)).ravel(), np.arange(4 * sectors)] = 1.0
+            for instr in ev.extraction.instructions:
+                if instr.target in compact[:3]:
+                    moved = sv.GateInstruction(instr.kind, where[instr.target],
+                                               tuple((where[q], c) for q, c in instr.controls), instr.angle)
+                    cols = oracles.dense_gate_matrix(n, moved, None, params) @ cols
+            # no gate changes the sector: column (s, j) stays in rows (s, 0..7)
+            blocks = cols.reshape(sectors, 8, sectors, 4).transpose(0, 2, 1, 3)
+            same = np.arange(sectors)
+            assert np.max(np.abs(blocks[same, same] - v)) <= 1e-12
+            blocks[same, same] = 0.0
+            assert np.max(np.abs(blocks)) == 0.0
+
+    @pytest.mark.parametrize("g,e,m,k,lwm", BLOCK_CONFIGS)
+    def test_transfer_overlaps_give_the_central_differences_of_the_build(self, g, e, m, k, lwm):
+        # L = 2 Re sum_b sum conj(G_b) V_b: reverse mode through each block's factors, from V_b and conj(G_b),
+        # against central differences of _build in every parameter; the head's and the tail's have none, and
+        # V_b, which the forward reuses, is left as it was
+        config = qc.CircuitConfig(g, e, m, k, lwm)
+        ev = qc.get_evaluator(config)
+        rng = np.random.default_rng(1270 + 100 * g + e)
+        params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
+        units, _, pairs, transfers = ev._build(params)
+        weights = [rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape) for v in transfers]
+        kept = [v.copy() for v in transfers]
+        overlaps = np.zeros(units.shape, dtype=np.complex128)
+        block_overlaps, kernel_units = ev._block_units(overlaps), ev._kernel_units(units)
+        for b, (v, c) in enumerate(zip(transfers, weights)):
+            qc._transfer_overlaps(v, c.copy(), None if pairs is None else pairs[b], kernel_units[b], block_overlaps[b])
+            assert np.array_equal(v, kept[b])
+        got = sv._derivative_dots(sv._unit_generators(params[::3], units), overlaps).ravel()
+
+        def loss(p):
+            return sum(2 * np.real(np.sum(c * v)) for c, v in zip(weights, ev._build(p)[-1]))
+
+        h, want = 1e-6, np.empty_like(got)
+        for i in range(len(params)):
+            step = np.zeros_like(params)
+            step[i] = h
+            want[i] = (loss(params + step) - loss(params - step)) / (2 * h)
+        nv = config.value_qubits
+        assert np.max(np.abs(got[: 3 * nv])) == 0.0 and np.max(np.abs(got[-3 * nv :])) == 0.0
+        assert np.max(np.abs(got)) > 1.0
+        assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("nv,kernels", [(1, 1), (3, 2), (2, 4)])
+    def test_kernel_sectors_are_a_view_of_exactly_the_sectors_where_the_units_act(self, nv, kernels):
+        # sector s = (q_f[b-2], q_k, q_v) from the highest bit: value qubit w's kernel units act where bit w is
+        # 1, and after block 1 also the top bit
+        for after_first in (False, True):
+            sectors = kernels << nv + after_first
+            v = np.arange(sectors * 32, dtype=np.complex128).reshape(sectors, 8, 4)
+            for w in range(nv):
+                x = qc._kernel_sectors(v, w, nv, kernels)
+                assert np.shares_memory(x, v) and x.shape == (kernels, 1 << nv - 1 - w, 1 << w, 2, 2, 2, 4)
+                s = np.arange(sectors)
+                top = s >> nv + kernels.bit_length() - 1  # q_f[b-2] after block 1, else 0
+                acting = s[(s >> w & 1 == 1) & (top == 1 if after_first else top == 0)]
+                assert sorted(np.real(x[..., 0, 0, 0, 0]).ravel() // 32) == list(acting)
+                # within a sector, (q_f[b-1], y_b, x_b) is its row, from the highest bit
+                assert np.all(np.real(x).reshape(-1, 8, 4) % 32 == np.arange(32).reshape(8, 4))
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_kron_factors_puts_the_first_factor_on_the_lowest_bit(self, lead):
+        rng = np.random.default_rng(1280 + len(lead))
+        factors = [rng.normal(size=lead + (2, 2)) + 1j * rng.normal(size=lead + (2, 2)) for _ in range(3)]
+        got = qc._kron_factors(factors)
+        assert got.shape == lead + (8, 8)
+        for index in np.ndindex(*lead):
+            u0, u1, u2 = (u[index] for u in factors)
+            assert np.max(np.abs(got[index] - np.kron(u2, np.kron(u1, u0)))) <= 1e-14
 
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("g,e,m,k,lwm", SCHEDULE_CONFIGS)
@@ -785,8 +833,8 @@ class TestThreeBlocks:
 
 
 class TestBuildCache:
-    """``forward`` keeps the bound ops and transfer matrices of the last
-    parameter values it saw, and rebuilds when the values change."""
+    """``forward`` keeps the unit matrices, value maps and transfer matrices
+    of the last parameter values it saw, and rebuilds when the values change."""
 
     def _spied(self, monkeypatch):
         ev, builds = qc.QuantumEvaluator(CANONICAL), []
@@ -804,6 +852,25 @@ class TestBuildCache:
         ev = qc.get_evaluator(CANONICAL)
         data = rng.uniform(0, np.pi, (rows, CANONICAL.data_arity))
         return data, rng.uniform(0, 2 * np.pi, ev.extraction.param_arity), rng.normal(size=(rows, ev.num_features))
+
+    @pytest.mark.parametrize("slot", [6, -7])  # the first block's LWM unit and the last block's last kernel unit
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected_before_any_build(self, monkeypatch, bad, slot):
+        ev, builds = qc.QuantumEvaluator(qc.CircuitConfig(2, 6, 1, 1)), []
+        real = ev._build
+
+        def build(params):
+            builds.append(params.copy())
+            return real(params)
+
+        monkeypatch.setattr(ev, "_build", build)
+        data = np.full((2, ev.config.data_arity), 0.3)
+        params = np.full(ev.extraction.param_arity, 0.7)
+        ev.forward(data, params)
+        params[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ev.forward(data, params)
+        assert len(builds) == 1 and np.all(ev._built[0] == 0.7)
 
     def test_two_forwards_with_equal_parameters_build_once(self, monkeypatch):
         ev, builds = self._spied(monkeypatch)

@@ -206,26 +206,27 @@ class TestBackward:
         for seg in qm.SEGMENTS:
             assert np.allclose(single[seg], doubled[seg], rtol=1e-11, atol=1e-13)
 
-    def test_one_step_builds_the_unit_parts_in_the_forward_and_sweeps_only_the_builds(self, small_model, monkeypatch):
-        # the forward builds the parts three times, for the encoding, for binding the blocks' ops and for
-        # the head's and the tail's units; the backward reads them and the measured state from its cache;
-        # the only sweeps are each block's build: the head, the tail and the measurement run none
+    def test_one_step_builds_the_unit_parts_in_the_forward_and_runs_no_sweep(self, small_model, monkeypatch):
+        # the forward builds the parts twice, for the encoding and for every extraction unit; the backward reads
+        # them and the measured state from its cache; nothing runs a compiled sweep
         rng = np.random.default_rng(8)
         images = rng.uniform(0, 1, (2, 16, 16, 2))
         store = random_store(small_model, rng)
         ev, calls = small_model.evaluator, []
-        real_unit_parts, real_run = circuits.sv._unit_parts, circuits.sv.run_compiled
+        real_unit_parts = circuits.sv._unit_parts
 
         def unit_parts(angles):
             calls.append("unit parts")
             return real_unit_parts(angles)
 
-        def run_compiled(compiled, *args, **kwargs):
-            calls.append("sweep")
-            return real_run(compiled, *args, **kwargs)
+        def sweep(name):
+            def refuse(*args, **kwargs):
+                calls.append(name)
+
+            return refuse
 
         # and that cache holds the unit states and parts, not their angle derivatives, each block's input, the
-        # bound ops, transfer matrices and value units and maps
+        # unit matrices, value maps, LWM pairs and transfer matrices
         real_backward, cached = ev.backward, []
 
         def backward(cache, *args):
@@ -233,11 +234,12 @@ class TestBackward:
             return real_backward(cache, *args)
 
         monkeypatch.setattr(circuits.sv, "_unit_parts", unit_parts)
-        monkeypatch.setattr(circuits.sv, "run_compiled", run_compiled)
+        for name in ("run_compiled", "unapply_compiled"):
+            monkeypatch.setattr(circuits.sv, name, sweep(name))
         monkeypatch.setattr(ev, "backward", backward)
         small_model.loss_and_grads(images, np.array([0, 2]), store)
-        assert calls == ["unit parts"] * 2 + ["sweep"] * len(ev._blocks) + ["unit parts"]
-        assert cached == [["inputs", "maps", "ops", "parts", "phi", "states", "transfers", "units"]]
+        assert calls == ["unit parts"] * 2
+        assert cached == [["inputs", "maps", "pairs", "parts", "phi", "states", "transfers", "units"]]
 
     def test_a_forward_only_batch_builds_no_derivative_arrays(self, small_model, monkeypatch):
         # every array the unit parts hand out holds one value per unit, none a (3, ...) stack of angle derivatives
@@ -253,9 +255,8 @@ class TestBackward:
         monkeypatch.setattr(circuits.sv, "_unit_parts", unit_parts)
         small_model.forward_batch(images, store)
         config = small_model.circuit_config
-        nv = config.value_qubits
-        blocks = small_model.evaluator.extraction.param_arity // 3 - 2 * nv  # units but the head's and the tail's
-        shapes = [(2, config.grid_size**2, nv), (blocks,), (2, nv)]
+        units = small_model.evaluator.extraction.param_arity // 3
+        shapes = [(2, config.grid_size**2, config.value_qubits), (units,)]
         assert [[a.shape for a in parts] for parts in returned] == [[shape] * 3 for shape in shapes]
 
 

@@ -516,20 +516,20 @@ class TestSweepContract:
             assert oracles.relative_error(grads[row], want) <= 1e-5
 
     def test_unapply_leaves_bound_ops_as_they_were(self):
-        # a bound schedule runs bit for bit the same after an un-apply of it: the
-        # evaluator reuses its bound ops across steps with the same parameters
+        # compiled ops run bit for bit the same after an un-apply of them: ``compile_program``
+        # caches them, so every sweep of one program shares the same ops
         from quanvnet import circuits as qc
 
         rng = np.random.default_rng(505)
         ev = qc.QuantumEvaluator(qc.CircuitConfig(3, 9, 2, 2))
         params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
-        ops = sv.bind_params(ev._ops, params)
+        ops = sv.compile_program(ev.extraction)
         start = random_stack(rng, 2, ev.layout.total_qubits)
         first, second = start.copy(), start.copy()
-        sv.run_compiled(ops, first)
+        sv.run_compiled(ops, first, None, params)
         sv.unapply_compiled(ops, first.copy(), random_stack(rng, 2, ev.layout.total_qubits), None, params,
                             len(params))
-        sv.run_compiled(ops, second)
+        sv.run_compiled(ops, second, None, params)
         assert np.max(np.abs(first - start)) > 1e-3 and np.array_equal(first, second)
 
     def test_one_data_vector_shared_by_all_rows_gives_each_row_its_own_gradients(self):
@@ -622,7 +622,7 @@ class TestSweepContract:
 
 
 # ---------------------------------------------------------------------------
-# dense blocks: runs of uncontrolled ops fused by fuse_layers
+# any register width and the column layout
 # ---------------------------------------------------------------------------
 
 
@@ -646,102 +646,6 @@ def random_layered_program(rng, n, layers):
     return CircuitProgram(n, instrs, data_arity=1, param_arity=slot)
 
 
-class TestFuseLayers:
-    N = 9
-
-    def test_blocks_take_consecutive_uncontrolled_ops_on_distinct_qubits(self):
-        rng = np.random.default_rng(1000)
-        blocks = set()
-        for _ in range(20):
-            ops = sv.compile_program(random_layered_program(rng, self.N, 12))
-            i = 0
-            for op in sv.fuse_layers(ops):
-                if op.kind != "B":
-                    assert op is ops[i]
-                    i += 1
-                    continue
-                members = ops[i : i + sum(f is not None for f in op.factors)]
-                i += len(members)
-                targets = [m.target for m in members]
-                assert len(members) >= 2 and all(m.kind in ("H", "U") and not m.controls for m in members)
-                assert len(set(targets)) == len(targets)
-                assert len(op.factors) <= sv.MAX_BLOCK_QUBITS
-                assert op.low == min(targets)
-                assert op.low + len(op.factors) - 1 == max(targets)
-                assert [op.factors[q - op.low] for q in targets] == [m.slots or "H" for m in members]
-                assert (op.matrix is None) == any(m.kind == "U" for m in members)
-                blocks.add((op.low == 0, op.matrix is None))
-            assert i == len(ops)
-        assert blocks == {(True, True), (True, False), (False, True), (False, False)}
-
-    def test_fused_sweeps_match_the_per_unit_sweeps(self):
-        rng = np.random.default_rng(1001)
-        for _ in range(5):
-            prog = random_layered_program(rng, self.N, 12)
-            ops = sv.compile_program(prog)
-            fused = sv.fuse_layers(ops)
-            assert len(fused) < len(ops)
-            data = rng.uniform(-np.pi, np.pi, (3, 1))
-            params = rng.uniform(-2 * np.pi, 2 * np.pi, prog.param_arity)
-            before = random_stack(rng, 3, self.N)
-            want, got = before.copy(), before.copy()
-            sv.run_compiled(ops, want, data, params)
-            sv.run_compiled(fused, got, data, params)
-            assert np.max(np.abs(got - want)) <= 1e-10
-            bra = random_stack(rng, 3, self.N)
-            want_grads = sv.adjoint_sweep(ops, want, bra, data, params, prog.param_arity)
-            ket, bra_fused = got.copy(), bra.copy()
-            got_grads = sv.unapply_compiled(fused, ket, bra_fused, data, params, prog.param_arity)
-            assert np.max(np.abs(ket - before)) <= 1e-10
-            for g, w in zip(got_grads, want_grads):
-                assert np.max(np.abs(w)) > 1e-3
-                assert np.max(np.abs(g - w)) <= 1e-10
-
-    def test_unit_derivatives_from_a_block_match_central_differences(self):
-        # one block: H and three units on qubits 0-4; measure every qubit
-        rng = np.random.default_rng(1002)
-        n = 5
-        prog = CircuitProgram(n, [GateInstruction("H", 1)] + unit(2, (), 0) + unit(4, (), 3) + unit(0, (), 6),
-                              param_arity=9)
-        (block,) = sv.fuse_layers(sv.compile_program(prog))
-        assert block.low == 0 and block.factors[1] == "H" and block.factors[3] is None
-        ops = [MeasurementOperator((q,), (int(rng.choice([-1, 1])),)) for q in range(n)]
-        cot = rng.normal(size=n)
-        start = random_stack(rng, 1, n)
-        params = rng.uniform(0, 2 * np.pi, 9)
-
-        def final(p):
-            psi = start.copy()
-            sv.run_compiled((block,), psi, None, p)
-            return psi
-
-        def loss(p):
-            return sum(c * sv.expectation(sv.QuantumState(n, final(p)[0]), op) for c, op in zip(cot, ops))
-
-        psi = final(params)
-        bra = sum(c * sv.apply_measurement_operator(sv.QuantumState(n, psi[0]), op) for c, op in zip(cot, ops))
-        got, _ = sv.adjoint_sweep((block,), psi, bra[None, :], None, params, 9)
-        assert oracles.relative_error(got, oracles.central_differences(loss, params)) <= 1e-5
-
-    @pytest.mark.parametrize("slot", [6, -7])  # the first block's LWM unit and the last block's last kernel unit
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_parameters_rejected_before_any_block(self, bad, slot):
-        from quanvnet import circuits as qc
-
-        ev = qc.get_evaluator(qc.CircuitConfig(2, 6, 1, 1))
-        params = np.full(ev.extraction.param_arity, 0.7)
-        params[slot] = bad
-        rng = np.random.default_rng(1003)
-        ket, bra = random_stack(rng, 2, ev.layout.total_qubits), random_stack(rng, 2, ev.layout.total_qubits)
-        before = ket.copy(), bra.copy()
-        assert ev._ops[0].kind == "B" and ev._ops[-1].kind == "M"
-        with pytest.raises(ValueError, match="finite"):
-            sv.run_compiled(ev._ops, ket, None, params)
-        with pytest.raises(ValueError, match="finite"):
-            sv.unapply_compiled(ev._ops, ket, bra, None, params, len(params))
-        assert np.array_equal(ket, before[0]) and np.array_equal(bra, before[1])
-
-
 class TestAnyRegisterWidth:
     """A compiled op folds every qubit above its own into one axis behind the
     batch axis, so ops compiled for n qubits run unchanged on a stack with
@@ -750,16 +654,16 @@ class TestAnyRegisterWidth:
     N = 6
 
     def _program(self, rng):
-        # blocks, lone and controlled units, then H/X/Z and constant- and
+        # lone and controlled units, then H/X/Z and constant- and
         # data-bound rotations under value-0 and value-1 controls
         layered = random_layered_program(rng, self.N, 6)
         mixed = random_program(rng, self.N, 30, data_arity=3)
         prog = CircuitProgram(self.N, layered.instructions + mixed.instructions, 3, layered.param_arity)
-        ops = sv.fuse_layers(sv.compile_program(prog))
+        ops = sv.compile_program(prog)
         kinds = {op.kind for op in ops}
-        assert {"B", "U"} <= kinds and kinds & {"H", "X", "Z"}
-        assert any(op.kind != "B" and op.angle is not None and op.angle[0] == "data" for op in ops)
-        assert any(op.kind != "B" and 0 in dict(op.controls).values() for op in ops)
+        assert "U" in kinds and kinds & {"H", "X", "Z"}
+        assert any(op.angle is not None and op.angle[0] == "data" for op in ops)
+        assert any(0 in dict(op.controls).values() for op in ops)
         return prog, ops
 
     @pytest.mark.parametrize("extra", [1, 3])
@@ -799,9 +703,9 @@ class TestColumnLayout:
     N = 6
 
     def _ops(self):
-        # per low qubit 0-3: a constant block, every kind of single op under
-        # controls (rotations bound to per-row data), a parameterised block
-        # and a fused controlled unit
+        # per low qubit 0-3: two Hadamards, every kind of single op under
+        # controls (rotations bound to per-row data), two uncontrolled units
+        # around a Hadamard and a controlled unit
         instrs, slot = [], 0
         for low in range(4):
             instrs += [GateInstruction("H", low), GateInstruction("H", low + 2)]
@@ -814,11 +718,8 @@ class TestColumnLayout:
             instrs += unit((low + 4) % self.N, ((low, 0),), slot + 6)
             slot += 9
         prog = CircuitProgram(self.N, instrs, data_arity=3, param_arity=slot)
-        ops = sv.fuse_layers(sv.compile_program(prog))
-        assert {(op.low, op.matrix is None) for op in ops if op.kind == "B"} == {
-            (low, p) for low in range(4) for p in (False, True)
-        }
-        assert {op.kind for op in ops} == set(sv.GATE_KINDS) | {"B", "U"}
+        ops = sv.compile_program(prog)
+        assert {op.kind for op in ops} == set(sv.GATE_KINDS) | {"U"}
         return prog, ops
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -869,133 +770,5 @@ class TestColumnLayout:
         params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
         _, _, cache = ev.forward(data, params)
         ev.backward(cache, params, rng.normal(size=(3, ev.num_features)))
-        # forward: the two blocks' builds; backward: ket and bra in each block's un-apply
-        assert entries == exits == [True] * 6
-
-
-# ---------------------------------------------------------------------------
-# multiplexors: runs of controlled units, one per control pattern, as one op
-# ---------------------------------------------------------------------------
-
-
-def kernel_run(target, pattern, fixed, first_slot, order=None):
-    """One fused unit per pattern of the ``pattern`` qubits (in ``order``, a
-    permutation of the patterns), each under the ``fixed`` controls too."""
-    units, patterns = [], list(range(1 << len(pattern)))
-    for i, p in enumerate(patterns if order is None else order):
-        controls = tuple((q, (p >> j) & 1) for j, q in enumerate(pattern)) + fixed
-        units += unit(target, controls, first_slot + 3 * i)
-    return units
-
-
-class TestFuseMultiplexors:
-    N = 6
-
-    def _fused(self, instrs):
-        arity = 1 + max(i.angle[1] for i in instrs if i.angle is not None)
-        return sv.fuse_multiplexors(sv.compile_program(CircuitProgram(self.N, instrs, param_arity=arity)))
-
-    @pytest.mark.parametrize("value", [0, 1])
-    def test_a_run_that_covers_every_pattern_once_becomes_one_op(self, value):
-        (op,) = self._fused(kernel_run(5, (1, 3), ((0, value),), 0, order=[2, 0, 3, 1]))
-        assert op.kind == "M" and op.target == 5
-        assert dict(op.controls) == {0: value, 1: None, 3: None}
-        # one slot triple per pattern, bit of qubit 3 first, broadcast along the pattern axes
-        triples = op.slots.reshape(-1, 3).tolist()
-        assert triples == [[3, 4, 5], [9, 10, 11], [0, 1, 2], [6, 7, 8]]
-        assert op.angle == param_slot(0)
-
-    def test_other_runs_stay_per_unit(self):
-        full = kernel_run(5, (1, 3), ((0, 1),), 0)
-        missing = full[:9]
-        repeated = full[:9] + unit(5, ((1, 0), (3, 0), (0, 1)), 12)
-        moved = full[:9] + unit(4, ((1, 1), (3, 1), (0, 1)), 9)
-        flipped = full[:9] + unit(5, ((1, 1), (3, 1), (0, 0)), 9)  # a fixed control with another value
-        for instrs in (missing, repeated, moved, flipped):
-            assert all(op.kind == "U" for op in self._fused(instrs))
-        # a differing fixed control ends nothing: with every value it is one more pattern qubit
-        both = kernel_run(5, (1, 3), ((0, 1),), 0) + kernel_run(5, (1, 3), ((0, 0),), 12)
-        (op,) = self._fused(both)
-        assert dict(op.controls) == {0: None, 1: None, 3: None}
-
-    def test_runs_end_at_any_other_op(self):
-        run, h = kernel_run(5, (1, 3), ((0, 1),), 0), [GateInstruction("H", 2)]
-        assert [op.kind for op in self._fused(run[:9] + h + run[9:])] == ["U", "U", "U", "H", "U"]
-        # each half covers qubit 1's two values under qubit 3 fixed: a multiplexor of its own
-        halves = self._fused(run[:6] + h + run[6:])
-        assert [(op.kind, dict(op.controls)) for op in halves] == [
-            ("M", {0: 1, 1: None, 3: 0}), ("H", {}), ("M", {0: 1, 1: None, 3: 1}),
-        ]
-        assert [op.kind for op in self._fused(run + [GateInstruction("X", 5)] + kernel_run(5, (2,), (), 12))] == [
-            "M", "X", "M",
-        ]
-
-
-def random_multiplexed_program(rng, n, runs):
-    """Complete kernel runs on random targets, pattern and fixed qubits
-    (values 0 and 1, patterns in random order), between uncontrolled units,
-    Hadamards, data-bound rotations and an incomplete run."""
-    instrs, slot = [GateInstruction("H", q) for q in range(n)], 0
-    for _ in range(runs):
-        qubits = [int(q) for q in rng.permutation(n)]
-        target, pattern = qubits[0], tuple(qubits[1 : 1 + int(rng.integers(1, 4))])
-        fixed = tuple((q, int(rng.integers(2))) for q in qubits[1 + len(pattern) :][: int(rng.integers(3))])
-        instrs += kernel_run(target, pattern, fixed, slot, order=rng.permutation(1 << len(pattern)))
-        slot += 3 << len(pattern)
-        instrs += unit(int(rng.integers(n)), (), slot) + [GateInstruction("RY", target, fixed, data_slot(0))]
-        slot += 3
-    instrs += kernel_run(0, (1, 2), (), slot)[:9]
-    return CircuitProgram(n, instrs, data_arity=1, param_arity=slot + 9)
-
-
-class TestMultiplexedSweeps:
-    """Schedules with multiplexors, bound or not, against the per-unit gate list."""
-
-    N = 6
-
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_match_the_gate_list_on_amplitudes_and_gradients(self, rows):
-        rng = np.random.default_rng(1600 + rows)
-        for _ in range(6):
-            prog = random_multiplexed_program(rng, self.N, 4)
-            ops = sv.compile_program(prog)
-            fused = sv.fuse_multiplexors(sv.fuse_layers(ops))
-            assert sum(op.kind == "M" for op in fused) == 4 and "U" in {op.kind for op in fused}
-            data = rng.uniform(-np.pi, np.pi, (rows, 1))
-            params = rng.uniform(-2 * np.pi, 2 * np.pi, prog.param_arity)
-            start, bra = random_stack(rng, rows, self.N), random_stack(rng, rows, self.N)
-            want = start.copy()
-            sv.run_compiled(ops, want, data, params)
-            want_grads = sv.adjoint_sweep(ops, want, bra, data, params, prog.param_arity)
-            for schedule in (fused, sv.bind_params(fused, params)):
-                ket, got_bra = start.copy(), bra.copy()
-                sv.run_compiled(schedule, ket, data, params)
-                assert np.max(np.abs(ket - want)) <= 1e-10
-                got_grads = sv.unapply_compiled(schedule, ket, got_bra, data, params, prog.param_arity)
-                assert np.max(np.abs(ket - start)) <= 1e-10
-                for got, expected in zip(got_grads, want_grads):
-                    assert got.shape == expected.shape and np.max(np.abs(expected)) > 1e-3
-                    assert np.max(np.abs(got - expected)) <= 1e-10
-
-    def test_bind_builds_every_unit_matrix_in_one_pass(self, monkeypatch):
-        rng = np.random.default_rng(1610)
-        prog = random_multiplexed_program(rng, self.N, 3)
-        fused = sv.fuse_multiplexors(sv.fuse_layers(sv.compile_program(prog)))
-        params = rng.uniform(-2 * np.pi, 2 * np.pi, prog.param_arity)
-        calls = []
-        real = sv._unit_matrix
-
-        def unit_matrix(angles):
-            calls.append(len(angles))
-            return real(angles)
-
-        monkeypatch.setattr(sv, "_unit_matrix", unit_matrix)
-        bound = sv.bind_params(fused, params)
-        units = sum(np.size(op.slots) // 3 for op in fused if op.kind in ("U", "M"))
-        units += sum(len(op.slots) for op in fused if op.kind == "B")
-        assert calls == [units] == [prog.param_arity // 3]
-        assert all(a is b for a, b in zip(sv.bind_params(bound, params), bound)) and calls == [units]  # at no cost
-        ket = random_stack(rng, 2, self.N)
-        sv.run_compiled(bound, ket, np.zeros((2, 1)), params)
-        sv.unapply_compiled(bound, ket, random_stack(rng, 2, self.N), np.zeros((2, 1)), params, prog.param_arity)
-        assert len(calls) == 1
+        # the evaluator builds its transfer matrices in closed form: it runs no sweep at all
+        assert entries == exits == []
