@@ -289,10 +289,9 @@ class QuantumEvaluator:
     (``_transfer_overlaps``); the head's come like the tail's, and one
     ``_derivative_dots`` reads every parameter gradient from the overlaps.
     At the encoding each data angle's gradient follows from the unit states
-    and parts. ``program`` and
-    ``compiled`` hold the whole program, encoding first, unfused, as the
-    per-unit gate-list reference, and ``operators`` the measurement family;
-    the three are built on first use.
+    and parts. ``program`` and ``compiled`` hold the whole program, encoding
+    first, one op per gate, as the gate-list reference, and ``operators`` the
+    measurement family; the three are built on first use.
     """
 
     def __init__(self, config: CircuitConfig):
@@ -348,7 +347,7 @@ class QuantumEvaluator:
         matrices: on the columns sum_s |s>|j>, q_f[b-1] = 0, per value qubit w its LWM pair on (x_b, y_b),
         then on q_f[b-1] its kernel units (kappa, x_b, y_b) in the sectors where they act (``_kernel_sectors``)."""
         nv, kernels = self.config.value_qubits, self.config.kernels_per_block
-        units = np.stack(sv._unit_matrix(params.reshape(-1, 3)), axis=-1).reshape(-1, 2, 2)
+        units = np.stack(_unit_matrix(params.reshape(-1, 3)), axis=-1).reshape(-1, 2, 2)
         maps = [[(low, _kron_factors(u[low : low + MAX_BLOCK_QUBITS])) for low in range(0, nv, MAX_BLOCK_QUBITS)]
                 for u in (units[:nv], units[-nv:])]  # the head's and the tail's unit on q_v[j] are their j-th
         blocks = self._block_units(units)
@@ -382,7 +381,7 @@ class QuantumEvaluator:
         sv._check_binding(data, self.config.data_arity, "data")
         sv._check_binding(params, self.extraction.param_arity, "params")
         n, nv, rows = self.layout.total_qubits, self.config.value_qubits, len(data)
-        p, a, b = parts = sv._unit_parts(data.reshape(rows, -1, nv, 3))  # (row, superpixel, value qubit)
+        p, a, b = parts = _unit_parts(data.reshape(rows, -1, nv, 3))  # (row, superpixel, value qubit)
         states = np.array([p * a, np.conj(p) * b])  # R_Z R_Y R_X|0>, each unit matrix's first column
         # the superpixels as the location pairs, block 1's first, ahead of the rows
         bits = states.reshape((2, rows) + (2,) * len(self._pair_axes) + (nv,))
@@ -476,7 +475,7 @@ class QuantumEvaluator:
         x = inputs.pop().reshape(1, size, -1)  # block 1's input, the head's output
         bra = bra.reshape(x.shape)
         overlaps[: cfg.value_qubits] = _value_overlaps(head, bra, x)
-        generators = sv._unit_generators(params[::3], units)
+        generators = _unit_generators(params[::3], units)
         param_grads = sv._derivative_dots(generators, overlaps).ravel()
         bra = _times_factors([(low, u.T) for low, u in head], bra, x)
         # bra is now the conjugate cotangent state before the head; with the encoding's scale and in (row,
@@ -498,6 +497,28 @@ class QuantumEvaluator:
         e0, e1 = env[0] * p, env[1] * np.conj(p)
         grads = [np.imag(e1 * np.conj(a) - e0 * np.conj(b)), np.real(e1 * a - e0 * b), np.imag(e0 * a - e1 * b)]
         return param_grads, np.stack(grads, -1).reshape(len(p), -1)
+
+
+def _unit_parts(angles: np.ndarray) -> tuple:
+    """The parts (p, a, b) of R_Z R_Y R_X for units' RX, RY, RZ angles (..., 3), each of shape (...):
+    R_Z = diag(p, conj(p)), R_Y R_X|0> = (a, b)."""
+    half = 0.5 * np.moveaxis(angles, -1, 0)
+    (ca, cb, cc), (sa, sb, sc) = np.cos(half), np.sin(half)
+    return cc - 1j * sc, cb * ca + 1j * (sb * sa), sb * ca - 1j * (cb * sa)
+
+
+def _unit_matrix(angles: np.ndarray) -> tuple:
+    """Entries (m00, m01, m10, m11) of R_Z R_Y R_X, assembled from ``_unit_parts``."""
+    p, a, b = _unit_parts(angles)
+    return p * a, -p * np.conj(b), np.conj(p) * b, np.conj(p * a)
+
+
+def _unit_generators(rx_angles: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The (units, 3, 2, 2) generators of units U = R_Z R_Y R_X with matrices ``u`` moved before them, U G' being
+    U's derivative in each angle: G_X, R_X^dag G_Y R_X and U^dag G_Z U (R_Z commutes with Z)."""
+    rx = np.reshape(sv._rotation("RX", rx_angles), (2, 2, -1)).transpose(2, 0, 1)
+    moved = [np.conj(v).swapaxes(1, 2) @ sv._MATRICES[kind] @ v for v, kind in ((rx, "RY"), (u, "RZ"))]
+    return np.stack([np.broadcast_to(sv._MATRICES["RX"], u.shape)] + moved, axis=1)
 
 
 def _value_overlaps(maps, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:

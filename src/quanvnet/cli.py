@@ -57,7 +57,7 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"no config file at {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # bad or too deeply nested JSON
         raise ConfigError(f"malformed config file: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} does not hold a JSON object")

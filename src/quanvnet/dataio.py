@@ -185,17 +185,14 @@ def read_split_raw(directory, manifest: dict, split: str):
         if not p.is_file():
             raise DataError(f"missing dataset file {p}")
     expected_bytes = n * h * w * c * 4
-    blob = tensor_path.read_bytes()
-    if len(blob) != expected_bytes:
-        raise DataError(
-            f"tensor file {tensor_path.name} holds {len(blob)} bytes, "
-            f"expected {expected_bytes} for {n} samples"
-        )
-    images = np.frombuffer(blob, dtype="<f4").reshape(n, h, w, c)
-    labels_blob = label_path.read_bytes()
-    if len(labels_blob) != n * 2:
-        raise DataError(f"label file {label_path.name} holds {len(labels_blob)} bytes, expected {n * 2}")
-    labels = np.frombuffer(labels_blob, dtype="<u2").astype(np.int64)
+    size = tensor_path.stat().st_size  # both sizes are checked before either file is read
+    if size != expected_bytes:
+        raise DataError(f"tensor file {tensor_path.name} holds {size} bytes, expected {expected_bytes} for {n} samples")
+    size = label_path.stat().st_size
+    if size != n * 2:
+        raise DataError(f"label file {label_path.name} holds {size} bytes, expected {n * 2}")
+    images = np.frombuffer(tensor_path.read_bytes(), dtype="<f4").reshape(n, h, w, c)
+    labels = np.frombuffer(label_path.read_bytes(), dtype="<u2").astype(np.int64)
     if labels.size and labels.max() >= manifest["num_classes"]:
         raise DataError(
             f"split {split} contains label {labels.max()} but manifest declares "

@@ -493,33 +493,31 @@ def load_checkpoint(path):
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no checkpoint at {path}")
-    raw = path.read_bytes()
-    newline = raw.find(b"\n")
-    header = raw[:newline].decode("ascii", errors="replace") if newline >= 0 else ""
-    magic, _, length = header.partition(" ")
-    if magic != CHECKPOINT_MAGIC:
-        raise DataError(f"{path} is not a checkpoint file (no '{CHECKPOINT_MAGIC} <length>' header line)")
-    if not (length.isascii() and length.isdigit()):
-        raise DataError(f"checkpoint {path}: manifest length {length!r} in the header is not an integer")
-    start = newline + 1
-    offset = start + int(length)
-    if offset > len(raw):
-        raise DataError(f"checkpoint {path} is truncated inside its manifest")
-    try:
-        manifest = json.loads(raw[start:offset])
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
-        raise DataError(f"checkpoint {path}: manifest is not valid JSON: {exc}") from exc
-    lengths, arrays, step, config = _checked_manifest(manifest, path)
-    payload = 8 * sum(lengths[seg] for _, seg in arrays)
-    if len(raw) - offset != payload:
-        raise DataError(
-            f"checkpoint {path} has {len(raw) - offset} array bytes, its manifest declares {payload}"
-        )
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        line = fh.readline(64)  # the header line alone, so that no other file is read whole
+        magic, _, length = line[:-1].decode("ascii", errors="replace").partition(" ")
+        if magic != CHECKPOINT_MAGIC or line[-1:] != b"\n":
+            raise DataError(f"{path} is not a checkpoint file (no '{CHECKPOINT_MAGIC} <length>' header line)")
+        if not (length.isascii() and length.isdigit()):
+            raise DataError(f"checkpoint {path}: manifest length {length!r} in the header is not an integer")
+        offset = len(line) + int(length)
+        if offset > size:
+            raise DataError(f"checkpoint {path} is truncated inside its manifest")
+        try:
+            manifest = json.loads(fh.read(int(length)))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
+            raise DataError(f"checkpoint {path}: manifest is not valid JSON: {exc}") from exc
+        lengths, arrays, step, config = _checked_manifest(manifest, path)
+        payload = 8 * sum(lengths[seg] for _, seg in arrays)
+        if size - offset != payload:
+            raise DataError(f"checkpoint {path} has {size - offset} array bytes, its manifest declares {payload}")
+        raw, offset = fh.read(), 0
     store = ParameterStore({}, {}, {}, step=step)
     for kind, seg in arrays:
-        size = lengths[seg]
-        arr = np.frombuffer(raw, dtype="<f8", count=size, offset=offset).copy()
-        offset += size * 8
+        count = lengths[seg]
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).copy()
+        offset += count * 8
         if not np.all(np.isfinite(arr)):
             raise DataError(f"checkpoint {path}: array {kind}:{seg} holds non-finite values")
         {"segment": store.segments, "adam_m": store.adam_m, "adam_v": store.adam_v}[kind][seg] = arr

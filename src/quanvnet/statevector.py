@@ -8,21 +8,20 @@ Conventions, fixed once so amplitude dumps are reproducible bit-for-bit:
   ``A in {X, Y, Z}``.
 * Everything is double-precision complex; no sampling noise.
 
-``compile_program`` turns a program into ops, each param-bound RX, RY, RZ
-run on one target and control pattern into one fused unit ``R_Z R_Y R_X``.
-Every op is one controlled 2x2 matrix (constant entries for H, X, Z and
-constant angles, per-row arrays for data angles, ``_unit_matrix``'s for
-units), applied by one kernel to the control-matching pairs as strided views
-of the states' columns, a C-contiguous ``(2**k, batch)`` array for any
-register that holds the op's qubits; a per-row entry broadcasts on the batch
-axis. ``run_compiled`` and ``unapply_compiled`` take ``(batch, dim)``
-stacks. The reverse sweep un-applies each op once from ket and bra in place,
-by its conjugate transpose, reads every angle derivative from the 2x2
-overlap of the pairs it wrote by one formula, and leaves both stacks at the
-fragment's start. ``adjoint_sweep`` runs it on copies. These ops are the
-gate-list reference that the tests replay; ``_unit_parts``,
-``_unit_matrix``, ``_unit_generators`` and ``_derivative_dots`` also serve
-the closed-form evaluator in ``circuits``.
+``compile_program`` turns a program into ops, one per instruction. Every op
+is one controlled 2x2 matrix (constant entries for H, X, Z and constant
+angles, per-row arrays for data angles), applied by one kernel to the
+control-matching pairs as strided views of the states' columns, a
+C-contiguous ``(2**k, batch)`` array for any register that holds the op's
+qubits; a per-row entry broadcasts on the batch axis. ``run_compiled`` and
+``adjoint_sweep`` take ``(batch, dim)`` stacks of any layout and copy them
+into columns once. ``run_compiled`` writes the result back; ``adjoint_sweep``
+un-applies each op once from ket and bra copies, by its conjugate transpose,
+reads every angle derivative from the 2x2 overlap of the pairs it wrote by
+one formula, and leaves its inputs unchanged. These ops are the gate-list
+reference that the tests and the benchmark's checks replay; it builds no
+matrix with the closed-form evaluator's formulas in ``circuits``, which
+share only ``_rotation``, ``_MATRICES`` and ``_derivative_dots``.
 """
 
 from __future__ import annotations
@@ -193,12 +192,11 @@ _MATRICES = {
 
 @dataclass
 class _CompiledGate:
-    kind: str  # a GATE_KINDS entry, or "U" for a fused RX, RY, RZ unit
+    kind: str  # a GATE_KINDS entry
     num_qubits: int
     target: int
     controls: tuple  # (qubit, required value) pairs
-    angle: tuple | None  # angle source; a fused unit carries its RX slot
-    slots: tuple  # a unit's RX, RY, RZ param slots
+    angle: tuple | None  # angle source
     entries: tuple | None  # (m00, m01, m10, m11) when fixed at compile time, else None
     # The kernel: ``sel0``/``sel1`` pick the control-matching pairs with target
     # bit 0/1 as strided views of the columns reshaped to ``shape + (batch,)``.
@@ -232,7 +230,7 @@ def basis_indices(qubits: tuple) -> np.ndarray:
     return index
 
 
-def _compile_gate(num_qubits: int, kind: str, target: int, controls: tuple, angle, slots=()) -> _CompiledGate:
+def _compile_gate(num_qubits: int, kind: str, target: int, controls: tuple, angle) -> _CompiledGate:
     """One op with its kernel: a reshape of the columns with one axis for
     all qubits above the op's highest fixed (target or control) qubit, one
     per fixed qubit and one per run of free qubits between them, ahead of
@@ -256,30 +254,13 @@ def _compile_gate(num_qubits: int, kind: str, target: int, controls: tuple, angl
     sel0, sel1 = (tuple(sel[:axis] + [bit] + sel[axis + 1 :]) for bit in (0, 1))
     const = angle is not None and angle[0] == "const"
     entries = tuple(_MATRICES[kind].ravel().tolist()) if angle is None else _rotation(kind, angle[1]) if const else None
-    return _CompiledGate(kind, num_qubits, target, controls, angle, slots, entries, tuple(shape), sel0, sel1)
-
-
-def _fusable(run: tuple) -> bool:
-    """True for param-bound RX, RY, RZ in that order on one target and controls."""
-    return (
-        tuple(g.kind for g in run) == ROTATION_KINDS
-        and all(g.angle[0] == "param" for g in run)
-        and len({(g.target, frozenset(g.controls)) for g in run}) == 1
-    )
+    return _CompiledGate(kind, num_qubits, target, controls, angle, entries, tuple(shape), sel0, sel1)
 
 
 @lru_cache(maxsize=32)
 def compile_program(program: CircuitProgram) -> tuple:
-    """Compile every instruction to one op with its kernel, fusing each
-    param-bound RX, RY, RZ run that shares a target and controls into one
-    unit op. Data- and constant-bound rotations stay one op each."""
-    out, instrs, i = [], program.instructions, 0
-    while i < len(instrs):
-        run = instrs[i : i + 3] if _fusable(instrs[i : i + 3]) else instrs[i : i + 1]
-        slots, g = tuple(r.angle[1] for r in run) if len(run) == 3 else (), run[0]
-        out.append(_compile_gate(program.num_qubits, "U" if slots else g.kind, g.target, g.controls, g.angle, slots))
-        i += len(run)
-    return tuple(out)
+    """Compile every instruction, in order, to one op with its kernel."""
+    return tuple(_compile_gate(program.num_qubits, g.kind, g.target, g.controls, g.angle) for g in program.instructions)
 
 
 def _bind(data, params) -> tuple:
@@ -300,28 +281,11 @@ def _rotation(kind: str, theta) -> tuple:
     return c + s * g00, s * g01, s * g10, c + s * g11
 
 
-def _unit_parts(angles: np.ndarray) -> tuple:
-    """The parts (p, a, b) of R_Z R_Y R_X for fused units' RX, RY, RZ angles
-    (..., 3), each of shape (...): R_Z = diag(p, conj(p)), R_Y R_X|0> = (a, b)."""
-    half = 0.5 * np.moveaxis(angles, -1, 0)
-    (ca, cb, cc), (sa, sb, sc) = np.cos(half), np.sin(half)
-    return cc - 1j * sc, cb * ca + 1j * (sb * sa), sb * ca - 1j * (cb * sa)
-
-
-def _unit_matrix(angles: np.ndarray) -> tuple:
-    """Entries (m00, m01, m10, m11) of R_Z R_Y R_X, assembled from ``_unit_parts``."""
-    p, a, b = _unit_parts(angles)
-    return p * a, -p * np.conj(b), np.conj(p) * b, np.conj(p * a)
-
-
 def _entries(cg: _CompiledGate, data: np.ndarray, params: np.ndarray) -> tuple:
-    """Matrix entries of one op: fixed at compile time, a fused unit's for
-    its slots, else a rotation's for its parameter or data angle (per row for
-    data rows)."""
+    """Matrix entries of one op: fixed at compile time, else a rotation's for
+    its parameter or data angle (per row for data rows)."""
     if cg.entries is not None:
         return cg.entries
-    if cg.kind == "U":
-        return _unit_matrix(params[list(cg.slots)])
     tag, slot = cg.angle
     return _rotation(cg.kind, data[..., slot] if tag == "data" else params[slot])
 
@@ -342,15 +306,6 @@ def _apply_kernel(cols: np.ndarray, cg: _CompiledGate, m: tuple) -> tuple:
     return new
 
 
-def _unit_generators(rx_angles: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The (units, 3, 2, 2) generators of fused units U = R_Z R_Y R_X with
-    matrices ``u`` moved before them, U G' being U's derivative in each
-    angle: G_X, R_X^dag G_Y R_X and U^dag G_Z U (R_Z commutes with Z)."""
-    rx = np.reshape(_rotation("RX", rx_angles), (2, 2, -1)).transpose(2, 0, 1)
-    moved = [np.conj(v).swapaxes(1, 2) @ _MATRICES[kind] @ v for v, kind in ((rx, "RY"), (u, "RZ"))]
-    return np.stack([np.broadcast_to(_MATRICES["RX"], u.shape)] + moved, axis=1)
-
-
 def _pair_overlaps(b: tuple, k: tuple, per_row: bool) -> np.ndarray:
     """S_ij = sum conj(b_i) k_j over the pairs' axes, and over the rows, the
     last axis, unless ``per_row``: (rows, 2, 2) or (2, 2)."""
@@ -366,84 +321,55 @@ def _derivative_dots(generators: np.ndarray, overlaps: np.ndarray) -> np.ndarray
     on the leading axes.
 
     dU/d(angle) is U G' on the control-matching pairs and zero elsewhere:
-    G' = G_A for a lone R_A, which commutes with it, or a fused unit's moved
-    generator. Units acting on disjoint pairs, or on other qubits, commute
-    with G' and cancel against their un-apply.
+    G' = G_A for a lone R_A, which commutes with it, or a unit's moved
+    generator (``circuits._unit_generators``). Units acting on disjoint
+    pairs, or on other qubits, commute with G' and cancel against their
+    un-apply.
     """
     return 2.0 * np.real(np.einsum("...gij,...ij->...g", generators, overlaps))
 
 
-def _columns(amps: np.ndarray) -> np.ndarray:
-    """The (dim, batch) columns of a (batch, dim) stack: its transpose when
-    that is C-contiguous, else a C-contiguous copy of a row-major stack."""
-    if amps.T.flags.c_contiguous:
-        return amps.T
-    if not amps.flags.c_contiguous:
-        raise ValueError("amplitude stack must be C-contiguous as (batch, dim) or as its transpose")
-    return np.ascontiguousarray(amps.T)
-
-
 def run_compiled(compiled: tuple, amps: np.ndarray, data=None, params=None) -> None:
-    """Run compiled ops in place on a (batch, dim) stack: the transpose of
-    C-contiguous columns in place, a C-contiguous one through one copy.
+    """Run compiled ops on a (batch, dim) stack of any layout: copied once
+    into C-contiguous columns, run there and written back once.
 
     ``data`` holds one row of data angles per state (or one vector for all)
     and ``params`` one vector for all rows; both must be finite.
     """
-    cols = _columns(amps)
     data, params = _bind(data, params)
+    cols = np.array(amps.T, order="C")
     for cg in compiled:
         _apply_kernel(cols, cg, _entries(cg, data, params))
-    if not np.shares_memory(cols, amps):
-        amps[...] = cols.T
-
-
-def unapply_compiled(compiled: tuple, ket: np.ndarray, bra: np.ndarray, data, params, param_arity: int):
-    """Reverse sweep of the adjoint method, in place on two (batch, dim)
-    stacks, each laid out as ``run_compiled`` accepts.
-
-    ``ket`` is the state after ``compiled`` and ``bra`` the cotangent state
-    ``sum_i c_i M_i |psi>`` (per row); each op is un-applied once from both,
-    by the conjugate transpose of its matrix, so they leave as the states
-    before the fragment. Returns ``(param_grads, data_grads)``: parameter
-    gradients summed over the batch, and per-row data gradients of shape
-    (batch, data length), (batch, 0) when ``data`` is None, each read by
-    ``_derivative_dots`` from the 2x2 overlaps of the pairs the un-apply wrote.
-    """
-    kc, bc = _columns(ket), _columns(bra)
-    data, params = _bind(data, params)
-    param_grads = np.zeros(param_arity)
-    data_grads = np.zeros((kc.shape[1], data.shape[-1]))
-    for cg in reversed(compiled):
-        m00, m01, m10, m11 = m = _entries(cg, data, params)
-        inverse = np.conj(m00), np.conj(m10), np.conj(m01), np.conj(m11)  # the conjugate transpose
-        if cg.angle is None or cg.angle[0] == "const":  # no gradient, so no pairs to keep
-            _apply_kernel(kc, cg, inverse)
-            _apply_kernel(bc, cg, inverse)
-            continue
-        # the pair overlaps S_ij = sum conj(b_i) k_j: per row for a data slot, over the batch for parameters
-        tag, slot = cg.angle
-        k, b = _apply_kernel(kc, cg, inverse), _apply_kernel(bc, cg, inverse)
-        if tag == "data":
-            data_grads[:, slot] += _derivative_dots(_MATRICES[cg.kind][None], _pair_overlaps(b, k, True))[:, 0]
-        else:  # over the batch: a fused unit R_Z R_Y R_X has three angles, a lone rotation one
-            if cg.slots:
-                slots, generators = list(cg.slots), _unit_generators(params[slot], np.reshape(m, (1, 2, 2)))
-            else:
-                slots, generators = [slot], _MATRICES[cg.kind][None]
-            param_grads[slots] += _derivative_dots(generators, _pair_overlaps(b, k, False)).ravel()
-        del k, b  # up to two stacks of pairs: free them before the next op's un-apply
-    for rows, cols in ((ket, kc), (bra, bc)):
-        if not np.shares_memory(cols, rows):
-            rows[...] = cols.T
-    return param_grads, data_grads
+    amps[...] = cols.T
 
 
 def adjoint_sweep(compiled: tuple, psi: np.ndarray, bra: np.ndarray, data, params, param_arity: int):
-    """``unapply_compiled`` on copies of ``psi`` (the forward final state)
-    and ``bra``, made as columns: returns ``(param_grads, data_grads)`` and
-    leaves both inputs unchanged."""
-    return unapply_compiled(compiled, psi.T.copy().T, bra.T.copy().T, data, params, param_arity)
+    """Reverse sweep of the adjoint method on two (batch, dim) stacks of any
+    layout, which it leaves unchanged.
+
+    ``psi`` is the state after ``compiled`` and ``bra`` the cotangent state
+    ``sum_i c_i M_i |psi>`` (per row); each op is un-applied once from column
+    copies of both, by the conjugate transpose of its matrix. Returns
+    ``(param_grads, data_grads)``: parameter gradients summed over the batch,
+    and per-row data gradients of shape (batch, data length), (batch, 0) when
+    ``data`` is None, each read by ``_derivative_dots`` from the 2x2 overlaps
+    of the pairs the un-apply wrote.
+    """
+    data, params = _bind(data, params)
+    kc, bc = (np.array(x.T, order="C") for x in (psi, bra))
+    param_grads = np.zeros(param_arity)
+    data_grads = np.zeros((kc.shape[1], data.shape[-1]))
+    for cg in reversed(compiled):
+        m00, m01, m10, m11 = _entries(cg, data, params)
+        inverse = np.conj(m00), np.conj(m10), np.conj(m01), np.conj(m11)  # the conjugate transpose
+        k, b = _apply_kernel(kc, cg, inverse), _apply_kernel(bc, cg, inverse)
+        if cg.angle is not None and cg.angle[0] != "const":
+            # the pair overlaps S_ij = sum conj(b_i) k_j: per row for a data slot, over the batch for a parameter
+            tag, slot = cg.angle
+            grads = data_grads[:, slot] if tag == "data" else param_grads[slot : slot + 1]  # views
+            grads += _derivative_dots(_MATRICES[cg.kind][None], _pair_overlaps(b, k, tag == "data"))[..., 0]
+        del k, b  # two stacks of pairs: free them before the next op's un-apply
+    return param_grads, data_grads
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +426,7 @@ def adjoint_gradients(
     ops,
     cotangents,
 ) -> np.ndarray:
-    """Gradient of ``sum_i cotangents[i] * E(M_i)`` with respect to all param slots.
+    """Gradient of ``sum_i cotangents[i] * E(M_i)`` with respect to every parameter.
 
     One forward simulation plus one backward sweep; cost is independent of the
     number of parameters (up to the per-gate derivative inner products).

@@ -76,15 +76,12 @@ def test_extraction_suffix_sweep_gives_the_full_parameter_gradient():
 def test_compiled_entries_expose_the_counted_fields():
     ev, n_enc, _, _, _ = _setup()
     assert n_enc == 774
-    assert len(ev.compiled) - n_enc == 67  # 1 kernel-register H + 66 fused units
+    assert len(ev.compiled) - n_enc == 199  # 1 kernel-register H + 66 units of RX, RY, RZ, one op per gate
     for cg in ev.compiled:
-        assert cg.kind in sv.GATE_KINDS + ("U",)
+        assert cg.kind in sv.GATE_KINDS
         assert len(cg.idx0) == len(cg.idx1) > 0
         assert cg.angle is None or cg.angle[0] in ("const", "data", "param")
-    units = [cg for cg in ev.compiled if cg.kind == "U"]
-    assert len(units) == 66
-    assert all(cg.angle == sv.param_slot(cg.slots[0]) for cg in units)
-    assert sorted(s for cg in units for s in cg.slots) == list(range(ev.program.param_arity))
+    assert [cg.angle for cg in ev.compiled[n_enc + 1 :]] == [sv.param_slot(j) for j in range(ev.program.param_arity)]
     assert all(cg.angle is not None and cg.angle[0] == "data" for cg in ev.compiled[:n_enc] if cg.kind in sv.ROTATION_KINDS)
 
 
@@ -94,7 +91,7 @@ def test_evaluator_sweeps_run_no_data_bound_op(monkeypatch):
     _, _, data, params, rng = _setup()
     ev = qc.QuantumEvaluator(CANONICAL)
     swept = []
-    for name in ("run_compiled", "unapply_compiled"):
+    for name in ("run_compiled", "adjoint_sweep"):
         real = getattr(sv, name)
 
         def spy(compiled, *args, real=real, name=name, **kwargs):

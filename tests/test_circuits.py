@@ -539,12 +539,12 @@ class TestLazyReference:
     def test_first_access_gives_the_whole_program_encoding_first(self):
         ev = qc.QuantumEvaluator(CANONICAL)
         n_enc = len(qc.build_encoding(CANONICAL, ev.layout).instructions)
-        assert (n_enc, len(ev.compiled) - n_enc) == (774, 67)
+        assert (n_enc, len(ev.compiled) - n_enc) == (774, 199)
         assert ev.compiled is ev.compiled and ev.program is ev.program
         assert ev.program.instructions[n_enc:] == ev.extraction.instructions
 
         def ops(compiled):
-            return [(c.kind, c.target, c.controls, c.angle, c.slots, c.shape) for c in compiled]
+            return [(c.kind, c.target, c.controls, c.angle, c.shape) for c in compiled]
 
         assert ops(ev.compiled[n_enc:]) == ops(sv.compile_program(ev.extraction))
 
@@ -564,15 +564,15 @@ class TestLazyReference:
 class TestFusedSchedule:
     """The evaluator runs no compiled op: it builds every extraction unit's
     matrix in one pass, and from them the value maps and each block's
-    transfer matrices in closed form; ``compiled`` stays the per-unit
-    gate-list reference it is checked against."""
+    transfer matrices in closed form; ``compiled`` stays the per-gate
+    reference it is checked against."""
 
     def test_a_single_image_forward_dispatches_each_op_once(self, monkeypatch):
         # a timing-free latency guard: one pass over every unit's angles and one Kronecker product for the
         # head's value map, one for the tail's and one for all LWM pairs, once per parameter set; the
         # backward builds nothing
         ev, calls = qc.QuantumEvaluator(CANONICAL), []
-        for owner, name in ((sv, "_apply_kernel"), (sv, "_unit_matrix"), (qc, "_kron_factors")):
+        for owner, name in ((sv, "_apply_kernel"), (qc, "_unit_matrix"), (qc, "_kron_factors")):
             real = getattr(owner, name)
 
             def spy(*args, real=real, name=name):
@@ -640,6 +640,28 @@ BLOCK_CONFIGS = [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True), (1
 def _touched(op) -> set:
     """Every qubit an op acts on or is controlled by."""
     return {op.target, *dict(op.controls)}
+
+
+@pytest.mark.parametrize("value", [0, 1])
+@pytest.mark.parametrize("count", range(6))
+def test_unit_matrix_inverts_the_dense_product_of_its_rotations(value, count):
+    # the conjugate transpose of _unit_matrix, applied by a compiled op's kernel on the unit's target and
+    # controls, undoes the oracle's dense product R_Z R_Y R_X on a 7-qubit register
+    n, rng = 7, np.random.default_rng(100 + 10 * count + value)
+    target = int(rng.integers(n))
+    controls = tuple((int(q), value) for q in rng.permutation([q for q in range(n) if q != target])[:count])
+    unit = [sv.GateInstruction(kind, target, controls, sv.param_slot(i)) for i, kind in enumerate(qc.GATE_UNIT)]
+    params = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
+    dense = np.eye(1 << n, dtype=np.complex128)
+    for instr in unit:
+        dense = oracles.dense_gate_matrix(n, instr, params=params) @ dense
+    before = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+    cols = dense @ before
+    assert np.max(np.abs(cols - before)) > 1e-3
+    m00, m01, m10, m11 = qc._unit_matrix(params)
+    (op,) = sv.compile_program(sv.CircuitProgram(n, unit[:1], param_arity=1))
+    sv._apply_kernel(cols, op, (np.conj(m00), np.conj(m10), np.conj(m01), np.conj(m11)))
+    assert np.max(np.abs(cols - before)) <= 1e-10
 
 
 class TestTransferMatrices:
@@ -722,7 +744,7 @@ class TestTransferMatrices:
         for b, (v, c) in enumerate(zip(transfers, weights)):
             qc._transfer_overlaps(v, c.copy(), None if pairs is None else pairs[b], kernel_units[b], block_overlaps[b])
             assert np.array_equal(v, kept[b])
-        got = sv._derivative_dots(sv._unit_generators(params[::3], units), overlaps).ravel()
+        got = sv._derivative_dots(qc._unit_generators(params[::3], units), overlaps).ravel()
 
         def loss(p):
             return sum(2 * np.real(np.sum(c * v)) for c, v in zip(weights, ev._build(p)[-1]))
@@ -782,7 +804,7 @@ class TestTransferMatrices:
             for row, cots in zip(amps, cot)
         ])
         # the whole gate list, encoding and extraction, for the data gradients too
-        want = sv.unapply_compiled(ev.compiled, amps.copy(), bra, data, params, arity)
+        want = sv.adjoint_sweep(ev.compiled, amps, bra, data, params, arity)
         got = ev.backward(cache, params, cot)
         for got_grads, want_grads in zip(got, want):
             assert got_grads.shape == want_grads.shape and np.max(np.abs(want_grads)) > 1e-3
@@ -792,7 +814,7 @@ class TestTransferMatrices:
 class TestThreeBlocks:
     """Blocks 2 and 3 read the consumed axes and q_f[b-2] of the block
     before them; on (4, 9, 3, 2), 15 qubits, the amplitudes are checked
-    against the per-unit gate list (the dense oracle would need a
+    against the per-gate reference (the dense oracle would need a
     2^15 x 2^15 matrix per gate; ``test_statevector.py`` pins the gate list
     to it) and the gradients against the shift rule."""
 

@@ -402,6 +402,15 @@ def test_mistyped_config_file_exits_2(tmp_path, capsys, content, message):
     assert err.startswith("config error:") and message in err
 
 
+def test_too_deeply_nested_config_file_exits_2(dataset_dir, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code = main(["train", "--config", str(path), "--data", str(dataset_dir), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: malformed config file") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("content", [
     {"train_fraction": "0.5"}, {"train_fraction": [0.5]}, {"train_fraction": True},
     {"pad_to": "32"}, {"pad_to": 16.5}, {"data": 5}, {"out": 7}, {"deterministic": "yes"},

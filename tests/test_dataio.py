@@ -138,6 +138,20 @@ class TestRoundTrip:
             assert np.array_equal(images, splits[name][0])
             assert np.array_equal(labels, splits[name][1])
 
+    @pytest.mark.parametrize("key, record", [("tensor_file", 8 * 8 * 3 * 4), ("label_file", 2)])
+    def test_a_file_one_record_too_long_is_rejected_unread(self, tmp_path, monkeypatch, key, record):
+        rng = np.random.default_rng(7)
+        splits = {name: (rng.uniform(0, 1, (5, 8, 8, 3)).astype(np.float32), rng.integers(0, 3, 5))
+                  for name in ("train", "validation", "test")}
+        manifest = dataio.write_dataset(tmp_path, "long", splits, 3)
+        path = tmp_path / manifest["splits"]["train"][key]
+        path.write_bytes(path.read_bytes() + bytes(record))
+        read = []
+        monkeypatch.setattr(type(path), "read_bytes", lambda self: read.append(self) or b"")
+        with pytest.raises(DataError, match=f"holds {6 * record} bytes, expected {5 * record}"):
+            dataio.read_split_raw(tmp_path, manifest, "train")
+        assert read == []
+
 
 class TestSynthetic:
     def test_deterministic_bytes(self, tmp_path):

@@ -213,7 +213,7 @@ class TestBackward:
         images = rng.uniform(0, 1, (2, 16, 16, 2))
         store = random_store(small_model, rng)
         ev, calls = small_model.evaluator, []
-        real_unit_parts = circuits.sv._unit_parts
+        real_unit_parts = circuits._unit_parts
 
         def unit_parts(angles):
             calls.append("unit parts")
@@ -233,8 +233,8 @@ class TestBackward:
             cached.append(sorted(cache))
             return real_backward(cache, *args)
 
-        monkeypatch.setattr(circuits.sv, "_unit_parts", unit_parts)
-        for name in ("run_compiled", "unapply_compiled"):
+        monkeypatch.setattr(circuits, "_unit_parts", unit_parts)
+        for name in ("run_compiled", "adjoint_sweep"):
             monkeypatch.setattr(circuits.sv, name, sweep(name))
         monkeypatch.setattr(ev, "backward", backward)
         small_model.loss_and_grads(images, np.array([0, 2]), store)
@@ -246,13 +246,13 @@ class TestBackward:
         rng = np.random.default_rng(9)
         images = rng.uniform(0, 1, (2, 16, 16, 2))
         store = random_store(small_model, rng)
-        real, returned = circuits.sv._unit_parts, []
+        real, returned = circuits._unit_parts, []
 
         def unit_parts(angles):
             returned.append(real(angles))
             return returned[-1]
 
-        monkeypatch.setattr(circuits.sv, "_unit_parts", unit_parts)
+        monkeypatch.setattr(circuits, "_unit_parts", unit_parts)
         small_model.forward_batch(images, store)
         config = small_model.circuit_config
         units = small_model.evaluator.extraction.param_arity // 3
@@ -449,6 +449,36 @@ class TestCheckpoint:
         b = small_model.forward(image, loaded)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[3], b[3])
+
+    def test_one_record_too_long_is_rejected_before_the_arrays_are_read(self, small_model, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        qm.save_checkpoint(path, small_model.init_store(0), SMALL)
+        header = path.read_bytes().partition(b"\n")[0] + b"\n"
+        with open(path, "ab") as fh:
+            fh.write(bytes(8))  # one float64 more than the manifest declares
+        read, real_open = [], open
+
+        class Recording:  # counts the bytes read through the file object
+            def __init__(self, *args):
+                self.fh = real_open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                def call(*args):
+                    out = getattr(self.fh, name)(*args)
+                    read.append(len(out))
+                    return out
+                return call
+
+        monkeypatch.setattr(qm, "open", Recording, raising=False)
+        with pytest.raises(DataError, match="array bytes"):
+            qm.load_checkpoint(path)
+        assert sum(read) == len(header) + int(header.split()[1]) < path.stat().st_size
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"

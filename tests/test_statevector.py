@@ -313,7 +313,7 @@ def test_dump_amplitudes_format():
 
 
 # ---------------------------------------------------------------------------
-# compiled kernels: fused units on strided views
+# compiled kernels: one op per gate on strided views
 # ---------------------------------------------------------------------------
 
 
@@ -337,25 +337,6 @@ class TestCompiledKernels:
     def _controls(self, rng, target, count, value):
         pool = [q for q in range(self.N) if q != target]
         return tuple((int(q), value) for q in rng.permutation(pool)[:count])
-
-    @pytest.mark.parametrize("value", [0, 1])
-    @pytest.mark.parametrize("count", range(6))
-    def test_fused_unit_matches_dense_product(self, value, count):
-        rng = np.random.default_rng(100 + 10 * count + value)
-        target = int(rng.integers(self.N))
-        prog = CircuitProgram(self.N, unit(target, self._controls(rng, target, count, value)), param_arity=3)
-        (op,) = sv.compile_program(prog)
-        assert op.kind == "U"
-        params = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
-        dense = np.eye(1 << self.N, dtype=np.complex128)
-        for instr in prog.instructions:
-            dense = oracles.dense_gate_matrix(self.N, instr, params=params) @ dense
-        before = random_stack(rng, 3, self.N)
-        after = before.copy()
-        sv.run_compiled((op,), after, None, params)
-        assert np.max(np.abs(after - before @ dense.T)) <= 1e-10
-        sv._apply_kernel(after.T, op, conjugate_transpose(sv._unit_matrix(params[[0, 1, 2]])))
-        assert np.max(np.abs(after - before)) <= 1e-10
 
     @pytest.mark.parametrize("kind", sv.GATE_KINDS)
     def test_single_gates_match_dense_matrix(self, kind):
@@ -404,51 +385,26 @@ class TestCompiledKernels:
         assert np.array_equal(after[:, violating], before[:, violating])
         assert not np.allclose(after[:, ~violating], before[:, ~violating])
 
-    def test_non_contiguous_stack_rejected(self):
+    def test_strided_stack_runs_through_a_copy_and_is_written_back(self):
         prog = CircuitProgram(2, [GateInstruction("H", 0)])
         amps = np.zeros((2, 8), dtype=np.complex128)[:, ::2]
-        with pytest.raises(ValueError):
-            sv.run_compiled(sv.compile_program(prog), amps)
+        amps[:, 0] = 1.0
+        sv.run_compiled(sv.compile_program(prog), amps)
+        assert np.allclose(amps, np.array([[1, 1, 0, 0]] * 2) / np.sqrt(2), atol=1e-15)
 
 
-class TestFusionRules:
-    def _kinds(self, instrs, data_arity=0, param_arity=6):
-        return [op.kind for op in sv.compile_program(CircuitProgram(4, instrs, data_arity, param_arity))]
-
-    def test_param_triple_fused_with_first_slot_as_angle(self):
-        ops = sv.compile_program(CircuitProgram(4, unit(1, ((0, 1),), first_slot=2), param_arity=5))
-        assert [op.kind for op in ops] == ["U"]
-        assert ops[0].angle == param_slot(2) and ops[0].slots == (2, 3, 4)
-
-    def test_control_order_does_not_matter(self):
-        instrs = unit(1, ((0, 1), (2, 0)))
-        instrs[2] = GateInstruction("RZ", 1, ((2, 0), (0, 1)), param_slot(2))
-        assert self._kinds(instrs) == ["U"]
-
-    def test_partial_triples_not_fused(self):
-        assert self._kinds(unit(1, ())[:2]) == ["RX", "RY"]
-        assert self._kinds(unit(1, ())[1:]) == ["RY", "RZ"]
-        rx, ry, rz = unit(1, ())
-        assert self._kinds([ry, rx, rz]) == ["RY", "RX", "RZ"]
-
-    def test_mixed_targets_or_controls_not_fused(self):
-        rx, ry, rz = unit(1, ((0, 1),))
-        assert self._kinds([rx, ry, GateInstruction("RZ", 2, ((0, 1),), param_slot(2))]) == ["RX", "RY", "RZ"]
-        assert self._kinds([rx, GateInstruction("RY", 1, ((0, 0),), param_slot(1)), rz]) == ["RX", "RY", "RZ"]
-        assert self._kinds([rx, ry, GateInstruction("RZ", 1, (), param_slot(2))]) == ["RX", "RY", "RZ"]
-
-    def test_data_or_constant_bound_triples_not_fused(self):
-        assert self._kinds(unit(1, (), tag=data_slot), data_arity=3) == ["RX", "RY", "RZ"]
-        mixed = unit(1, ())
-        mixed[1] = GateInstruction("RY", 1, (), constant(0.3))
-        assert self._kinds(mixed) == ["RX", "RY", "RZ"]
-
-    def test_triples_fuse_after_an_unfused_prefix(self):
-        instrs = [GateInstruction("RX", 3, (), param_slot(5))] + unit(1, ())
-        assert self._kinds(instrs) == ["RX", "U"]
+def test_compile_program_keeps_each_instruction_in_order():
+    # one op per instruction, param-bound RX, RY, RZ runs on one target and controls included
+    rng = np.random.default_rng(410)
+    layered, mixed = random_layered_program(rng, 5, 4), random_program(rng, 5, 30, data_arity=2)
+    prog = CircuitProgram(5, layered.instructions + mixed.instructions, 2, layered.param_arity)
+    ops = sv.compile_program(prog)
+    assert [(op.kind, op.target, op.controls, op.angle) for op in ops] == [
+        (g.kind, g.target, g.controls, g.angle) for g in prog.instructions
+    ]
 
 
-def test_adjoint_gradients_of_fused_units_match_central_differences():
+def test_adjoint_gradients_of_rotation_units_match_central_differences():
     rng = np.random.default_rng(400)
     n, units = 5, 8
     instrs = [GateInstruction("H", q) for q in range(n)]
@@ -459,7 +415,6 @@ def test_adjoint_gradients_of_fused_units_match_central_differences():
         instrs += unit(target, controls, first_slot=3 * u)
         instrs.append(GateInstruction("RX", int(rng.integers(n)), (), data_slot(u)))
     prog = CircuitProgram(n, instrs, data_arity=units, param_arity=3 * units)
-    assert sum(op.kind == "U" for op in sv.compile_program(prog)) == units
     data = rng.uniform(0, np.pi, units)
     params = rng.uniform(0, 2 * np.pi, 3 * units)
     ops = [MeasurementOperator((q,), (int(rng.choice([-1, 1])),)) for q in range(n)]
@@ -527,8 +482,7 @@ class TestSweepContract:
         start = random_stack(rng, 2, ev.layout.total_qubits)
         first, second = start.copy(), start.copy()
         sv.run_compiled(ops, first, None, params)
-        sv.unapply_compiled(ops, first.copy(), random_stack(rng, 2, ev.layout.total_qubits), None, params,
-                            len(params))
+        sv.adjoint_sweep(ops, first, random_stack(rng, 2, ev.layout.total_qubits), None, params, len(params))
         sv.run_compiled(ops, second, None, params)
         assert np.max(np.abs(first - start)) > 1e-3 and np.array_equal(first, second)
 
@@ -539,9 +493,9 @@ class TestSweepContract:
         compiled = sv.compile_program(prog)
         data, params = rng.uniform(0, np.pi, prog.data_arity), rng.uniform(0, 2 * np.pi, prog.param_arity)
         ket, bra = random_stack(rng, 3, 4), random_stack(rng, 3, 4)
-        alone = [sv.unapply_compiled(compiled, ket[r : r + 1].copy(), bra[r : r + 1].copy(), data, params,
-                                     prog.param_arity)[1] for r in range(3)]
-        got = sv.unapply_compiled(compiled, ket, bra, data, params, prog.param_arity)[1]
+        alone = [sv.adjoint_sweep(compiled, ket[r : r + 1], bra[r : r + 1], data, params, prog.param_arity)[1]
+                 for r in range(3)]
+        got = sv.adjoint_sweep(compiled, ket, bra, data, params, prog.param_arity)[1]
         assert got.shape == (3, prog.data_arity)
         assert np.max(np.abs(got[0] - got[1])) > 1e-3
         assert np.max(np.abs(got - np.concatenate(alone))) <= 1e-12
@@ -627,8 +581,9 @@ class TestSweepContract:
 
 
 def random_layered_program(rng, n, layers):
-    """Runs of uncontrolled H ops and fused units on random qubits (repeats
-    allowed), each run ended by a controlled unit, a data-bound RX or an X."""
+    """Runs of uncontrolled H ops and param-bound RX, RY, RZ units on random
+    qubits (repeats allowed), each run ended by a controlled unit, a
+    data-bound RX or an X."""
     instrs, slot = [], 0
     for _ in range(layers):
         for q in rng.integers(n, size=int(rng.integers(1, 8))):
@@ -660,8 +615,8 @@ class TestAnyRegisterWidth:
         mixed = random_program(rng, self.N, 30, data_arity=3)
         prog = CircuitProgram(self.N, layered.instructions + mixed.instructions, 3, layered.param_arity)
         ops = sv.compile_program(prog)
-        kinds = {op.kind for op in ops}
-        assert "U" in kinds and kinds & {"H", "X", "Z"}
+        assert {op.kind for op in ops} & {"H", "X", "Z"}
+        assert any(op.angle is not None and op.angle[0] == "param" for op in ops)
         assert any(op.angle is not None and op.angle[0] == "data" for op in ops)
         assert any(0 in dict(op.controls).values() for op in ops)
         return prog, ops
@@ -687,8 +642,7 @@ class TestAnyRegisterWidth:
                 grads = sv.adjoint_sweep(ops, narrow, bra[:, part].copy(), data, params, prog.param_arity)
                 want_params += grads[0]
                 want_data += grads[1]
-            got_params, got_data = sv.unapply_compiled(ops, ket, bra, data, params, prog.param_arity)
-            assert np.max(np.abs(ket - start)) <= 1e-10
+            got_params, got_data = sv.adjoint_sweep(ops, ket, bra, data, params, prog.param_arity)
             assert got_data.shape == data.shape
             for got, want in ((got_params, want_params), (got_data, want_data)):
                 assert np.max(np.abs(want)) > 1e-3
@@ -696,16 +650,17 @@ class TestAnyRegisterWidth:
 
 
 class TestColumnLayout:
-    """The sweeps run on columns, one per state: the transpose of a
-    C-contiguous (dim, batch) array runs in place, a row-major (batch, dim)
-    stack is copied in and written back, and both give the same results."""
+    """The sweeps run on column copies, one column per state: a row-major
+    (batch, dim) stack and the transpose of a C-contiguous (dim, batch)
+    array give the same results, ``run_compiled`` writes them back, and
+    ``adjoint_sweep`` writes to neither input."""
 
     N = 6
 
     def _ops(self):
         # per low qubit 0-3: two Hadamards, every kind of single op under
-        # controls (rotations bound to per-row data), two uncontrolled units
-        # around a Hadamard and a controlled unit
+        # controls (rotations bound to per-row data), two uncontrolled
+        # param-bound units around a Hadamard and a controlled unit
         instrs, slot = [], 0
         for low in range(4):
             instrs += [GateInstruction("H", low), GateInstruction("H", low + 2)]
@@ -719,7 +674,7 @@ class TestColumnLayout:
             slot += 9
         prog = CircuitProgram(self.N, instrs, data_arity=3, param_arity=slot)
         ops = sv.compile_program(prog)
-        assert {op.kind for op in ops} == set(sv.GATE_KINDS) | {"U"}
+        assert {op.kind for op in ops} == set(sv.GATE_KINDS)
         return prog, ops
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -731,44 +686,15 @@ class TestColumnLayout:
         start, bra = random_stack(rng, rows, self.N), random_stack(rng, rows, self.N)
         row_ket, row_bra = start.copy(), bra.copy()
         col_ket, col_bra = start.T.copy(), bra.T.copy()
-        assert np.shares_memory(sv._columns(col_ket.T), col_ket)
-        # one row is a column too; more rows go through a copy and back
-        assert np.shares_memory(sv._columns(row_ket), row_ket) == (rows == 1)
         sv.run_compiled(ops, row_ket, data, params)
         sv.run_compiled(ops, col_ket.T, data, params)
         assert np.max(np.abs(row_ket - start)) > 1e-3
         assert np.max(np.abs(col_ket.T - row_ket)) <= 1e-12
-        row_grads = sv.unapply_compiled(ops, row_ket, row_bra, data, params, prog.param_arity)
-        col_grads = sv.unapply_compiled(ops, col_ket.T, col_bra.T, data, params, prog.param_arity)
-        assert np.max(np.abs(row_ket - start)) <= 1e-10
-        for rows_state, col_state in ((row_ket, col_ket), (row_bra, col_bra)):
-            assert np.max(np.abs(col_state.T - rows_state)) <= 1e-12
+        after = row_ket.copy(), row_bra.copy(), col_ket.copy(), col_bra.copy()
+        row_grads = sv.adjoint_sweep(ops, row_ket, row_bra, data, params, prog.param_arity)
+        col_grads = sv.adjoint_sweep(ops, col_ket.T, col_bra.T, data, params, prog.param_arity)
+        for stack, kept in zip((row_ket, row_bra, col_ket, col_bra), after):
+            assert np.array_equal(stack, kept)
         for got, want in zip(col_grads, row_grads):
             assert got.shape == want.shape and np.max(np.abs(want)) > 1e-3
             assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_evaluator_sweeps_copy_no_stack(self, monkeypatch):
-        from quanvnet import circuits as qc
-
-        rng = np.random.default_rng(1411)
-        ev = qc.QuantumEvaluator(qc.CircuitConfig(2, 6, 2, 2))
-        entries, exits = [], []
-        real_columns, real_shares = sv._columns, np.shares_memory
-
-        def columns(amps):  # entry: a view, not a copy
-            cols = real_columns(amps)
-            entries.append(real_shares(cols, amps))
-            return cols
-
-        def shares(a, b):  # exit: no write-back when the columns are the stack's own
-            exits.append(real_shares(a, b))
-            return exits[-1]
-
-        monkeypatch.setattr(sv, "_columns", columns)
-        monkeypatch.setattr(np, "shares_memory", shares)
-        data = rng.uniform(-np.pi, np.pi, (3, ev.config.data_arity))
-        params = rng.uniform(0, 2 * np.pi, ev.extraction.param_arity)
-        _, _, cache = ev.forward(data, params)
-        ev.backward(cache, params, rng.normal(size=(3, ev.num_features)))
-        # the evaluator builds its transfer matrices in closed form: it runs no sweep at all
-        assert entries == exits == []
