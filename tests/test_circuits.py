@@ -664,6 +664,25 @@ def test_unit_matrix_inverts_the_dense_product_of_its_rotations(value, count):
     assert np.max(np.abs(cols - before)) <= 1e-10
 
 
+def test_unit_generators_give_the_derivatives_of_the_unit_matrix():
+    # U G'_k = dU/d(angle k) for U = R_Z R_Y R_X, checked by central differences of _unit_matrix
+    rng, h = np.random.default_rng(660), 1e-6
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, (5, 3))
+
+    def matrices(a):
+        return np.stack(qc._unit_matrix(a), axis=-1).reshape(-1, 2, 2)
+
+    u = matrices(angles)
+    generators = qc._unit_generators(angles[:, 0], u)
+    assert generators.shape == (5, 3, 2, 2)
+    for k in range(3):
+        step = np.zeros(3)
+        step[k] = h
+        want = (matrices(angles + step) - matrices(angles - step)) / (2 * h)
+        assert np.max(np.abs(want)) > 1e-2
+        assert np.max(np.abs(u @ generators[:, k] - want)) <= 1e-8
+
+
 class TestTransferMatrices:
     """Block b of the extraction acts on x_b, y_b and q_f[b-1] under controls
     q_v, q_k and q_f[b-2] only, so per pattern of those controls it is one

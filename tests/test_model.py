@@ -422,6 +422,32 @@ class TestEvaluateEndToEnd:
             qm.evaluate(small_model, store, np.zeros((1, 16, 16, 2)), np.zeros(1, dtype=int))
 
 
+def record_reads(monkeypatch) -> list:
+    """Route the model module's ``open`` through a wrapper and return the list
+    of the byte counts read through each file object."""
+    read, real_open = [], open
+
+    class Recording:
+        def __init__(self, *args):
+            self.fh = real_open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            def call(*args):
+                out = getattr(self.fh, name)(*args)
+                read.append(len(out))
+                return out
+            return call
+
+    monkeypatch.setattr(qm, "open", Recording, raising=False)
+    return read
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, small_model, tmp_path):
         rng = np.random.default_rng(12)
@@ -456,29 +482,18 @@ class TestCheckpoint:
         header = path.read_bytes().partition(b"\n")[0] + b"\n"
         with open(path, "ab") as fh:
             fh.write(bytes(8))  # one float64 more than the manifest declares
-        read, real_open = [], open
-
-        class Recording:  # counts the bytes read through the file object
-            def __init__(self, *args):
-                self.fh = real_open(*args)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def __getattr__(self, name):
-                def call(*args):
-                    out = getattr(self.fh, name)(*args)
-                    read.append(len(out))
-                    return out
-                return call
-
-        monkeypatch.setattr(qm, "open", Recording, raising=False)
+        read = record_reads(monkeypatch)
         with pytest.raises(DataError, match="array bytes"):
             qm.load_checkpoint(path)
         assert sum(read) == len(header) + int(header.split()[1]) < path.stat().st_size
+
+    def test_a_file_without_a_header_line_is_rejected_after_its_first_64_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "junk.ckpt"
+        path.write_bytes(qm.CHECKPOINT_MAGIC.encode() + b" " + b"1" * (1 << 16) + b"\n")
+        read = record_reads(monkeypatch)
+        with pytest.raises(DataError, match="not a checkpoint file"):
+            qm.load_checkpoint(path)
+        assert read == [64]
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"

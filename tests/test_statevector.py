@@ -698,3 +698,19 @@ class TestColumnLayout:
         for got, want in zip(col_grads, row_grads):
             assert got.shape == want.shape and np.max(np.abs(want)) > 1e-3
             assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_strided_stacks_are_read_unchanged_by_the_adjoint_sweep(self):
+        # every other row and column of larger arrays: the sweep copies both stacks in and writes to neither
+        rng = np.random.default_rng(1420)
+        prog, ops = self._ops()
+        data = rng.uniform(-np.pi, np.pi, (3, prog.data_arity))
+        params = rng.uniform(-2 * np.pi, 2 * np.pi, prog.param_arity)
+        ket, bra = (np.zeros((6, 2 << self.N), dtype=np.complex128) for _ in range(2))
+        ket[::2, ::2], bra[::2, ::2] = random_stack(rng, 3, self.N), random_stack(rng, 3, self.N)
+        kept = ket.copy(), bra.copy()
+        strided = sv.adjoint_sweep(ops, ket[::2, ::2], bra[::2, ::2], data, params, prog.param_arity)
+        assert np.array_equal(ket, kept[0]) and np.array_equal(bra, kept[1])
+        packed = sv.adjoint_sweep(ops, ket[::2, ::2].copy(), bra[::2, ::2].copy(), data, params, prog.param_arity)
+        for got, want in zip(strided, packed):
+            assert got.shape == want.shape and np.max(np.abs(want)) > 1e-3
+            assert np.array_equal(got, want)
