@@ -64,8 +64,8 @@ def reconstruction_loss(original: np.ndarray, reconstructed: np.ndarray) -> floa
 def _sigmoid(z):
     e = np.abs(z)  # exp(-|z|) never overflows; equals the two-sided stable form bit for bit
     np.exp(np.negative(e, out=e), out=e)
-    out = np.minimum(z, 0.0)  # exp of it is the numerator: 1 where z >= 0, else exp(z) == exp(-|z|)
-    return np.divide(np.exp(out, out=out), np.add(1.0, e, out=e), out=out)
+    out = np.where(z < 0, e, 1.0)  # the numerator: 1 where z >= 0, else exp(z) == exp(-|z|)
+    return np.divide(out, np.add(1.0, e, out=e), out=out)
 
 
 def _shifted(d, n):

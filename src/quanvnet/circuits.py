@@ -288,9 +288,13 @@ class QuantumEvaluator:
     factors, from a copy of V and from G_s, gives each block unit's overlap
     (``_transfer_overlaps``); the head's come like the tail's, and one
     ``_derivative_dots`` reads every parameter gradient from the overlaps.
-    At the encoding each data angle's gradient follows from the unit states
-    and parts. ``program`` and ``compiled`` hold the whole program, encoding
-    first, one op per gate, as the gate-list reference, and ``operators`` the
+    At the encoding, the forward keeps the unit states in the layout of the
+    bra before the head, (value qubit, 2, location pairs, rows); each value
+    qubit's environment sums every other qubit's state out of the scaled bra,
+    one size-2 axis at a time, and each data angle's gradient follows from it
+    and the parts in that layout, written once into a data row's order.
+    ``program`` and ``compiled`` hold the whole program, encoding first, one
+    op per gate, as the gate-list reference, and ``operators`` the
     measurement family; the three are built on first use.
     """
 
@@ -313,8 +317,9 @@ class QuantumEvaluator:
         signs = measured_qubit_order(config, layout)[:-1]
         rows = np.arange(1 << len(signs)).reshape((2,) * len(signs))
         self._feature_order = rows.transpose([measured.index(q) for q in signs]).ravel()
-        # superpixel s = (x << g) | y has bit 2g - 1 - j on q_l[j]: the branches' location axes as those bits
-        self._pair_axes = tuple(layout.q_l.index(q) for q in sum(pairs, ()))
+        # superpixel s = (x << g) | y has bit 2g - 1 - j on q_l[j]: the axes of a data row's superpixel bits, value
+        # qubit and angle in the encoding's layout, (value qubit, location pairs, block 1's first, row, angle)
+        self._unit_axes = (2 * g + 1,) + tuple(1 + layout.q_l.index(q) for q in sum(pairs, ())) + (0, 2 * g + 2)
         # H on each measured bit but q_f[-1], as (low, matrix) factors on at most MAX_BLOCK_QUBITS bits of the
         # feature index each, from bit low up: H on k bits is (-1)^popcount(i & j) / sqrt(2^k)
         w, self._hadamards = len(signs), []
@@ -364,6 +369,12 @@ class QuantumEvaluator:
             transfers.append(v.reshape(-1, 8, 4))
         return units, maps, pairs, transfers
 
+    def _by_unit(self, data: np.ndarray) -> np.ndarray:
+        """Data rows, or their gradients, as a view on the encoding's layout: (value qubit, location pairs, block
+        1's first, row, angle)."""
+        bits = (2,) * (2 * self.config.grid_log)
+        return data.reshape((len(data),) + bits + (self.config.value_qubits, 3)).transpose(self._unit_axes)
+
     def _block_units(self, a: np.ndarray) -> np.ndarray:
         """The blocks' part of a (units, ...) array in program order, as (M, nv, units per value qubit, ...)."""
         nv = self.config.value_qubits
@@ -381,14 +392,14 @@ class QuantumEvaluator:
         sv._check_binding(data, self.config.data_arity, "data")
         sv._check_binding(params, self.extraction.param_arity, "params")
         n, nv, rows = self.layout.total_qubits, self.config.value_qubits, len(data)
-        p, a, b = parts = _unit_parts(data.reshape(rows, -1, nv, 3))  # (row, superpixel, value qubit)
-        states = np.array([p * a, np.conj(p) * b])  # R_Z R_Y R_X|0>, each unit matrix's first column
-        # the superpixels as the location pairs, block 1's first, ahead of the rows
-        bits = states.reshape((2, rows) + (2,) * len(self._pair_axes) + (nv,))
-        states_by_pair = bits.transpose((0,) + tuple(2 + j for j in self._pair_axes) + (1, bits.ndim - 1))
-        branch = states_by_pair[..., 0]
+        # the unit states R_Z R_Y R_X|0>, each unit matrix's first column, as (value qubit, 2, location pairs, rows)
+        p, a, b = parts = _unit_parts(self._by_unit(data))
+        states = np.empty((nv, 2) + p.shape[1:], dtype=np.complex128)
+        np.multiply(p, a, out=states[:, 0])
+        np.multiply(np.conjugate(p, out=states[:, 1]), b, out=states[:, 1])
+        branch = states[0]
         for k in range(1, nv):  # value qubit k on bit k of the leading axis
-            branch = (states_by_pair[:, None, ..., k] * branch[None]).reshape((-1,) + branch.shape[1:])
+            branch = (states[k][:, None] * branch[None]).reshape((-1,) + branch.shape[1:])
         if self._built is None or not np.array_equal(self._built[0], params):
             self._built = (params.copy(),) + self._build(params)  # a copy: adam_step updates the store in place
         _, units, (head, tail), pairs, transfers = self._built
@@ -478,33 +489,49 @@ class QuantumEvaluator:
         generators = _unit_generators(params[::3], units)
         param_grads = sv._derivative_dots(generators, overlaps).ravel()
         bra = _times_factors([(low, u.T) for low, u in head], bra, x)
-        # bra is now the conjugate cotangent state before the head; with the encoding's scale and in (row,
-        # superpixel, value) form, each data angle's gradient is 2 Re <bra| d(encoded state)/d angle>, and only
-        # its superpixel's branch depends on it
-        nv, bits = cfg.value_qubits, (2,) * len(self._pair_axes)
-        states, (p, a, b) = cache["states"], cache["parts"]
-        conj = np.empty((rows,) + bits + (size,), dtype=np.complex128)
-        superpixel_axes = tuple(1 + np.argsort(self._pair_axes))
-        np.multiply(bra.reshape((size,) + bits + (rows,)).transpose((-1,) + superpixel_axes + (0,)),
-                    self._encoding_scale, out=conj)
-        conj = conj.reshape((rows, -1) + (2,) * nv)  # axis 1 + nv - n holds value qubit n
+        # bra is now the conjugate cotangent state before the head, (value, location pairs, rows) as the branches;
+        # with the encoding's scale, each data angle's gradient is 2 Re <bra| d(encoded state)/d angle>, and only
+        # its superpixel's branch depends on it: per value qubit its environment, every other value qubit's unit
+        # state summed out of the branch, one size-2 axis at a time on the unit states in the same layout
+        nv, states, (p, a, b) = cfg.value_qubits, cache["states"], cache["parts"]
+        x, units = bra.reshape(size, -1) * self._encoding_scale[:, None], states.reshape(nv, 2, -1)
         env = np.empty(states.shape, dtype=np.complex128)
-        for n in range(nv):  # contract every other value qubit's state out of the branch
-            others = [op for m in range(nv) if m != n for op in (states[..., m], [1 + nv - m, 0, 1])]
-            env[..., n] = np.einsum(conj, [0, 1, *range(2, 2 + nv)], *others, [1 + nv - n, 0, 1])
+        for n in range(nv):
+            y = x
+            for m in reversed(range(nv)):  # from the top, so that qubit m is on bit m of what is left
+                if m != n:
+                    y = y.reshape(-1, 2, 1 << m, y.shape[-1])
+                    y = y[:, 0] * units[m, 0] + y[:, 1] * units[m, 1]
+            env[n] = y.reshape(env.shape[1:])
         # 2 Re <env| d(R_Z u)/d angle> for u = R_Y R_X|0> = (a, b): in the RX angle du = i conj(b, -a)/2, in RY's
         # du = (-b, a)/2, and R_Z's generator -iZ/2 commutes with it, so in RZ's d(R_Z u) = R_Z (-i)(a, -b)/2
-        e0, e1 = env[0] * p, env[1] * np.conj(p)
-        grads = [np.imag(e1 * np.conj(a) - e0 * np.conj(b)), np.real(e1 * a - e0 * b), np.imag(e0 * a - e1 * b)]
-        return param_grads, np.stack(grads, -1).reshape(len(p), -1)
+        e0, e1 = env[:, 0] * p, env[:, 1] * np.conj(p)
+        data_grads = np.empty((rows, cfg.data_arity))
+        rx, ry, rz = np.moveaxis(self._by_unit(data_grads), -1, 0)
+        rx[...] = np.imag(e1 * np.conj(a) - e0 * np.conj(b))
+        ry[...] = np.real(e1 * a - e0 * b)
+        rz[...] = np.imag(e0 * a - e1 * b)
+        return param_grads, data_grads
 
 
 def _unit_parts(angles: np.ndarray) -> tuple:
     """The parts (p, a, b) of R_Z R_Y R_X for units' RX, RY, RZ angles (..., 3), each of shape (...):
-    R_Z = diag(p, conj(p)), R_Y R_X|0> = (a, b)."""
-    half = 0.5 * np.moveaxis(angles, -1, 0)
-    (ca, cb, cc), (sa, sb, sc) = np.cos(half), np.sin(half)
-    return cc - 1j * sc, cb * ca + 1j * (sb * sa), sb * ca - 1j * (cb * sa)
+    R_Z = diag(p, conj(p)), R_Y R_X|0> = (a, b). Each half angle's cosine and sine are (1 - t^2) / (1 + t^2) and
+    2t / (1 + t^2) for t = tan(angle / 4): a tangent costs a fraction of a cosine and a sine, and at its poles,
+    angle = 2 pi (2k + 1), t ~ 1e16 still gives -1 and ~1e-16."""
+    t = np.tan(np.multiply(angles.reshape(-1, 3), 0.25))
+    r = np.multiply(t, t)
+    np.divide(2.0, np.add(r, 1.0, out=r), out=r)  # 2 / (1 + t^2) = 1 + cos
+    (sa, sb, sc), (ca, cb, cc) = np.multiply(t, r, out=t).T, np.subtract(r, 1.0, out=r).T
+    parts = np.empty((3, len(t), 2))  # p, a, b as (real, imaginary) pairs
+    (p_re, a_re, b_re), (p_im, a_im, b_im) = parts[..., 0], parts[..., 1]
+    np.copyto(p_re, cc)
+    np.negative(sc, out=p_im)
+    np.multiply(cb, ca, out=a_re)
+    np.multiply(sb, sa, out=a_im)
+    np.multiply(sb, ca, out=b_re)
+    np.negative(np.multiply(cb, sa, out=b_im), out=b_im)
+    return tuple(parts.view(np.complex128).reshape((3,) + angles.shape[:-1]))
 
 
 def _unit_matrix(angles: np.ndarray) -> tuple:

@@ -253,9 +253,10 @@ class HybridModel:
         out = {"probs": probs, "processed": processed, "features": features}
         if cfg.reconstruction_enabled and reconstruct:
             recon_patches, dec_cache = self.autoencoder.decode(store.segments["autoencoder"], angles)
-            out["reconstruction"] = unpatchify(recon_patches.reshape(tiles.shape))
-            if with_caches:
+            if with_caches:  # the training loss reads the reconstruction in patch layout, as dec_cache["sig"]
                 out["dec_cache"] = dec_cache
+            else:
+                out["reconstruction"] = unpatchify(recon_patches.reshape(tiles.shape))
         else:
             out["reconstruction"] = None
         if with_caches:
@@ -310,9 +311,12 @@ class HybridModel:
         dangles = data_grads.reshape(-1, cfg.features).T
 
         if cfg.reconstruction_enabled:
-            l_mse = reconstruction_loss(images, out["reconstruction"])
-            scale = cfg.alpha * 2.0 / (batch * cfg.image_size**2 * cfg.channels)
-            dout = scale * (out["dec_cache"]["sig"] - out["enc_cache"]["patches"])
+            # one difference in patch layout: its mean square is reconstruction_loss, every image having the same
+            # number of elements, and scaled in place it is the decoder output's gradient
+            dout = np.subtract(out["dec_cache"]["sig"], out["enc_cache"]["patches"])
+            flat = dout.ravel()
+            l_mse = float(np.einsum("i,i->", flat, flat)) / flat.size  # a sequential sum, unlike a BLAS dot
+            dout *= cfg.alpha * 2.0 / dout.size
             grad_ae, dangles_recon = self.autoencoder.decode_backward(
                 store.segments["autoencoder"], out["dec_cache"], dout
             )

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -681,6 +683,24 @@ def test_unit_generators_give_the_derivatives_of_the_unit_matrix():
         want = (matrices(angles + step) - matrices(angles - step)) / (2 * h)
         assert np.max(np.abs(want)) > 1e-2
         assert np.max(np.abs(u @ generators[:, k] - want)) <= 1e-8
+
+
+def test_unit_parts_match_the_cosine_and_sine_of_the_half_angles():
+    # the parts come from t = tan(angle / 4); each angle slot also takes the tangent's poles 2 pi (2k + 1), zero,
+    # the tiniest and huge magnitudes, with the unit's other angles random
+    rng = np.random.default_rng(690)
+    special = np.concatenate([2 * np.pi * (2 * np.arange(-3, 4) + 1), [0.0, 1e-300, -1e-300, 1e15, -1e15]])
+    angles = rng.uniform(-1e3, 1e3, (1000 + 3 * len(special), 3))
+    for k in range(3):
+        angles[1000 + k * len(special) : 1000 + (k + 1) * len(special), k] = special
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parts = qc._unit_parts(angles)
+    (cx, cy, cz), (sx, sy, sz) = np.cos(angles / 2).T, np.sin(angles / 2).T
+    want = (cz - 1j * sz, cy * cx + 1j * sy * sx, sy * cx - 1j * cy * sx)  # p, and R_Y R_X|0> = (a, b)
+    for got, w in zip(parts, want):
+        assert got.shape == (len(angles),)
+        assert np.max(np.abs(got - w)) <= 1e-15
 
 
 class TestTransferMatrices:

@@ -194,6 +194,16 @@ class TestBackward:
         for seg in qm.SEGMENTS:
             assert np.allclose(grads_off[seg], grads_zero[seg], atol=1e-15)
 
+    @pytest.mark.parametrize("config", [SMALL, qm.ModelConfig()])
+    def test_the_training_reconstruction_term_is_the_reconstruction_loss(self, config):
+        # loss_and_grads takes its mean square in patch layout; reconstruction_loss averages per image
+        model, rng = qm.HybridModel(config), np.random.default_rng(17)
+        images = rng.uniform(0, 1, (3, config.image_size, config.image_size, config.channels))
+        store = random_store(model, rng)
+        l_mse = model.loss_and_grads(images, np.arange(3) % config.num_classes, store)[1]
+        want = qm.reconstruction_loss(images, model.forward_batch(images, store)["reconstruction"])
+        assert want > 0 and abs(l_mse - want) <= 1e-14 * want
+
     def test_duplicated_batch_gives_same_gradients(self, small_model):
         rng = np.random.default_rng(7)
         images = rng.uniform(0, 1, (3, 16, 16, 2))
@@ -256,7 +266,7 @@ class TestBackward:
         small_model.forward_batch(images, store)
         config = small_model.circuit_config
         units = small_model.evaluator.extraction.param_arity // 3
-        shapes = [(2, config.grid_size**2, config.value_qubits), (units,)]
+        shapes = [(config.value_qubits,) + (2,) * (2 * config.grid_log) + (2,), (units,)]  # (qubit, pairs, row)
         assert [[a.shape for a in parts] for parts in returned] == [[shape] * 3 for shape in shapes]
 
 
