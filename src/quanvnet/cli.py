@@ -117,13 +117,20 @@ def _seed(merged: dict) -> int:
 
 def _load_data(merged: dict, needed: tuple, config: qm.ModelConfig, reader: str) -> dict:
     """The dataset's splits in ``needed``; each must hold samples, and an
-    image shape other than ``config``'s or a label past the ``num_classes``
-    of ``reader`` is a config error."""
+    image shape other than ``config``'s (from the manifest, and for padded
+    images before any split is read) or a label past the ``num_classes`` of
+    ``reader`` is a config error."""
     if not merged.get("data"):
         raise ConfigError("--data is required")
     data_dir = Path(merged["data"])
     if not data_dir.is_dir():
         raise DataError(f"dataset directory {data_dir} does not exist")
+    h, w, c = dataio.read_manifest(data_dir)["image_shape"]
+    grow = max(0, (merged.get("pad_to") or 0) - h)  # zero_pad grows both sides by pad_to - h and rejects a shrink
+    shape, provided = (config.image_size, config.image_size, config.channels), (h + grow, w + grow, c)
+    mismatch = ConfigError(f"the model reads {shape} images, dataset provides {provided}")
+    if grow and provided != shape:  # before the padding is allocated
+        raise mismatch
     data = dataio.load_dataset(
         data_dir,
         needed,
@@ -132,12 +139,11 @@ def _load_data(merged: dict, needed: tuple, config: qm.ModelConfig, reader: str)
         seed=_seed(merged),
         pad_to=merged.get("pad_to"),
     )
-    shape = (config.image_size, config.image_size, config.channels)
     for split in needed:
         if data[split][1].size == 0:
             raise DataError(f"the {split} split of {data_dir} holds no samples")
-        if data[split][0].shape[1:] != shape:
-            raise ConfigError(f"the model reads {shape} images, dataset provides {data[split][0].shape[1:]}")
+    if provided != shape:  # unpadded, after the splits: a malformed split is a data error first
+        raise mismatch
     if max(int(data[split][1].max()) for split in needed) >= config.num_classes:
         raise ConfigError(f"dataset has more classes than {reader}")
     return data

@@ -192,6 +192,9 @@ def read_split_raw(directory, manifest: dict, split: str):
     if size != n * 2:
         raise DataError(f"label file {label_path.name} holds {size} bytes, expected {n * 2}")
     images = np.frombuffer(tensor_path.read_bytes(), dtype="<f4").reshape(n, h, w, c)
+    if not np.isfinite(images).all():
+        first = np.argmin(np.isfinite(images).reshape(n, -1).all(axis=1))
+        raise DataError(f"tensor file {tensor_path.name} holds a NaN or infinite pixel in sample {first}")
     labels = np.frombuffer(label_path.read_bytes(), dtype="<u2").astype(np.int64)
     if labels.size and labels.max() >= manifest["num_classes"]:
         raise DataError(

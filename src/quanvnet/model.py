@@ -45,6 +45,12 @@ DATA_SLOT_BYTES = 64
 # on E = 18, g = M = K = 1).
 TRANSFER_COPIES = 6
 BLOCK_BUFFER_BYTES = 4 << 16
+# The classifier's (features + 1) x classes parameters: a run holds at most 11 float64 copies of them (the store,
+# its Adam moments and the best checkpoint's, the gradient and the update's temporaries) and 3 (batch, classes)
+# arrays (tracemalloc peak of a two-epoch run and its checkpoint and evaluation, 1000-4000 classes, batch 2-512);
+# the budget counts one more of each.
+CLASSIFIER_COPIES = 12
+CLASS_ROW_COPIES = 4
 STATE_BUDGET_BYTES = 2 << 30
 
 
@@ -97,6 +103,13 @@ class ModelConfig:
             raise ConfigError(
                 f"batch_size {self.batch_size} on {qubits} qubits needs {state_bytes / 2**30:.3g} GiB of "
                 f"state stacks, unit states and transfer matrices, over the {STATE_BUDGET_BYTES >> 30} GiB budget"
+            )
+        features = circuit.num_feature_values
+        classifier_bytes = 8 * self.num_classes * (CLASSIFIER_COPIES * (features + 1) + CLASS_ROW_COPIES * self.batch_size)
+        if classifier_bytes > STATE_BUDGET_BYTES:
+            raise ConfigError(
+                f"num_classes {self.num_classes} on {features} features needs {classifier_bytes / 2**30:.3g} GiB of "
+                f"classifier copies, over the {STATE_BUDGET_BYTES >> 30} GiB budget"
             )
 
     @property
@@ -449,11 +462,9 @@ def evaluate(model: HybridModel, store: ParameterStore, images: np.ndarray, labe
     predicted = np.concatenate([out["probs"].argmax(axis=1) for _, out in chunks])
     labels = np.asarray(labels)
     c = model.config.num_classes
-    confusion = np.zeros((c, c), dtype=np.int64)
-    np.add.at(confusion, (labels, predicted), 1)
-    tp = np.diag(confusion).astype(np.float64)
-    predicted_count = confusion.sum(axis=0)
-    actual_count = confusion.sum(axis=1)
+    # per-class counts, not a c x c confusion matrix: memory stays linear in the class count
+    tp = np.bincount(labels[predicted == labels], minlength=c).astype(np.float64)
+    predicted_count, actual_count = np.bincount(predicted, minlength=c), np.bincount(labels, minlength=c)
     precision = np.divide(tp, predicted_count, out=np.zeros(c), where=predicted_count > 0)
     recall = np.divide(tp, actual_count, out=np.zeros(c), where=actual_count > 0)
     denom = precision + recall

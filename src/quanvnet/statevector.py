@@ -11,9 +11,12 @@ Conventions, fixed once so amplitude dumps are reproducible bit-for-bit:
 ``compile_program`` turns a program into ops, one per instruction. Every op
 is one controlled 2x2 matrix (constant entries for H, X, Z and constant
 angles, per-row arrays for data angles), applied by one kernel to the
-control-matching pairs as strided views of the states' columns, a
-C-contiguous ``(2**k, batch)`` array for any register that holds the op's
-qubits; a per-row entry broadcasts on the batch axis. ``run_compiled`` and
+control-matching pairs. The kernel views the states' columns, a C-contiguous
+``(2**k, batch)`` array, with one size-2 axis per qubit: qubit ``q`` of an
+n-qubit program on axis ``n - q``, the qubits of any wider register folded
+into axis 0 and the batch axis last. Two basic index tuples, one per target
+bit, fix the op's control and target axes and pick its pairs as strided
+views; a per-row entry broadcasts on the batch axis. ``run_compiled`` and
 ``adjoint_sweep`` take ``(batch, dim)`` stacks of any layout and copy them
 into columns once. ``run_compiled`` writes the result back; ``adjoint_sweep``
 un-applies each op once from ket and bra copies, by its conjugate transpose,
@@ -199,8 +202,7 @@ class _CompiledGate:
     angle: tuple | None  # angle source
     entries: tuple | None  # (m00, m01, m10, m11) when fixed at compile time, else None
     # The kernel: ``sel0``/``sel1`` pick the control-matching pairs with target
-    # bit 0/1 as strided views of the columns reshaped to ``shape + (batch,)``.
-    shape: tuple
+    # bit 0/1 as strided views of the columns with one axis per qubit.
     sel0: tuple
     sel1: tuple
 
@@ -209,10 +211,8 @@ class _CompiledGate:
     # what the benchmark reads. They can go when those stop reading them.
     @property
     def idx0(self) -> np.ndarray:
-        """Basis indices with control bits matching, target bit 0."""
-        fixed = {self.target} | {q for q, _ in self.controls}
-        free = tuple(q for q in reversed(range(self.num_qubits)) if q not in fixed)
-        return basis_indices(free) | sum(v << q for q, v in self.controls)
+        """Basis indices with control bits matching, target bit 0, ascending."""
+        return np.arange(1 << self.num_qubits).reshape((-1,) + (2,) * self.num_qubits)[self.sel0].ravel()
 
     @property
     def idx1(self) -> np.ndarray:
@@ -220,41 +220,17 @@ class _CompiledGate:
         return self.idx0 | (1 << self.target)
 
 
-def basis_indices(qubits: tuple) -> np.ndarray:
-    """Basis index of each integer k < 2^len(qubits) whose bits, most
-    significant first, are placed on ``qubits``, other qubits 0."""
-    k = np.arange(1 << len(qubits), dtype=np.int64)
-    index = np.zeros_like(k)
-    for j, q in enumerate(reversed(qubits)):
-        index |= ((k >> j) & 1) << q
-    return index
-
-
 def _compile_gate(num_qubits: int, kind: str, target: int, controls: tuple, angle) -> _CompiledGate:
-    """One op with its kernel: a reshape of the columns with one axis for
-    all qubits above the op's highest fixed (target or control) qubit, one
-    per fixed qubit and one per run of free qubits between them, ahead of
-    the batch axis, the basic index tuples that pick the control-matching
-    pairs with target bit 0 and 1 as strided views, and the matrix entries
-    of H, X, Z and constant-bound rotations."""
-    fixed = dict(controls)
-    fixed[target] = None
-    shape, sel, top = [-1], [slice(None)], max(fixed) + 1
-    for q in sorted(fixed, reverse=True):
-        if top - q > 1:
-            shape.append(1 << (top - q - 1))
-            sel.append(slice(None))
-        shape.append(2)
-        sel.append(fixed[q])
-        top = q
-    if top:
-        shape.append(1 << top)
-        sel.append(slice(None))
-    axis = sel.index(None)
+    """One op: its index tuples into the columns' one-axis-per-qubit view
+    and the matrix entries of H, X, Z and constant-bound rotations."""
+    sel = [slice(None)] * (num_qubits + 1 - min([target, *dict(controls)]))  # to the lowest fixed qubit's axis
+    for q, v in controls:
+        sel[num_qubits - q] = v
+    axis = num_qubits - target
     sel0, sel1 = (tuple(sel[:axis] + [bit] + sel[axis + 1 :]) for bit in (0, 1))
     const = angle is not None and angle[0] == "const"
     entries = tuple(_MATRICES[kind].ravel().tolist()) if angle is None else _rotation(kind, angle[1]) if const else None
-    return _CompiledGate(kind, num_qubits, target, controls, angle, entries, tuple(shape), sel0, sel1)
+    return _CompiledGate(kind, num_qubits, target, controls, angle, entries, sel0, sel1)
 
 
 @lru_cache(maxsize=32)
@@ -291,14 +267,12 @@ def _entries(cg: _CompiledGate, data: np.ndarray, params: np.ndarray) -> tuple:
 
 
 def _apply_kernel(cols: np.ndarray, cg: _CompiledGate, m: tuple) -> tuple:
-    """Apply one compiled op in place to the columns ``cols`` of shape
-    (2**k, batch), for any k that holds the op's qubits, as the controlled
-    2x2 matrix with entries ``m`` = (m00, m01, m10, m11), each a scalar or an
-    array that broadcasts over the pairs (per row).
-    Reads the control-matching pairs as strided views of ``cols``, writes the
-    new values back and returns them, target bit 0 first, as arrays of their own.
+    """Apply one compiled op in place to the columns ``cols``, (2**k, batch)
+    for any k that holds the op's qubits, as the controlled 2x2 matrix with
+    entries ``m`` = (m00, m01, m10, m11), each a scalar or a per-row array.
+    Returns the pairs' new values, target bit 0 first, as arrays of their own.
     """
-    t = cols.reshape(cg.shape + cols.shape[1:])
+    t = cols.reshape((-1,) + (2,) * cg.num_qubits + cols.shape[1:])
     a0, a1 = t[cg.sel0], t[cg.sel1]
     m00, m01, m10, m11 = m
     new = m00 * a0 + m01 * a1, m10 * a0 + m11 * a1

@@ -1,8 +1,8 @@
 """Independent reference implementations used only to check the fast paths.
 
 Everything here is built from first principles (explicit 2x2 matrices,
-Kronecker products, central differences) and deliberately shares no code with
-the package kernels.
+Kronecker products, per-gate slices of a (2,)*n tensor, central differences)
+and deliberately shares no code with the package kernels.
 """
 
 import numpy as np
@@ -82,6 +82,35 @@ def dense_program_state(program, data=None, params=None):
     for instr in program.instructions:
         psi = dense_gate_matrix(program.num_qubits, instr, data, params) @ psi
     return psi
+
+
+def tensor_program_state(program, data=None, params=None):
+    """|psi> gate by gate on a (2,)*n tensor, qubit q on axis n-1-q so that
+    its C order is the basis index: each gate's 2x2 matrix multiplies the
+    target axis of the slice that its control values select."""
+    n = program.num_qubits
+    psi = np.zeros((2,) * n, dtype=np.complex128)
+    psi[(0,) * n] = 1.0
+    for instr in program.instructions:
+        u = single_qubit_matrix(instr.kind, resolve_angle_for_test(instr, data, params))
+        where = [slice(None)] * n
+        for q, v in instr.controls:
+            where[n - 1 - q] = v
+        controls = dict(instr.controls)
+        axis = sum(1 for q in range(instr.target + 1, n) if q not in controls)  # the target's axis in the slice
+        sub = np.moveaxis(psi[tuple(where)], axis, -1)[..., None]  # a view of the slice, the target's axis as rows
+        sub[...] = u @ sub
+    return psi.reshape(-1)
+
+
+def tensor_expectation(num_qubits, psi, op):
+    """<psi|M|psi> for M = prod (I + s X_q): each factor adds s times the
+    state flipped along qubit q's axis (X swaps bit q)."""
+    psi = np.asarray(psi).reshape((2,) * num_qubits)
+    m_psi = psi
+    for q, sign in zip(op.measured_qubits, op.signs):
+        m_psi = m_psi + sign * np.flip(m_psi, axis=num_qubits - 1 - q)
+    return float(np.real(np.vdot(psi, m_psi)))
 
 
 def dense_operator_matrix(num_qubits, op):

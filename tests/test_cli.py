@@ -694,3 +694,49 @@ def test_state_stacks_over_the_memory_budget_exit_2_before_any_output(dataset_di
     assert captured.out == ""
     assert captured.err.startswith("config error: batch_size 50 on 22 qubits needs") and captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, split, sample", [("train", "train", 2), ("eval", "test", 4)])
+def test_a_non_finite_pixel_exits_3_naming_file_and_sample_without_output(dataset_dir, config_file, trained,
+                                                                          tmp_path, capsys, command, split, sample):
+    data = tmp_path / "nan"
+    dataio.generate_synthetic(dataio.SyntheticSpec(num_classes=3, image_size=16, channels=2, train_samples=6,
+                                                   validation_samples=3, test_samples=6, seed=5), data)
+    for name, row in (("train", 2), ("test", 4)):
+        path = data / f"{name}_images.f32"
+        images = np.fromfile(path, dtype="<f4").reshape(-1, 16, 16, 2)
+        images[row, 0, 0, 0] = np.nan
+        images.tofile(path)
+    out = tmp_path / "out"
+    if command == "train":
+        args = train_args(data, config_file, out)
+    else:
+        args = ["eval", "--checkpoint", str(trained / "run0.ckpt"), "--data", str(data), "--out", str(out)]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"data error: tensor file {split}_images.f32 holds a NaN or infinite pixel in sample {sample}\n"
+    assert not out.exists()
+
+
+def test_a_pad_to_past_the_model_exits_2_naming_both_shapes_before_reading_a_split(dataset_dir, config_file,
+                                                                                 tmp_path, capsys, monkeypatch):
+    read = []
+    monkeypatch.setattr(dataio, "read_split_raw", lambda *a: read.append(a))
+    out = tmp_path / "out"
+    code = main(train_args(dataset_dir, config_file, out, "--pad-to", "10000000"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "config error: the model reads (16, 16, 2) images, dataset provides (10000000, 10000000, 2)\n"
+    assert read == [] and not out.exists()
+
+
+def test_a_classifier_over_the_memory_budget_exits_2_before_any_output(dataset_dir, config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(train_args(dataset_dir, config_file, out, "--classes", "100000000000"))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error: num_classes 100000000000 on 16 features needs")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()

@@ -72,6 +72,17 @@ class TestManifestAndLoading:
             dataio.load_dataset(tmp_path)
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_pixel_is_a_data_error_naming_file_and_sample(self, tmp_path, value):
+        dataio.generate_synthetic(small_spec(), tmp_path)
+        path = tmp_path / "validation_images.f32"
+        images = np.fromfile(path, dtype="<f4").reshape(8, 16, 16, 2)
+        images[5, 3, 7, 1] = value
+        images.tofile(path)
+        with pytest.raises(DataError, match="validation_images.f32 holds a NaN or infinite pixel in sample 5$"):
+            dataio.load_dataset(tmp_path)
+        assert set(dataio.load_dataset(tmp_path, ("train", "test"))) == {"train", "test"}
+
 class TestNormalization:
     def test_constant_channel_maps_to_zero(self, tmp_path):
         rng = np.random.default_rng(2)

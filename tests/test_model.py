@@ -543,6 +543,38 @@ def test_state_stacks_over_the_budget_rejected_before_any_allocation():
     qm.ModelConfig(image_size=1024, batch_size=1)
 
 
+
+def test_a_classifier_over_the_budget_rejected_before_any_allocation():
+    # canonical, 64 features at batch 50: CLASSIFIER_COPIES x 65 and CLASS_ROW_COPIES x 50 float64 per class
+    # fit 273913 classes in 2 GiB
+    qm.ModelConfig(num_classes=273913)
+    with pytest.raises(ConfigError, match="num_classes 273914 on 64 features needs 2 GiB"):
+        qm.ModelConfig(num_classes=273914)
+    with pytest.raises(ConfigError, match="num_classes 100000000000 on 64 features"):
+        qm.ModelConfig(num_classes=100_000_000_000)
+
+
+def test_a_run_holds_at_most_classifier_copies_of_a_wide_classifier(tmp_path):
+    # 2000 classes on 64 features: a two-epoch run, its checkpoint and its evaluation peak within the classifier's
+    # copies plus the state budget of its 9 qubits (the run's other arrays are smaller still)
+    config = qm.ModelConfig(image_size=8, patch_size=2, channels=1, blocks=1, num_classes=2000, batch_size=8,
+                            epochs=2, runs=1)
+    model = qm.HybridModel(config)
+    rng = np.random.default_rng(7)
+    images, labels = rng.uniform(0, 1, (8, 8, 8, 1)), rng.integers(0, 3, 8)
+    tracemalloc.start()
+    try:
+        result = qm.train_single_run(model, (images, labels), (images, labels), 0)
+        qm.save_checkpoint(tmp_path / "run0.ckpt", result.best_store, config)
+        qm.evaluate(model, result.best_store, images, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    circuit = config.circuit_config()
+    assert model.num_features == 64 and circuits.make_layout(circuit).total_qubits == 9
+    state = 8 * (qm.STATE_COPIES * (16 << 9) + qm.DATA_SLOT_BYTES * circuit.data_arity) + qm.fixed_state_bytes(circuit)
+    assert peak <= 8 * 2000 * (qm.CLASSIFIER_COPIES * 65 + qm.CLASS_ROW_COPIES * 8) + state
+
 def _evaluator_step_peak(config, rows):
     """(evaluator, amplitudes, features, tracemalloc peak) of one forward and
     backward on a fresh evaluator at ``rows`` random rows."""

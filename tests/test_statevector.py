@@ -162,6 +162,20 @@ class TestRunCircuit:
             want = oracles.dense_program_state(prog, data, params)
             assert np.max(np.abs(got - want)) <= 1e-10
 
+    def test_tensor_oracle_matches_the_dense_oracle_on_the_corpus(self):
+        # the two oracles share only the 2x2 matrices: per-gate slices of a (2,)*n tensor against dense products
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            prog = random_program(rng, n, int(rng.integers(5, 40)), data_arity=4, num_params=3)
+            data = rng.uniform(-np.pi, np.pi, 4)
+            params = rng.uniform(0, 2 * np.pi, 3)
+            psi = oracles.tensor_program_state(prog, data, params)
+            assert np.max(np.abs(psi - oracles.dense_program_state(prog, data, params))) <= 1e-12
+            qubits = rng.permutation(n)[: rng.integers(1, n + 1)]
+            op = MeasurementOperator(tuple(qubits), tuple(rng.choice([-1, 1], qubits.size)))
+            assert abs(oracles.tensor_expectation(n, psi, op) - oracles.dense_expectation(n, psi, op)) <= 1e-12
+
 
 class TestAlgebraicInvariants:
     def _random_state(self, rng, n=4):
