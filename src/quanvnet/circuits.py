@@ -14,6 +14,10 @@ Register conventions (all indices little-endian into the simulator):
 * Convolution block ``b`` consumes location bits ``(x_b, y_b)``: a 2x2 kernel
   with stride 2, so after ``M`` blocks the surviving map coordinates are the
   top ``g-M`` bits of each axis.
+* ``make_layout`` numbers the qubits in the evaluator's state order, the
+  slowest axis on qubit ``n-1``: ``q_v`` and ``q_k``, each from its last qubit
+  down, then per block ``b`` its ``q_f[b-1]``, ``y_b``, ``x_b``, then the
+  location pairs no block consumes. The ``q_l`` list keeps the order above.
 """
 
 from __future__ import annotations
@@ -97,11 +101,11 @@ class RegisterLayout:
 
 
 def make_layout(config: CircuitConfig) -> RegisterLayout:
-    g = config.grid_log
-    counts = (2 * g, config.value_qubits, config.kernel_qubits, config.num_blocks)
-    bounds = np.cumsum((0,) + counts)
-    regs = [tuple(range(bounds[i], bounds[i + 1])) for i in range(4)]
-    return RegisterLayout(*regs)
+    g, m, nk = config.grid_log, config.num_blocks, config.kernel_qubits
+    x = [2 * (g - b) + max(m - b, 0) for b in range(g, 0, -1)]  # x_g .. x_1; y_b is x_b + 1, and q_f[b-1] x_b + 2
+    top = 2 * g + m + nk  # q_k below it, q_v from it up
+    return RegisterLayout(tuple(x + [q + 1 for q in x]), tuple(range(top, top + config.value_qubits)),
+                          tuple(range(top - nk, top)), tuple(q + 2 for q in x[::-1][:m]))
 
 
 def _location_controls(layout: RegisterLayout, g: int, x: int, y: int) -> tuple:
@@ -238,15 +242,16 @@ class QuantumEvaluator:
     Each row's state is one array with an axis per qubit, slowest first, and
     the rows last: the sector controls q_v and q_k, then each block's output
     q_f[b-1], y_b, x_b in block order, then the location pairs no block
-    consumes. After the location Hadamards, superpixel s = (x << g) | y
-    holds the product of its value qubits' R_Z R_Y R_X|0> states times the
-    all-pairs CZ sign (-1)^(k(k-1)/2) for Hamming weight k, at amplitude
-    1/2^g, and q_k starts in |+>. So the head, the units on q_v before block
-    1, is one map on the value axis of the (value, location pairs, row)
-    branches scaled by the signs and 1/(2^g sqrt K), shared by every kernel,
-    and the tail, the units on q_v after block M, one map on the value axis
-    of the final state; each runs as Kronecker factors of at most
-    MAX_BLOCK_QUBITS qubits (``_times_factors``).
+    consumes, numbered from qubit n - 1 down (``make_layout``). After the
+    location Hadamards, superpixel s = (x << g) | y holds the product of its
+    value qubits' R_Z R_Y R_X|0> states times the all-pairs CZ sign
+    (-1)^(k(k-1)/2) for Hamming weight k, at amplitude 1/2^g, and q_k starts
+    in |+>. So the head, the units on q_v before block 1, is one map on the
+    value axis of the (value, location pairs, row) branches scaled by the
+    signs and 1/(2^g sqrt K), shared by every kernel, and the tail, the units
+    on q_v after block M, one map on the value axis of the final state; each
+    runs as Kronecker factors of at most MAX_BLOCK_QUBITS qubits
+    (``_times_factors``).
 
     Convolution block b's units act on x_b, y_b and q_f[b-1] (|0> before
     them) under controls q_v, q_k and q_f[b-2] only, so per sector s, a
@@ -260,21 +265,21 @@ class QuantumEvaluator:
     q_f[b-2], pair b-1, pair b, rest), the kernel axis of length 1 before
     block 1; V, arranged on the same axes, contracts pair b in one broadcast
     matmul, and the output's (q_f[b-1], pair b) axis in its place is the next
-    block's input. ``forward`` copies the last block's output once into
-    (2^n, batch) columns of the qubit order and runs the tail there into the
-    last block's buffer: the returned (batch, 2^n) amplitudes, a copy that
-    the backward does not read.
+    block's input. ``forward`` runs the tail on the value axis of the last
+    block's output into a new buffer, the state in qubit order: the returned
+    (batch, 2^n) amplitudes are its transpose, which the backward does not
+    read.
 
     The measurement family is diagonal after a Hadamard on every measured
-    qubit: (I + sX)/2 = H |(1-s)/2><(1-s)/2| H. H on q_f[-1], the top qubit,
-    makes the upper half (lower - upper) / sqrt 2, written to the lower half
-    of phi, the columns' buffer, with the measured bits (value, kernel, kept
-    pairs) first; the Hadamards on them, one real GEMM per factor of at most
-    6 bits on its float64 view, write the measured state to phi's upper
-    half, and the features are 2^(m-1) times its marginals, in the
-    operators' order. The cache holds each block's input, phi, the unit
-    matrices, the value maps, the LWM pairs, V, and the encoding's unit
-    states and parts.
+    qubit: (I + sX)/2 = H |(1-s)/2><(1-s)/2| H. H on q_f[-1] makes its |1>
+    half (lower - upper) / sqrt 2, one subtraction from the tail's output
+    into the lower half of phi, the last block's buffer, with the measured
+    bits (value, kernel, kept pairs) first; the Hadamards on them, one real
+    GEMM per factor of at most 6 bits on its float64 view, write the
+    measured state to phi's upper half, and the features are 2^(m-1) times
+    its marginals, in the operators' order. The cache holds each block's
+    input, phi, the unit matrices, the value maps, the LWM pairs, V, and the
+    encoding's unit states and parts.
 
     ``backward`` consumes the cache and carries the conjugate of the bra, so
     that every overlap is a plain GEMM with a cached ket. The weighted
@@ -302,19 +307,14 @@ class QuantumEvaluator:
         self.config = config
         self.layout = layout = make_layout(config)
         self.extraction = build_feature_extraction(config, layout)
-        n, g, m, nv = layout.total_qubits, config.grid_log, config.num_blocks, config.value_qubits
+        g, nv = config.grid_log, config.value_qubits
         self._built = None  # (parameter values, units, value maps, LWM pairs, transfer matrices) of the last build
 
         pairs = [(layout.q_l[2 * g - b], layout.q_l[g - b]) for b in range(1, g + 1)]  # (y_b, x_b)
-        sectors, kept = layout.q_v[::-1] + layout.q_k[::-1], sum(pairs[m:], ())
-        consumed = sum(((layout.q_f[b],) + pairs[b] for b in range(m)), ())
-        # the columns' axes, one per qubit (qubit q on axis n - 1 - q) and then the batch, in the state's order,
-        # and the halves' over q_f[-1] = n - 1 in phi's: measured bits, then the unmeasured ones
-        self._state_axes = tuple(n - 1 - q for q in sectors + consumed + kept) + (n,)
-        measured, unmeasured = sectors + kept, tuple(q for q in consumed if q != layout.q_f[-1])
-        self._phi_axes = tuple(n - 2 - q for q in measured + unmeasured) + (n - 1,)
-        # the operators index their sign bits in measured_qubit_order: feature i is phi's measured row _feature_order[i]
+        # the operators index their sign bits in measured_qubit_order and phi's measured rows from the highest qubit
+        # down: feature i is phi's measured row _feature_order[i]
         signs = measured_qubit_order(config, layout)[:-1]
+        measured = sorted(signs, reverse=True)
         rows = np.arange(1 << len(signs)).reshape((2,) * len(signs))
         self._feature_order = rows.transpose([measured.index(q) for q in signs]).ravel()
         # superpixel s = (x << g) | y has bit 2g - 1 - j on q_l[j]: the axes of a data row's superpixel bits, value
@@ -391,7 +391,7 @@ class QuantumEvaluator:
         data, params = sv._bind(np.atleast_2d(data), params)
         sv._check_binding(data, self.config.data_arity, "data")
         sv._check_binding(params, self.extraction.param_arity, "params")
-        n, nv, rows = self.layout.total_qubits, self.config.value_qubits, len(data)
+        nv, rows = self.config.value_qubits, len(data)
         # the unit states R_Z R_Y R_X|0>, each unit matrix's first column, as (value qubit, 2, location pairs, rows)
         p, a, b = parts = _unit_parts(self._by_unit(data))
         states = np.empty((nv, 2) + p.shape[1:], dtype=np.complex128)
@@ -413,19 +413,18 @@ class QuantumEvaluator:
             x = np.empty((size, kernels) + inputs[-1].shape[2:-2] + (8, inputs[-1].shape[-1]), dtype=np.complex128)
             np.matmul(_arranged(v, kernels, size), inputs[-1], out=x)  # out: C order, which numpy would not pick
             shape = (size, kernels, -1, 2, 4, 4, x.shape[-1] // 4)
-        cols = np.empty((1 << n, rows), dtype=np.complex128)
-        cols.reshape((2,) * n + (rows,)).transpose(self._state_axes)[...] = x.reshape((2,) * n + (rows,))
-        # the tail on the columns' value axis, into the last block's buffer as the returned amplitudes; phi takes
-        # over the columns' buffer
-        columns = cols.reshape(-1, size, (1 << 2 * self.config.grid_log) * rows)
-        psi = _times_factors(tail, columns, x.reshape(columns.shape)).reshape(cols.shape)
-        del x
-        # H on q_f[-1] makes the upper half (lower - upper) / sqrt 2: phi's lower half holds lower - upper,
-        # measured bits first, and its upper half the Hadamards on the other measured bits times it, later the bra
-        phi, f, half = cols, self.num_features, len(psi) // 2
+        # the tail on the value axis of the last block's output, whose axes are the qubits from n - 1 down and then
+        # the rows: the returned amplitudes; phi takes over the last block's buffer
+        phi = x.reshape(1, size, -1)
+        psi = _times_factors(tail, phi, np.empty_like(phi)).reshape(-1, rows)
+        # H on q_f[-1] makes its |1> half (lower - upper) / sqrt 2: from the state's (sector, earlier blocks' bits,
+        # q_f[-1], pair M, kept pairs, rows), phi's lower half takes lower - upper as (sector, kept pairs, unmeasured
+        # bits, rows), and its upper half the Hadamards on the other measured bits times it, later the bra
+        f, kept = self.num_features, 1 << 2 * (self.config.grid_log - self.config.num_blocks)
         diff, measured = phi.view(np.float64).reshape(2, f, -1)
-        lower, upper = (h.reshape((2,) * (n - 1) + (rows,)).transpose(self._phi_axes) for h in (psi[:half], psi[half:]))
-        np.subtract(lower, upper, out=diff.view(np.complex128).reshape(lower.shape))
+        halves = psi.reshape(size * kernels, -1, 2, 4, kept, rows)
+        lower = diff.view(np.complex128).reshape(size * kernels, kept, -1, 4, rows).transpose(0, 2, 3, 1, 4)
+        np.subtract(halves[:, :, 0], halves[:, :, 1], out=lower)
         _times_factors(self._hadamards, diff, measured)
         # the marginals: each row's real and imaginary squares summed over the unmeasured bits, then added;
         # 2^m for the m measured qubits, over the 2 of (1 / sqrt 2)^2 the difference leaves out: 2^(m-1)

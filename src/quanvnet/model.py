@@ -254,6 +254,8 @@ class HybridModel:
         tiles = patchify(images, cfg.patch_size)
         patches = tiles.reshape(*tiles.shape[:3], -1)
         angles, enc_cache = self.autoencoder.encode(store.segments["autoencoder"], patches)
+        if not np.isfinite(angles).all():  # finite weights can still overflow the encoder
+            raise DivergenceError("the encoder's angles are not all finite")
         processed = angles.T.reshape(batch, self.grid, self.grid, cfg.features)
         psi, features, ev_cache = self.evaluator.forward(processed.reshape(batch, -1), store.segments["quantum"])
         if not with_caches:
@@ -402,6 +404,8 @@ def _epoch_eval(model: HybridModel, images: np.ndarray, labels: np.ndarray, stor
             mse_sum += reconstruction_loss(images[sl], out["reconstruction"]) * size
         correct += int((out["probs"].argmax(axis=1) == labels[sl]).sum())
     l_ce, l_mse = ce_sum / n, mse_sum / n
+    if not (np.isfinite(l_ce) and np.isfinite(l_mse)):
+        raise DivergenceError("validation loss is not finite")
     return total_loss(l_ce, l_mse, cfg.alpha), l_ce, l_mse, correct / n
 
 
@@ -424,20 +428,20 @@ def train_single_run(model: HybridModel, train_split, val_split, run_seed: int, 
         perm = rng.permutation(n)
         ce_sum = mse_sum = 0.0
         correct = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            try:
+        try:
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
                 l_ce, l_mse, batch_correct, grads = model.loss_and_grads(train_x[idx], train_y[idx], store)
                 if not (np.isfinite(l_ce) and np.isfinite(l_mse)):
                     raise DivergenceError(f"loss diverged at epoch {epoch} (run {run_index})")
                 adam_step(store, grads, cfg.learning_rate)
-            except DivergenceError as exc:
-                exc.partial_rows = rows  # completed epochs survive the abort
-                raise
-            ce_sum += l_ce * idx.size
-            mse_sum += l_mse * idx.size
-            correct += batch_correct
-        val_loss, _, _, val_acc = _epoch_eval(model, val_x, val_y, store)
+                ce_sum += l_ce * idx.size
+                mse_sum += l_mse * idx.size
+                correct += batch_correct
+            val_loss, _, _, val_acc = _epoch_eval(model, val_x, val_y, store)
+        except DivergenceError as exc:
+            exc.partial_rows = rows  # completed epochs survive the abort, in training or in validation
+            raise
         row = EpochRow(
             epoch=epoch,
             l_ce=ce_sum / n,

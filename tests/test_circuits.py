@@ -10,6 +10,11 @@ import oracles
 
 CANONICAL = qc.CircuitConfig(grid_log=3, features_per_superpixel=9, num_blocks=2, kernels_per_block=2)
 SMALL = qc.CircuitConfig(grid_log=2, features_per_superpixel=3, num_blocks=1, kernels_per_block=2)
+# (1, 21, 1, 2): 7 value qubits, wider than MAX_BLOCK_QUBITS, so the head and the tail run as two factors
+SCHEDULE_CONFIGS = [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True), (2, 12, 2, 2, True),
+                    (1, 21, 1, 2, True)]
+BLOCK_CONFIGS = [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True), (1, 12, 1, 2, True), (4, 9, 3, 2, True)]
+LAYOUT_CONFIGS = [c[:4] for c in BLOCK_CONFIGS] + [(1, 21, 1, 2)]
 
 
 class TestConfigValidation:
@@ -27,11 +32,27 @@ class TestConfigValidation:
 
 
 class TestLayout:
-    def test_registers_disjoint_and_complete(self):
-        layout = qc.make_layout(CANONICAL)
+    @pytest.mark.parametrize("g,e,m,k", LAYOUT_CONFIGS)
+    def test_registers_disjoint_and_complete(self, g, e, m, k):
+        layout = qc.make_layout(qc.CircuitConfig(g, e, m, k))
         all_q = layout.q_l + layout.q_v + layout.q_k + layout.q_f
         assert sorted(all_q) == list(range(layout.total_qubits))
-        assert layout.total_qubits == 12
+        assert layout.total_qubits == 2 * g + e // 3 + k.bit_length() - 1 + m
+
+    def test_canonical_numbering(self):
+        layout = qc.make_layout(CANONICAL)
+        assert layout.q_l == (0, 2, 5, 1, 3, 6)  # [x_3, x_2, x_1, y_3, y_2, y_1]
+        assert layout.q_v == (9, 10, 11) and layout.q_k == (8,) and layout.q_f == (7, 4)
+
+    @pytest.mark.parametrize("g,e,m,k", LAYOUT_CONFIGS)
+    def test_qubits_are_numbered_in_the_evaluator_state_order(self, g, e, m, k):
+        # slowest axis first, on qubit n - 1: the value and kernel qubits from the last down, each block's
+        # q_f[b-1], y_b, x_b, then the location pairs no block consumes
+        layout = qc.make_layout(qc.CircuitConfig(g, e, m, k))
+        x, y = layout.q_l[g - 1 :: -1], layout.q_l[: g - 1 : -1]  # x_1 .. x_g, y_1 .. y_g
+        order = layout.q_v[::-1] + layout.q_k[::-1] + sum(((layout.q_f[b], y[b], x[b]) for b in range(m)), ())
+        order += sum(((y[b], x[b]) for b in range(m, g)), ())
+        assert order == tuple(reversed(range(layout.total_qubits)))
 
     def test_register_sizes(self):
         layout = qc.make_layout(CANONICAL)
@@ -596,7 +617,7 @@ class TestFusedSchedule:
     # (3, 9, 1, 2): 8 measured bits besides q_f[-1], so the Hadamards run as two factors, of 6 bits and 2
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("g,e,m,k,lwm", [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True),
-                                             (2, 12, 2, 2, True), (3, 9, 1, 2, True)])
+                                             (2, 12, 2, 2, True), (3, 9, 1, 2, True), (1, 21, 1, 2, True)])
     def test_matches_the_per_unit_reference(self, g, e, m, k, lwm, rows):
         config = qc.CircuitConfig(g, e, m, k, lwm)
         rng = np.random.default_rng(1100 + 100 * g + 10 * e + rows)
@@ -633,10 +654,6 @@ class TestFusedSchedule:
             return float(np.sum(ev.forward(data, p)[1] * cot))
 
         assert oracles.relative_error(got[slots], oracles.central_differences(loss, params[slots])) <= 1e-5
-
-
-SCHEDULE_CONFIGS = [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True), (2, 12, 2, 2, True)]
-BLOCK_CONFIGS = [(3, 9, 2, 2, True), (2, 3, 2, 4, False), (2, 6, 1, 1, True), (1, 12, 1, 2, True), (4, 9, 3, 2, True)]
 
 
 def _touched(op) -> set:

@@ -10,7 +10,7 @@ import pytest
 from quanvnet import dataio
 from quanvnet import model as qm
 from quanvnet.autoencoder import PatchAutoencoder
-from quanvnet.cli import main
+from quanvnet.cli import METRICS_HEADER, main
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +142,22 @@ class TestTrain:
         assert code == 4
         assert "divergence" in capsys.readouterr().err
         assert len((out / "run0_metrics.csv").read_text().splitlines()) == 2  # header + 1 kept epoch
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the encoder overflows: that is the divergence
+def test_a_real_divergence_exits_4_and_keeps_the_completed_epochs(tmp_path, capsys):
+    # Adam's first update leaves the autoencoder weights finite but near 1e308, and the next forward's encoder
+    # makes non-finite angles: a divergence, not a config error
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["synth", "--out", str(data), "--image-size", "8", "--channels", "1"]) == 0
+    capsys.readouterr()
+    code = main(["train", "--data", str(data), "--out", str(out), "--image-size", "8", "--patch-size", "4",
+                 "--channels", "1", "--features", "3", "--blocks", "1", "--kernels", "1", "--epochs", "3",
+                 "--runs", "1", "--lr", "1e308"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "numerical divergence: the encoder's angles are not all finite\n"
+    assert (out / "run0_metrics.csv").read_text().splitlines() == [METRICS_HEADER]  # no epoch completed
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 """Differential net for the evaluator's fast paths.
 
-Hypothesis draws small circuit geometries (g 1-3, E 3-12, every valid M,
+Hypothesis draws small circuit geometries (g 1-3, E 3-21, every valid M,
 K in {1, 2, 4}, LWM on and off, at most 13 qubits), a batch of 1-7 rows and
 random angles. The evaluator's closed-form encoding plus extraction sweep must
 agree with the whole gate list run op by op (``ev.compiled``) on amplitudes,
@@ -25,7 +25,7 @@ def cases(draw):
     g = draw(st.integers(1, 3))
     config = qc.CircuitConfig(
         grid_log=g,
-        features_per_superpixel=3 * draw(st.integers(1, 4)),
+        features_per_superpixel=3 * draw(st.integers(1, 7)),
         num_blocks=draw(st.integers(1, g)),
         kernels_per_block=draw(st.sampled_from([1, 2, 4])),
         lwm_enabled=draw(st.booleans()),

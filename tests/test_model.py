@@ -326,6 +326,24 @@ class TestTraining:
         assert result.best_store.step == 1  # ceil(4/4) optimizer steps
         assert result.best_epoch == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the encoder overflows: that is the divergence
+    def test_a_divergence_in_validation_keeps_the_completed_epochs(self, tmp_path, monkeypatch):
+        # one batch per epoch; the second epoch's update leaves the autoencoder weights finite but near 1e300, so
+        # that epoch's validation is the first forward to overflow, and its loss is not finite
+        data = tiny_dataset(tmp_path, train=8, val=4)
+        model = qm.HybridModel(qm.ModelConfig(**{**SMALL.__dict__, "epochs": 3, "batch_size": 8}))
+        real = qm.adam_step
+
+        def step(store, grads, lr):
+            real(store, grads, lr)
+            if store.step == 2:
+                store.segments["autoencoder"] *= 1e300
+
+        monkeypatch.setattr(qm, "adam_step", step)
+        with pytest.raises(DivergenceError, match="validation loss is not finite") as info:
+            qm.train_single_run(model, data["train"], data["validation"], run_seed=3)
+        assert [row.epoch for row in info.value.partial_rows] == [1]
+
     def test_loss_column_is_composed(self, small_model, tmp_path):
         data = tiny_dataset(tmp_path)
         cfg = qm.ModelConfig(**{**SMALL.__dict__, "epochs": 2, "batch_size": 8})
