@@ -2,7 +2,7 @@
 
 One shared encoder/decoder pair is applied independently to every patch
 (superpixel) of every image. The encoder halves the spatial size with
-conv/ReLU/max-pool blocks until it reaches 2x2, then maps to E features
+conv/max-pool/ReLU blocks until it reaches 2x2, then maps to E features
 through a bounded head ``pi * sigmoid`` -- rotation angles are periodic, so
 the features must live in [0, pi]. The decoder mirrors this with stride-2
 transposed convolutions and a logistic output head in [0, 1].
@@ -62,9 +62,10 @@ def reconstruction_loss(original: np.ndarray, reconstructed: np.ndarray) -> floa
 
 
 def _sigmoid(z):
+    """The logistic of z, written over z: pass a temporary that nothing reads afterwards."""
     e = np.abs(z)  # exp(-|z|) never overflows; equals the two-sided stable form bit for bit
     np.exp(np.negative(e, out=e), out=e)
-    out = np.where(z < 0, e, 1.0)  # the numerator: 1 where z >= 0, else exp(z) == exp(-|z|)
+    out = np.maximum(e, np.sign(z, out=z), out=z)  # numerator: e where z < 0, else 1 (e <= 1, and e == 1 at z == +-0)
     return np.divide(out, np.add(1.0, e, out=e), out=out)
 
 
@@ -113,21 +114,20 @@ def _quadrants(x):
     return [x[i::2, j::2] for i in (0, 1) for j in (0, 1)]
 
 
-def _maxpool(x):
-    """(pooled, window): each 2x2 window's first maximum, and what ``_maxpool_backward`` reads to find it."""
+def _maxpool_relu(x):
+    """(pooled, window): the ReLU of each 2x2 window's maximum, and what the backward reads to find it."""
     q = _quadrants(x)
     pooled = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
-    # np.maximum may return either zero of a tie between signed zeros: a zero maximum takes the first zero
-    zero = pooled == 0
-    for view in q[::-1]:
-        np.copyto(pooled, view, where=zero & (view == 0))
+    # == maxpool(relu(x)), as both maps are monotone; np.maximum(-0.0, 0.0) is +0.0, so no zero keeps its sign
+    np.maximum(pooled, 0.0, out=pooled)
     return pooled, (x, pooled)
 
 
-def _maxpool_backward(window, grad, in_shape):
-    # each window's gradient goes to its first quadrant equal to the maximum, which keeps backward deterministic
+def _maxpool_relu_backward(window, grad, in_shape):
+    # each window's gradient goes to its first quadrant equal to the maximum, which keeps backward deterministic;
+    # a window whose maximum is <= 0 lies on the ReLU's flat side and passes none
     x, pooled = window
-    dx, free = np.empty(in_shape), np.ones(pooled.shape, dtype=bool)
+    dx, free = np.empty(in_shape), pooled > 0
     for view, quadrant in zip(_quadrants(dx), _quadrants(x)):  # the quadrants cover dx once
         first = free & (quadrant == pooled)
         view[...] = np.where(first, grad, 0.0)
@@ -224,10 +224,9 @@ class PatchAutoencoder:
         cache = {"patches": patches, "conv": []}
         x = patches
         for i in range(self.blocks):
-            act = _conv2d(x, v[f"enc_conv{i}_w"], v[f"enc_conv{i}_b"])
-            np.maximum(act, 0.0, out=act)  # ReLU in place: act > 0 exactly where the pre-activation was
-            pooled, window = _maxpool(act)
-            cache["conv"].append((x, act, window))
+            pre = _conv2d(x, v[f"enc_conv{i}_w"], v[f"enc_conv{i}_b"])
+            pooled, window = _maxpool_relu(pre)
+            cache["conv"].append((x, pre.shape, window))
             x = pooled
         flat = x.reshape(-1, x.shape[-1])
         sig = _sigmoid(v["enc_dense_w"].T @ flat + v["enc_dense_b"][:, None])
@@ -247,9 +246,8 @@ class PatchAutoencoder:
         gv["enc_dense_b"][...] = dz.sum(axis=1)
         dx = (v["enc_dense_w"] @ dz).reshape(cache["x_shape"])
         for i in reversed(range(self.blocks)):
-            x_in, act, window = cache["conv"][i]
-            dpre = _maxpool_backward(window, dx, act.shape)
-            dpre *= act > 0
+            x_in, pre_shape, window = cache["conv"][i]
+            dpre = _maxpool_relu_backward(window, dx, pre_shape)
             gv[f"enc_conv{i}_w"][...], gv[f"enc_conv{i}_b"][...] = _conv2d_backward(x_in, v[f"enc_conv{i}_w"], dpre)
             if i:  # conv 0 reads the raw patches, whose gradient nobody uses
                 dx = _conv2d(dpre, _flipped(v[f"enc_conv{i}_w"]), 0.0)

@@ -433,15 +433,16 @@ def train_single_run(model: HybridModel, train_split, val_split, run_seed: int, 
                 idx = perm[start : start + cfg.batch_size]
                 l_ce, l_mse, batch_correct, grads = model.loss_and_grads(train_x[idx], train_y[idx], store)
                 if not (np.isfinite(l_ce) and np.isfinite(l_mse)):
-                    raise DivergenceError(f"loss diverged at epoch {epoch} (run {run_index})")
+                    raise DivergenceError("loss diverged")
                 adam_step(store, grads, cfg.learning_rate)
                 ce_sum += l_ce * idx.size
                 mse_sum += l_mse * idx.size
                 correct += batch_correct
             val_loss, _, _, val_acc = _epoch_eval(model, val_x, val_y, store)
-        except DivergenceError as exc:
-            exc.partial_rows = rows  # completed epochs survive the abort, in training or in validation
-            raise
+        except DivergenceError as exc:  # every divergence names its epoch and run, and keeps the completed rows
+            err = DivergenceError(f"{exc} at epoch {epoch} (run {run_index})")
+            err.partial_rows = rows
+            raise err from exc
         row = EpochRow(
             epoch=epoch,
             l_ce=ce_sum / n,

@@ -258,21 +258,20 @@ def test_sigmoid_equals_the_two_branch_form_bit_for_bit():
                         [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = ae_mod._sigmoid(z)
+        got = ae_mod._sigmoid(z.copy())
     assert np.array_equal(got, two_branch_sigmoid(z))
     assert np.isnan(ae_mod._sigmoid(np.array([np.nan]))[0])
 
 
-def test_sigmoid_of_a_decoder_pre_activation_is_bitwise_and_leaves_its_input():
+def test_sigmoid_of_a_decoder_pre_activation_is_bitwise_and_written_over_its_input():
     # the decoder output head's (patches, P, P, C) shape, with signed zeros, infinities and huge values inside
     z = 8.0 * np.random.default_rng(15).standard_normal((3200, 4, 4, 4))
     z.flat[:10] = [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 745.0, -745.0, 5e-324, -5e-324]
-    before = z.copy()
+    arg = z.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = ae_mod._sigmoid(z)
-    assert np.array_equal(got, two_branch_sigmoid(z)) and got.shape == z.shape
-    assert np.array_equal(z, before) and np.array_equal(np.signbit(z), np.signbit(before))
+        got = ae_mod._sigmoid(arg)
+    assert got is arg and np.array_equal(arg, two_branch_sigmoid(z))
 
 
 def take_along_axis_pool(x):
@@ -301,11 +300,12 @@ def test_maxpool_matches_the_take_along_axis_form_bit_for_bit(kind):
         "signed zeros": rng.choice([0.0, -0.0, -1.0], size=shape),
     }[kind]
     x = np.ascontiguousarray(np.moveaxis(x, 0, -1))
-    out, idx = ae_mod._maxpool(x)
-    want, backward = take_along_axis_pool(x)
+    out, window = ae_mod._maxpool_relu(x)
+    want, backward = take_along_axis_pool(np.maximum(x, 0.0))  # max pool after the ReLU
     assert out.tobytes() == want.tobytes()  # signs of zeros included
     grad = rng.normal(size=out.shape)
-    assert ae_mod._maxpool_backward(idx, grad, x.shape).tobytes() == backward(grad).tobytes()
+    got = ae_mod._maxpool_relu_backward(window, grad, x.shape)
+    assert got.tobytes() == backward(np.where(want > 0, grad, 0.0)).tobytes()  # the ReLU passes no gradient at 0
 
 
 # Ci != Co, so a kernel transposed the wrong way in a gradient cannot pass
@@ -370,13 +370,18 @@ def test_conv_weight_gradient_fold_matches_the_per_tap_products(size):
     assert oracles.relative_error(db, grad.sum(axis=(0, 1, 2))) <= 1e-12
 
 
-@pytest.mark.parametrize("patch,channels", [(1, 2), (2, 3), (4, 2), (8, 3), (16, 1)])
-def test_analytic_gradients_match_central_differences(patch, channels):
+# the last case shifts the encoder's conv biases down, so that many whole pooling windows lie below the ReLU's kink
+@pytest.mark.parametrize("patch,channels,enc_bias_shift",
+                         [(1, 2, 0.0), (2, 3, 0.0), (4, 2, 0.0), (8, 3, 0.0), (16, 1, 0.0), (8, 3, -0.6)],
+                         ids=["1-2", "2-3", "4-2", "8-3", "16-1", "8-3-dead-windows"])
+def test_analytic_gradients_match_central_differences(patch, channels, enc_bias_shift):
     ae = PatchAutoencoder(patch, channels, 6)
     rng = np.random.default_rng(12)
     # draw every parameter (biases included) from a continuous distribution so
     # no ReLU pre-activation sits exactly on its kink
     params = rng.uniform(-0.5, 0.5, ae.num_params)
+    for i in range(ae.blocks):
+        ae._views(params)[f"enc_conv{i}_b"][...] += enc_bias_shift
     batch = np.moveaxis(rng.uniform(0, 1, (3, patch, patch, channels)), 0, -1)
     scale = 2.0 / (3 * batch[..., 0].size)  # d(mean sq)/d(recon)
 
@@ -390,6 +395,9 @@ def test_analytic_gradients_match_central_differences(patch, channels):
     dgrad_out = scale * (recon - batch)
     dec_grads, dfeats = ae.decode_backward(params, dec_cache, dgrad_out)
     enc_grads = ae.encode_backward(params, enc_cache, dfeats)
+    if enc_bias_shift:  # a window whose maximum is <= 0 pools to 0 through the ReLU and passes no gradient
+        dead = [np.mean(take_along_axis_pool(pre)[0] <= 0) for _, _, (pre, _) in enc_cache["conv"]]
+        assert min(dead) >= 0.25
     got = dec_grads + enc_grads
     want = oracles.central_differences(loss, params, eps=1e-4)
     assert oracles.relative_error(got, want) <= 1e-5

@@ -156,7 +156,7 @@ def test_a_real_divergence_exits_4_and_keeps_the_completed_epochs(tmp_path, caps
                  "--runs", "1", "--lr", "1e308"])
     err = capsys.readouterr().err
     assert code == 4
-    assert err == "numerical divergence: the encoder's angles are not all finite\n"
+    assert err == "numerical divergence: the encoder's angles are not all finite at epoch 1 (run 0)\n"
     assert (out / "run0_metrics.csv").read_text().splitlines() == [METRICS_HEADER]  # no epoch completed
 
 
