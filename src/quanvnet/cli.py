@@ -1,8 +1,8 @@
 """Batch command line: train, eval, analyze, resources, synth.
 
 Exit codes: 0 success, 2 configuration errors, 3 data errors, 4 numerical
-divergence. Every run writes only under ``--out`` and echoes its effective
-configuration there; command-line flags override config-file values.
+divergence. Every command writes only under ``--out``, and ``train`` echoes its
+effective configuration there; command-line flags override config-file values.
 """
 
 from __future__ import annotations
@@ -22,17 +22,23 @@ from .errors import ConfigError, DataError, DivergenceError
 METRICS_HEADER = "epoch,l_ce,l_mse,loss,train_acc,val_loss,val_acc"
 CONFIG_FORMAT_VERSION = 1
 _MODEL_KEYS = tuple(f.name for f in fields(qm.ModelConfig))
-# what a config file's run-only keys must hold, by JSON type (null leaves a key unset)
+# what a config file's run-only keys must hold, by JSON type (null leaves a key unset),
+# and the argparse settings of their flags
 _RUN_ONLY_KINDS = {
-    "data": ("a path string", lambda v: type(v) is str),
-    "out": ("a path string", lambda v: type(v) is str),
-    "deterministic": ("a bool", lambda v: type(v) is bool),
-    "train_fraction": ("a number", lambda v: type(v) in (int, float)),
+    "data": ("a path string", lambda v: type(v) is str, {"help": "dataset directory"}),
+    "out": ("a path string", lambda v: type(v) is str, {"help": "output directory (all artifacts land here)"}),
+    "deterministic": ("a bool", lambda v: type(v) is bool,
+                      {"action": "store_true", "default": None,
+                       "help": "recorded in config.json; every run is deterministic with or without it"}),
+    "train_fraction": ("a number", lambda v: type(v) in (int, float), {"type": float}),
     "minority": ("a [class, fraction] pair",
-                 lambda v: type(v) is list and [*map(type, v)] in ([int, int], [int, float])),
-    "pad_to": ("an int", lambda v: type(v) is int),
+                 lambda v: type(v) is list and [*map(type, v)] in ([int, int], [int, float]),
+                 {"help": "CLASS:FRACTION subsampling of one training class"}),
+    "pad_to": ("an int", lambda v: type(v) is int,
+               {"type": int, "help": "zero-pad images up to this spatial size at load time"}),
 }
 _RUN_ONLY_KEYS = tuple(_RUN_ONLY_KINDS)
+_SYNTH_KEYS = ("num_classes", "image_size", "channels", "seed")  # the dataset settings synth reads
 # model flags are spelled like their ModelConfig field, except these two
 _FLAG_NAMES = {"num_classes": "classes", "learning_rate": "lr"}
 _FLAG_HELP = {
@@ -66,7 +72,7 @@ def _load_config_file(path) -> dict:
     unknown = set(raw) - set(_MODEL_KEYS) - set(_RUN_ONLY_KEYS) - {"format_version"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, (kind, holds) in _RUN_ONLY_KINDS.items():
+    for key, (kind, holds, _) in _RUN_ONLY_KINDS.items():
         if raw.get(key) is not None and not holds(raw[key]):
             raise ConfigError(f"{key} must be {kind}, got {raw[key]!r:.40}")
     return raw
@@ -75,11 +81,11 @@ def _run_config(args) -> dict:
     """Merge defaults <- config file <- flags into one flat dict."""
     merged = {f.name: f.default for f in fields(qm.ModelConfig)}
     merged.update(dict.fromkeys(_RUN_ONLY_KEYS), deterministic=False)
-    if getattr(args, "config", None):
+    if args.config:
         merged.update(_load_config_file(args.config))
-    overrides = {key: getattr(args, key) for key in _MODEL_KEYS + _RUN_ONLY_KEYS}
-    if args.minority:
-        overrides["minority"] = _parse_minority(args.minority)
+    overrides = {key: getattr(args, key, None) for key in _MODEL_KEYS + _RUN_ONLY_KEYS}
+    if overrides["minority"]:
+        overrides["minority"] = _parse_minority(overrides["minority"])
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
@@ -126,7 +132,10 @@ def _load_data(merged: dict, needed: tuple, config: qm.ModelConfig, reader: str)
     if not data_dir.is_dir():
         raise DataError(f"dataset directory {data_dir} does not exist")
     h, w, c = dataio.read_manifest(data_dir)["image_shape"]
-    grow = max(0, (merged.get("pad_to") or 0) - h)  # zero_pad grows both sides by pad_to - h and rejects a shrink
+    pad_to = merged.get("pad_to")
+    if pad_to is not None and pad_to < h:  # what zero_pad rejects, before any split is read
+        raise ConfigError(f"cannot pad {h}-pixel images down to {pad_to}")
+    grow = (pad_to or h) - h  # zero_pad grows both axes by pad_to - h
     shape, provided = (config.image_size, config.image_size, config.channels), (h + grow, w + grow, c)
     mismatch = ConfigError(f"the model reads {shape} images, dataset provides {provided}")
     if grow and provided != shape:  # before the padding is allocated
@@ -137,7 +146,7 @@ def _load_data(merged: dict, needed: tuple, config: qm.ModelConfig, reader: str)
         train_fraction=merged.get("train_fraction"),
         minority=merged.get("minority"),
         seed=_seed(merged),
-        pad_to=merged.get("pad_to"),
+        pad_to=pad_to,
     )
     for split in needed:
         if data[split][1].size == 0:
@@ -269,7 +278,7 @@ def cmd_resources(args) -> int:
 def cmd_synth(args) -> int:
     merged = _run_config(args)
     spec = dataio.SyntheticSpec(
-        **{k: qm.checked_field(k, merged[k]) for k in ("num_classes", "image_size", "channels", "seed")},
+        **{k: qm.checked_field(k, merged[k]) for k in _SYNTH_KEYS},
         train_samples=args.train_samples,
         validation_samples=args.validation_samples,
         test_samples=args.test_samples,
@@ -286,60 +295,44 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, handler, keys, help: str) -> argparse.ArgumentParser:
+    """Subcommand ``name`` with ``--config`` and one flag for each config key
+    in ``keys``; no flag takes an abbreviation."""
+    parser = sub.add_parser(name, help=help, allow_abbrev=False)
+    parser.set_defaults(handler=handler)
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--data", help="dataset directory")
-    parser.add_argument("--out", help="output directory (all artifacts land here)")
-    parser.add_argument("--deterministic", action="store_true", default=None,
-                        help="force sequential reductions (evaluation order is already sequential)")
-    parser.add_argument("--train-fraction", type=float, dest="train_fraction")
-    parser.add_argument("--minority", help="CLASS:FRACTION subsampling of one training class")
-    parser.add_argument("--pad-to", type=int, dest="pad_to",
-                        help="zero-pad images up to this spatial size at load time")
-    for f in fields(qm.ModelConfig):
-        kind = type(f.default)
-        if kind is bool:  # on by default; the flag turns it off
-            flag = "no-" + f.name.removesuffix("_enabled").replace("_", "-")
-            parser.add_argument(f"--{flag}", action="store_false", default=None, dest=f.name)
+    defaults = {f.name: f.default for f in fields(qm.ModelConfig)}
+    for key in keys:
+        if key in _RUN_ONLY_KINDS:
+            parser.add_argument("--" + key.replace("_", "-"), dest=key, **_RUN_ONLY_KINDS[key][2])
+        elif type(defaults[key]) is bool:  # on by default; the flag turns it off
+            flag = "no-" + key.removesuffix("_enabled").replace("_", "-")
+            parser.add_argument(f"--{flag}", action="store_false", default=None, dest=key)
         else:
-            flag = _FLAG_NAMES.get(f.name, f.name).replace("_", "-")
-            parser.add_argument(f"--{flag}", type=kind, dest=f.name, metavar=flag.upper().replace("-", "_"),
-                                help=_FLAG_HELP.get(f.name))
+            flag = _FLAG_NAMES.get(key, key).replace("_", "-")
+            parser.add_argument(f"--{flag}", type=type(defaults[key]), dest=key,
+                                metavar=flag.upper().replace("-", "_"), help=_FLAG_HELP.get(key))
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="quanvnet", description=__doc__)
+    parser = argparse.ArgumentParser(prog="quanvnet", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train on a dataset directory")
-    _add_common(p_train)
-    p_train.set_defaults(handler=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_common(p_eval)
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--split", default="test", choices=dataio.SPLIT_ORDER)
-    p_eval.set_defaults(handler=cmd_eval)
-
-    p_analyze = sub.add_parser("analyze", help="representation analyses on a checkpoint")
-    _add_common(p_analyze)
-    p_analyze.add_argument("--checkpoint", required=True)
-    p_analyze.add_argument("--split", default="test", choices=dataio.SPLIT_ORDER)
+    _add_command(sub, "train", cmd_train, _RUN_ONLY_KEYS + _MODEL_KEYS, "train on a dataset directory")
+    # eval and analyze read the seed, fraction and minority when --split train subsamples
+    scoring = ("seed", "data", "out", "train_fraction", "minority", "pad_to")
+    p_eval = _add_command(sub, "eval", cmd_eval, scoring, "evaluate a checkpoint")
+    p_analyze = _add_command(sub, "analyze", cmd_analyze, scoring, "representation analyses on a checkpoint")
+    for p in (p_eval, p_analyze):
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--split", default="test", choices=dataio.SPLIT_ORDER)
     p_analyze.add_argument("--ami", action="store_true", help="also write k-means AMI scores")
-    p_analyze.set_defaults(handler=cmd_analyze)
-
-    p_res = sub.add_parser("resources", help="print the quantum resource report")
-    _add_common(p_res)
-    p_res.set_defaults(handler=cmd_resources)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(p_synth)
+    _add_command(sub, "resources", cmd_resources, _MODEL_KEYS, "print the quantum resource report")
+    p_synth = _add_command(sub, "synth", cmd_synth, _SYNTH_KEYS + ("out",), "generate a synthetic dataset")
     p_synth.add_argument("--train-samples", type=int, default=200, dest="train_samples")
     p_synth.add_argument("--validation-samples", type=int, default=100, dest="validation_samples")
     p_synth.add_argument("--test-samples", type=int, default=100, dest="test_samples")
     p_synth.add_argument("--noise", type=float, default=0.1)
-    p_synth.set_defaults(handler=cmd_synth)
-
     return parser
 
 

@@ -228,8 +228,8 @@ def _subsample_train(labels: np.ndarray, num_classes: int, train_fraction, minor
 
 
 def zero_pad(images: np.ndarray, size: int) -> np.ndarray:
-    """Grow images to size x size by zero-padding (centered, extra on the
-    bottom/right for odd margins); converter for datasets like 28-pixel tiles."""
+    """Zero-pad both spatial axes by size - height (centered, extra bottom/right for
+    odd margins), so square images become size x size; converter for 28-pixel tiles."""
     n = images.shape[1]
     if size < n:
         raise ValueError(f"cannot pad {n}-pixel images down to {size}")

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -382,23 +384,71 @@ def test_renamed_and_negated_model_flags_reach_the_echoed_config(dataset_dir, co
     assert echoed["batch_size"] == 8  # unset flags leave the config file's values
 
 
+MODEL_FLAGS = {"--image-size", "--patch-size", "--features", "--blocks", "--kernels", "--channels", "--classes",
+               "--alpha", "--lr", "--batch-size", "--epochs", "--runs", "--seed", "--no-reconstruction", "--no-lwm"}
+SCORING_FLAGS = {"--config", "--seed", "--data", "--out", "--train-fraction", "--minority", "--pad-to",
+                 "--checkpoint", "--split"}
+
+
 def test_every_model_config_field_has_exactly_one_flag():
     from dataclasses import fields
 
     from quanvnet import model as qm
     from quanvnet.cli import build_parser
 
-    train = build_parser()._subparsers._group_actions[0].choices["train"]
-    flags = {opt for action in train._actions for opt in action.option_strings}
+    commands = build_parser()._subparsers._group_actions[0].choices
+    flags = {name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+             for name, p in commands.items()}
     assert flags == {
-        "-h", "--help", "--config", "--data", "--out", "--seed", "--deterministic", "--alpha",
-        "--train-fraction", "--minority", "--pad-to", "--no-reconstruction", "--no-lwm",
-        "--image-size", "--patch-size", "--features", "--blocks", "--kernels", "--channels",
-        "--classes", "--lr", "--batch-size", "--epochs", "--runs",
+        "train": {"--config", "--data", "--out", "--deterministic", "--train-fraction", "--minority",
+                  "--pad-to"} | MODEL_FLAGS,
+        "eval": SCORING_FLAGS,
+        "analyze": SCORING_FLAGS | {"--ami"},
+        "resources": {"--config"} | MODEL_FLAGS,
+        "synth": {"--config", "--classes", "--image-size", "--channels", "--seed", "--out", "--train-samples",
+                  "--validation-samples", "--test-samples", "--noise"},
     }
-    dests = [action.dest for action in train._actions]
-    for f in fields(qm.ModelConfig):
-        assert dests.count(f.name) == 1, f.name
+    assert sum(map(len, flags.values())) == 67
+    for name in ("train", "resources"):  # the commands that build a whole ModelConfig
+        dests = [action.dest for action in commands[name]._actions]
+        for f in fields(qm.ModelConfig):
+            assert dests.count(f.name) == 1, (name, f.name)
+
+
+# each flag was accepted and ignored before: eval and analyze take their model from the checkpoint,
+# synth writes no model, resources reads no dataset, and no run reads --deterministic
+@pytest.mark.parametrize("command, flag", [("eval", "--features 7"), ("analyze", "--epochs 2"), ("synth", "--lr 0.1"),
+                                           ("resources", "--data d"), ("eval", "--deterministic")])
+def test_a_flag_the_command_does_not_read_exits_2_before_any_output(dataset_dir, trained, tmp_path, capsys,
+                                                                    command, flag):
+    out = tmp_path / "out"
+    scoring = ["--checkpoint", str(trained / "run0.ckpt"), "--data", str(dataset_dir), "--out", str(out)]
+    args = {"eval": scoring, "analyze": scoring, "synth": ["--out", str(out)], "resources": []}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command] + args + flag.split())
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, flag", [("resources", "--feat 6"), ("eval --checkpoint c", "--see 1")])
+def test_an_abbreviated_flag_exits_2(args, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(f"{args} {flag}".split())
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_every_command_line_in_the_readme_parses():
+    from quanvnet.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line.strip() for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("quanvnet ")]
+    assert {argv[1] for argv in commands} == {"synth", "resources", "train", "eval", "analyze"}
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 @pytest.mark.parametrize("content, message", [
@@ -704,7 +754,8 @@ def test_train_with_a_negative_seed_exits_2_without_output(dataset_dir, config_f
 @pytest.mark.parametrize("command", ["resources", "train"])
 def test_state_stacks_over_the_memory_budget_exit_2_before_any_output(dataset_dir, tmp_path, capsys, command):
     out = tmp_path / "out"
-    code = main([command, "--image-size", "1024", "--patch-size", "4", "--data", str(dataset_dir), "--out", str(out)])
+    paths = ["--data", str(dataset_dir), "--out", str(out)] if command == "train" else []
+    code = main([command, "--image-size", "1024", "--patch-size", "4"] + paths)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -744,6 +795,21 @@ def test_a_pad_to_past_the_model_exits_2_naming_both_shapes_before_reading_a_spl
     err = capsys.readouterr().err
     assert code == 2
     assert err == "config error: the model reads (16, 16, 2) images, dataset provides (10000000, 10000000, 2)\n"
+    assert read == [] and not out.exists()
+
+
+@pytest.mark.parametrize("pad_to", ["4", "0", "-3"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_pad_to_below_the_image_size_exits_2_before_reading_a_split(dataset_dir, config_file, trained, tmp_path,
+                                                                     capsys, monkeypatch, command, pad_to):
+    read = []
+    monkeypatch.setattr(dataio, "read_split_raw", lambda *a: read.append(a))
+    out = tmp_path / "out"
+    args = train_args(dataset_dir, config_file, out) if command == "train" else [
+        "eval", "--checkpoint", str(trained / "run0.ckpt"), "--data", str(dataset_dir), "--out", str(out)]
+    code = main(args + ["--pad-to", pad_to])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: cannot pad 16-pixel images down to {pad_to}\n"
     assert read == [] and not out.exists()
 
 
