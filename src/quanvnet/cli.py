@@ -340,9 +340,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

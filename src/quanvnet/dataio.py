@@ -205,18 +205,13 @@ def read_split_raw(directory, manifest: dict, split: str):
 
 
 def _subsample_train(labels: np.ndarray, num_classes: int, train_fraction, minority, seed: int) -> np.ndarray:
-    """Seeded per-class index selection for the scarcity/imbalance protocols."""
+    """Seeded per-class index selection for the scarcity/imbalance protocols;
+    ``load_dataset`` has range-checked both."""
     fractions = np.ones(num_classes)
     if train_fraction is not None:
-        if not 0 < train_fraction <= 1:
-            raise ValueError("train fraction must be in (0, 1]")
         fractions[:] = train_fraction
     if minority is not None:
         cls, frac = minority
-        if not 0 <= cls < num_classes:
-            raise ValueError(f"minority class {cls} out of range")
-        if not 0 < frac <= 1:
-            raise ValueError("minority fraction must be in (0, 1]")
         fractions[cls] = min(fractions[cls], frac)
     rng = np.random.default_rng(seed)
     keep = []
@@ -251,6 +246,12 @@ def load_dataset(directory, splits=SPLIT_ORDER, train_fraction=None, minority=No
     ``pad_to`` zero-pads normalized images up to a larger spatial size.
     """
     manifest = read_manifest(directory)
+    if train_fraction is not None and not 0 < train_fraction <= 1:  # for every split, before any is read
+        raise ValueError("train fraction must be in (0, 1]")
+    if minority is not None and not 0 <= minority[0] < manifest["num_classes"]:
+        raise ValueError(f"minority class {minority[0]} out of range")
+    if minority is not None and not 0 < minority[1] <= 1:
+        raise ValueError("minority fraction must be in (0, 1]")
     constants = np.asarray(manifest["normalization"], dtype=np.float64)
     out = {}
     for split in splits:

@@ -28,6 +28,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOG_CLIP = 1e-12
 CHECKPOINT_MAGIC = "QVNCKPT1"
+# every checkpoint's arrays, in file order: the parameters, then the Adam first and second moments
+CHECKPOINT_ARRAYS = tuple(f"{kind}:{s}" for kind in ("segment", "adam_m", "adam_v") for s in SEGMENTS)
 # A training step holds at most five full (2**n, batch) complex column stacks
 # plus DATA_SLOT_BYTES per data slot of each row at any batch size (tracemalloc
 # peak of one evaluator forward and backward with its returned amplitudes held:
@@ -483,33 +485,29 @@ def evaluate(model: HybridModel, store: ParameterStore, images: np.ndarray, labe
 
 
 def save_checkpoint(path, store: ParameterStore, config: ModelConfig) -> None:
-    """Text manifest plus raw little-endian float64 arrays in declared order."""
-    order = (
-        [f"segment:{s}" for s in SEGMENTS]
-        + [f"adam_m:{s}" for s in SEGMENTS]
-        + [f"adam_v:{s}" for s in SEGMENTS]
-    )
+    """Header line, JSON manifest, then the ``CHECKPOINT_ARRAYS`` of ``store``
+    as raw little-endian float64, in that order."""
     manifest = {
         "format_version": 1,
         "segments": [{"name": s, "length": int(store.segments[s].size)} for s in SEGMENTS],
         "adam": {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "epsilon": ADAM_EPS, "step": store.step},
         "config": asdict(config),
-        "arrays": order,
+        "arrays": CHECKPOINT_ARRAYS,
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(f"{CHECKPOINT_MAGIC} {len(blob)}\n".encode("ascii"))
         fh.write(blob)
-        for name in order:
-            kind, seg = name.split(":")
-            source = {"segment": store.segments, "adam_m": store.adam_m, "adam_v": store.adam_v}[kind]
-            fh.write(np.ascontiguousarray(source[seg], dtype="<f8").tobytes())
+        for arrays in (store.segments, store.adam_m, store.adam_v):
+            for s in SEGMENTS:
+                fh.write(np.ascontiguousarray(arrays[s], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
-    """Returns (ParameterStore, ModelConfig). The header, the manifest and the
-    payload size are checked before any array is read, and every array must
-    be finite; a malformed file raises ``DataError``."""
+    """Returns (ParameterStore, ModelConfig). The header, the manifest (which
+    must declare exactly ``SEGMENTS`` and ``CHECKPOINT_ARRAYS``, in order) and
+    the payload size are checked before any array is read, and every array
+    must be finite; a malformed file raises ``DataError``."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no checkpoint at {path}")
@@ -528,47 +526,37 @@ def load_checkpoint(path):
             manifest = json.loads(fh.read(int(length)))
         except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
             raise DataError(f"checkpoint {path}: manifest is not valid JSON: {exc}") from exc
-        lengths, arrays, step, config = _checked_manifest(manifest, path)
-        payload = 8 * sum(lengths[seg] for _, seg in arrays)
+        lengths, step, config = _checked_manifest(manifest, path)
+        payload = 24 * sum(lengths)  # a parameter array and two moment arrays of float64 per segment
         if size - offset != payload:
             raise DataError(f"checkpoint {path} has {size - offset} array bytes, its manifest declares {payload}")
-        raw, offset = fh.read(), 0
-    store = ParameterStore({}, {}, {}, step=step)
-    for kind, seg in arrays:
-        count = lengths[seg]
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).copy()
-        offset += count * 8
-        if not np.all(np.isfinite(arr)):
-            raise DataError(f"checkpoint {path}: array {kind}:{seg} holds non-finite values")
-        {"segment": store.segments, "adam_m": store.adam_m, "adam_v": store.adam_v}[kind][seg] = arr
-    return store, config
+        values = np.frombuffer(fh.read(), dtype="<f8").copy()
+    bounds = np.cumsum([0] + 3 * lengths)
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = np.searchsorted(bounds, finite.argmin(), side="right") - 1
+        raise DataError(f"checkpoint {path}: array {CHECKPOINT_ARRAYS[first]} holds non-finite values")
+    arrays = np.split(values, bounds[1:-1])
+    return ParameterStore(*(dict(zip(SEGMENTS, arrays[k:])) for k in (0, 3, 6)), step), config
 
 
 def _checked_manifest(manifest, path) -> tuple:
-    """(segment lengths, (kind, segment) array order, Adam step, ModelConfig)
-    of a checkpoint manifest, or ``DataError`` naming what is malformed."""
+    """(segment lengths in ``SEGMENTS`` order, Adam step, ModelConfig) of a
+    checkpoint manifest, or ``DataError`` naming what is malformed."""
 
     def bad(what):
         return DataError(f"checkpoint {path}: manifest {what}")
 
     check_manifest_object(manifest, ("segments", "adam", "config", "arrays"), f"checkpoint {path}: manifest")
     segments = manifest["segments"]
-    if not isinstance(segments, list) or not all(
-        isinstance(e, dict) and isinstance(e.get("name"), str) and _is_count(e.get("length")) for e in segments
-    ):
-        raise bad("'segments' must list objects with a string 'name' and a non-negative integer 'length'")
-    lengths = {e["name"]: e["length"] for e in segments}
+    if not (isinstance(segments, list) and all(isinstance(e, dict) and _is_count(e.get("length")) for e in segments)
+            and [e.get("name") for e in segments] == list(SEGMENTS)):
+        raise bad(f"'segments' must be {', '.join(SEGMENTS)}, in this order, each with a non-negative integer 'length'")
     adam = manifest["adam"]
     if not isinstance(adam, dict) or not _is_count(adam.get("step")):
         raise bad("'adam' must be an object with a non-negative integer 'step'")
-    if not isinstance(manifest["arrays"], list):
-        raise bad("'arrays' is not a list")
-    arrays = []
-    for name in manifest["arrays"]:
-        kind, _, seg = str(name).partition(":")
-        if not isinstance(name, str) or kind not in ("segment", "adam_m", "adam_v") or seg not in lengths:
-            raise bad(f"'arrays' entry {name!r} is not <segment|adam_m|adam_v>:<declared segment>")
-        arrays.append((kind, seg))
+    if manifest["arrays"] != list(CHECKPOINT_ARRAYS):
+        raise bad(f"'arrays' must be {', '.join(CHECKPOINT_ARRAYS)}, in this order")
     if not isinstance(manifest["config"], dict):
         raise bad("'config' is not an object")
     known = {f.name for f in fields(ModelConfig)}
@@ -576,4 +564,4 @@ def _checked_manifest(manifest, path) -> tuple:
         config = ModelConfig(**{k: v for k, v in manifest["config"].items() if k in known})
     except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
         raise bad(f"'config' is invalid: {exc}") from exc
-    return lengths, arrays, adam["step"], config
+    return [e["length"] for e in segments], adam["step"], config

@@ -237,11 +237,26 @@ def _corrupt(raw: bytes, case: str) -> bytes:
         return header + b"\n" + b"{" + manifest[1:-1] + b"\n" + payload
     if case == "bad_length":
         return header.split()[0] + b" twelve\n" + rest
-    assert case == "no_adam"
     doc = json.loads(manifest)
-    del doc["adam"]
+    ends = np.cumsum([0] + 3 * [e["length"] for e in doc["segments"]]) * 8
+    arrays = dict(zip(doc["arrays"], (payload[a:b] for a, b in zip(ends, ends[1:]))))
+    if case == "no_adam":
+        del doc["adam"]
+    elif case == "array_twice":  # a zero second copy of the quantum parameters, after the other eight
+        doc["arrays"].append("segment:quantum")
+        arrays["segment:quantum#2"] = bytes(len(arrays["segment:quantum"]))
+    elif case == "no_moments":
+        doc["arrays"] = doc["arrays"][:3]
+        arrays = {name: arrays[name] for name in doc["arrays"]}
+    elif case == "reordered":  # the second moments before the first
+        doc["arrays"] = doc["arrays"][:3] + doc["arrays"][6:] + doc["arrays"][3:6]
+        arrays = {name: arrays[name] for name in doc["arrays"]}
+    else:
+        assert case == "renamed_segment"
+        doc["segments"][1]["name"] = "qnn"
+        doc["arrays"] = [name.replace(":quantum", ":qnn") for name in doc["arrays"]]
     blob = json.dumps(doc).encode()
-    return header.split()[0] + b" %d\n" % len(blob) + blob + payload
+    return header.split()[0] + b" %d\n" % len(blob) + blob + b"".join(arrays.values())
 
 
 class TestMalformedCheckpoint:
@@ -251,6 +266,10 @@ class TestMalformedCheckpoint:
         ("bad_json", "not valid JSON"),
         ("bad_length", "is not an integer"),
         ("no_adam", "lacks adam"),
+        ("array_twice", "manifest 'arrays' must be segment:autoencoder, segment:quantum,"),
+        ("no_moments", "manifest 'arrays' must be"),
+        ("reordered", "manifest 'arrays' must be"),
+        ("renamed_segment", "manifest 'segments' must be autoencoder, quantum, classifier, in this order"),
     ])
     def test_eval_exits_3_with_data_error(self, trained, dataset_dir, tmp_path, capsys, case, message):
         bad = tmp_path / "bad.ckpt"
@@ -347,17 +366,18 @@ class TestMalformedManifest:
         assert len(err) < 200  # a readable one-line message, not a quoted byte count
 
 
-def test_eval_rejects_a_checkpoint_with_a_nan_parameter(trained, dataset_dir, tmp_path, capsys):
-    from quanvnet import model as qm
-
+@pytest.mark.parametrize("array, index", [("segment:classifier", 0), ("segment:autoencoder", 0),
+                                          ("adam_v:classifier", -1)])
+def test_eval_rejects_a_checkpoint_with_a_nan_parameter(trained, dataset_dir, tmp_path, capsys, array, index):
+    # the first and the last value of the payload among them: the message names the array that holds the NaN
     store, config = qm.load_checkpoint(trained / "run0.ckpt")
-    store.segments["classifier"][0] = np.nan
+    kind, _, segment = array.partition(":")
+    {"segment": store.segments, "adam_v": store.adam_v}[kind][segment][index] = np.nan
     bad = tmp_path / "nan.ckpt"
     qm.save_checkpoint(bad, store, config)
     code = main(["eval", "--checkpoint", str(bad), "--data", str(dataset_dir), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("data error:") and "segment:classifier" in err
+    assert capsys.readouterr().err == f"data error: checkpoint {bad}: array {array} holds non-finite values\n"
 
 
 def test_synth_reads_the_config_file(tmp_path):
@@ -822,3 +842,22 @@ def test_a_classifier_over_the_memory_budget_exits_2_before_any_output(dataset_d
     assert captured.err.startswith("config error: num_classes 100000000000 on 16 features needs")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+# the ranges are checked against the manifest before any split is read, also when no split is subsampled
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", "--train-fraction 7", "train fraction must be in (0, 1]"),
+    ("train", "--minority 9:0.5", "minority class 9 out of range"),
+    ("eval", "--train-fraction 5 --minority 9:7", "train fraction must be in (0, 1]"),
+])
+def test_a_subsampling_flag_out_of_range_exits_2_before_reading_a_split(dataset_dir, config_file, trained, tmp_path,
+                                                                       capsys, monkeypatch, command, flags, message):
+    read = []
+    monkeypatch.setattr(dataio, "read_split_raw", lambda *a: read.append(a))
+    out = tmp_path / "out"
+    args = train_args(dataset_dir, config_file, out) if command == "train" else [
+        "eval", "--checkpoint", str(trained / "run0.ckpt"), "--data", str(dataset_dir), "--out", str(out)]
+    code = main(args + flags.split())
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert read == [] and not out.exists()

@@ -124,6 +124,20 @@ class TestCheckpoint:
         path.write_bytes(_checkpoint_bytes(*body, length))
         _loads_or_data_error(lambda: qm.load_checkpoint(path))
 
+    @given(names=st.permutations(qm.CHECKPOINT_ARRAYS) | st.lists(st.sampled_from(qm.CHECKPOINT_ARRAYS), max_size=12))
+    def test_only_the_nine_arrays_in_their_order_load(self, checkpoint, names):
+        # any permutation, duplication or omission of the array names, its payload sized to match
+        directory, manifest, _ = checkpoint
+        lengths = {e["name"]: e["length"] for e in manifest["segments"]}
+        payload = b"".join(bytes(8 * lengths[name.partition(":")[2]]) for name in names)
+        path = directory / "listed.ckpt"
+        path.write_bytes(_checkpoint_bytes(json.dumps(dict(manifest, arrays=names)).encode(), payload))
+        if names == list(qm.CHECKPOINT_ARRAYS):
+            qm.load_checkpoint(path)
+        else:
+            with pytest.raises(DataError, match="'arrays' must be"):
+                qm.load_checkpoint(path)
+
     def test_deeply_nested_manifest_is_a_data_error(self, checkpoint):
         directory, _, _ = checkpoint
         path = directory / "nested.ckpt"
